@@ -538,14 +538,36 @@ def nms(dets: list[Detection], iou_threshold: float = 0.45) -> list[Detection]:
     if not 0.0 <= iou_threshold <= 1.0:
         raise ContractViolation(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     ordered = sorted(dets, key=_det_order_key)
-    kept: list[Detection] = []
-    kept_by_class: dict[int, list[Detection]] = {}
-    for d in ordered:
-        rivals = kept_by_class.setdefault(d.class_id, [])
-        if all(iou(d.box, r.box) <= iou_threshold for r in rivals):
-            rivals.append(d)
-            kept.append(d)
-    return kept
+    by_class: dict[int, list[int]] = {}
+    for i, d in enumerate(ordered):
+        by_class.setdefault(d.class_id, []).append(i)
+    keep = np.ones(len(ordered), dtype=bool)
+    for members in by_class.values():
+        boxes = np.array([ordered[i].box for i in members], dtype=np.float64)
+        over = _pairwise_iou(boxes) > iou_threshold
+        alive = np.ones(len(members), dtype=bool)
+        for j in range(len(members) - 1):
+            if alive[j]:  # a kept box suppresses every later overlap in its class
+                alive[j + 1 :] &= ~over[j, j + 1 :]
+        keep[members] = alive
+    return [d for d, k in zip(ordered, keep) if k]
+
+
+def _pairwise_iou(boxes: np.ndarray) -> np.ndarray:
+    """iou() of every pair of rows of an (n, 4) float64 box array.
+
+    The float64 operations and their order are iou()'s, so entry (i, j)
+    equals iou(boxes[i], boxes[j]) wherever it has an overlap; where it has
+    none (inter <= 0) the entry is 0, as in iou().
+    """
+    a, b = boxes[:, None, :], boxes[None, :, :]
+    iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
+    ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
+    inter = iw * ih
+    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = inter / (area[:, None] + area[None, :] - inter)
+    return np.where(inter > 0.0, ratio, 0.0)
 
 
 # --- detection record text format -------------------------------------------

@@ -14,18 +14,30 @@ while every internal activation is int8.
 Convolutions accumulate in exact integer arithmetic:
   acc = sum (q_in - z_in) * q_w + q_bias          (int32 range)
   q_out = clamp(round(acc * s_in * s_w_c / s_out) + z_out, -128, 127)
+The input zero point is folded into the bias, bias' = q_bias - z_in *
+sum(q_w) (padding uses z_in, so the fold is exact), and BLAS multiplies the
+raw codes. A layer accumulates in float32 when every output channel has
+128 * sum|q_w| + |bias'| < 2^24, which keeps every partial sum an integer
+float32 holds exactly in any summation order; otherwise in float64. The
+product acc * s_in * s_w_c / s_out is formed in float64 and rounded once.
 
 Activation functions run as exact 256-entry lookup tables composing
 dequantize -> f -> requantize. Max pooling and nearest upsampling reuse
 their input's params (value-preserving, no requantization error); concat
 inputs are requantized only if their params differ from the output's.
+
+The first forward pass plans the model once: each layer is bound to its
+conv spec, requantization multiplier, output params and lookup tables, and
+to the point where its output is released. Later passes reuse the plan, so
+a model's weights and params must not change after its first forward.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,10 +68,22 @@ PER_CHANNEL_SYMMETRIC = "per_channel_symmetric"
 I32_MIN, I32_MAX = -(2**31), 2**31 - 1
 
 
-def round_half_away(x):
-    """Round to nearest with ties away from zero (scalar or ndarray)."""
+_BELOW_HALF = np.nextafter(0.5, 0.0)
+
+
+def round_half_away(x, out=None):
+    """Round to nearest with ties away from zero (scalar or ndarray).
+
+    Computes copysign(floor(|x| + h), x) with h the largest double below 0.5,
+    as trunc(x + copysign(h, x)), which is the same bit for bit because float
+    rounding is symmetric in sign. floor(|x| + 0.5) is off where that sum
+    rounds up: it turns 0.49999999999999994 into 1 and 2^52 + 1 into
+    2^52 + 2; with h the sum reaches the next integer only from a half or
+    more. out (which may be x) receives the result, as in numpy ufuncs.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+    y = np.add(x, np.copysign(_BELOW_HALF, x), out=out)
+    return np.trunc(y, out=out)
 
 
 @dataclass(frozen=True)
@@ -131,16 +155,13 @@ def weight_params(weight: np.ndarray) -> QuantParams:
 def quantize_array(arr: np.ndarray, params: QuantParams) -> np.ndarray:
     x = np.asarray(arr, dtype=np.float64)
     if len(params.scale) == 1:
-        scale, zp = params.scale[0], params.zero_point[0]
-        q = round_half_away(x / scale) + zp
-    else:
-        if x.shape[0] != len(params.scale):
-            raise ContractViolation(
-                f"per-channel params are for {len(params.scale)} channels, got {x.shape[0]}"
-            )
-        shape = (len(params.scale),) + (1,) * (x.ndim - 1)
-        q = round_half_away(x / params.scale.reshape(shape)) + params.zero_point.reshape(shape)
-    return np.clip(q, -128, 127).astype(np.int8)
+        return _requantize(x / params.scale[0], params.zero_point[0])
+    if x.shape[0] != len(params.scale):
+        raise ContractViolation(
+            f"per-channel params are for {len(params.scale)} channels, got {x.shape[0]}"
+        )
+    shape = (len(params.scale),) + (1,) * (x.ndim - 1)
+    return _requantize(x / params.scale.reshape(shape), params.zero_point.reshape(shape))
 
 
 def dequantize_array(q: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -330,6 +351,7 @@ class QuantizedModel:
         self.cbam_weights = cbam_weights
         self.act_params = act_params
         self._cbam_cache: dict[str, CbamParams] = {}
+        self._plan_cache: _Plan | None = None  # see _plan()
         total = 0
         for slot in list(conv_weights.values()) + list(cbam_weights.values()):
             for arr in slot.values():
@@ -416,6 +438,17 @@ def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel
 # --- quantized kernels --------------------------------------------------------
 
 
+# Integers whose magnitudes add up to less than 2^24 sum exactly in float32, in
+# any order: every partial sum is itself such an integer.
+_F32_EXACT = 2**24
+
+
+def _weight_sums(q_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-out-channel sum(q_w) and sum(|q_w|), as int64."""
+    w = q_weight.reshape(q_weight.shape[0], -1).astype(np.int64)
+    return w.sum(axis=1), np.abs(w).sum(axis=1)
+
+
 def _int_conv_acc(
     q_in: np.ndarray,
     z_in: int,
@@ -424,13 +457,17 @@ def _int_conv_acc(
     stride: int,
     padding: int,
     groups: int,
+    w_sums: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Exact integer accumulator (n, oc, oh, ow) including the int32 bias.
+    """Exact integer accumulator (n, oc, oh, ow): sum (q_in - z_in) * q_w + q_bias.
 
-    Accumulation runs in float64: every product |(q - z) * w| <= 255 * 127,
-    so any partial sum stays below 2^53 for fan-in < 2^38 and float64 adds
-    of integers that small are exact regardless of summation order. The
-    result is integer-valued bit for bit, but BLAS does the matmul.
+    The input zero point is folded into the bias, bias' = q_bias - z_in *
+    sum(q_w), so the matmul takes the raw codes; padding with z_in keeps the
+    fold exact. When every output channel has 128 * sum|q_w| + |bias'| <
+    2^24, no partial sum leaves the integers float32 holds exactly, so im2col
+    and the matmul run in float32. Otherwise they run in float64, exact for
+    fan-in up to 2^38. Either way BLAS does the matmul and the result is
+    integer-valued bit for bit. w_sums is _weight_sums(q_weight), if known.
     """
     n, c, h, w = q_in.shape
     oc, icg, k, _ = q_weight.shape
@@ -442,21 +479,28 @@ def _int_conv_acc(
     ow = (w + 2 * padding - k) // stride + 1
     if oh < 1 or ow < 1:
         raise ContractViolation("quantized conv output would be empty")
-    padded = np.pad(
-        q_in, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        constant_values=np.int8(z_in),
-    )
-    cols = np.empty((n, c, k, k, oh, ow), dtype=np.float64)
-    for ky in range(k):
-        for kx in range(k):
-            cols[:, :, ky, kx] = padded[
-                :, :, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride
-            ]
-    cols -= float(z_in)
+    w_sum, w_abs_sum = _weight_sums(q_weight) if w_sums is None else w_sums
+    bias = q_bias.astype(np.int64) - z_in * w_sum
+    exact32 = bool(np.all(128 * w_abs_sum + np.abs(bias) < _F32_EXACT))
+    dtype = np.float32 if exact32 else np.float64
+    if k == 1 and stride == 1 and padding == 0:
+        cols = q_in.astype(dtype)
+    else:
+        padded = np.pad(
+            q_in, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+            constant_values=np.int8(z_in),
+        )
+        cols = np.empty((n, c, k, k, oh, ow), dtype=dtype)
+        for ky in range(k):
+            for kx in range(k):
+                cols[:, :, ky, kx] = padded[
+                    :, :, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride
+                ]
     cols = cols.reshape(n, groups, icg * k * k, oh * ow)
-    wmat = q_weight.reshape(groups, oc // groups, icg * k * k).astype(np.float64)
+    wmat = q_weight.reshape(groups, oc // groups, icg * k * k).astype(dtype)
     acc = np.matmul(wmat[None], cols).reshape(n, oc, oh, ow)
-    return acc + q_bias.astype(np.float64).reshape(1, oc, 1, 1)
+    acc += bias.astype(dtype).reshape(1, oc, 1, 1)
+    return acc
 
 
 @dataclass
@@ -469,6 +513,7 @@ class QConvSpec:
     stride: int = 1
     padding: int = 0
     groups: int = 1
+    w_sums: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.q_weight = np.ascontiguousarray(self.q_weight, dtype=np.int8)
@@ -479,37 +524,64 @@ class QConvSpec:
             raise ContractViolation("per-channel scale/bias length must equal out_channels")
         if np.any(self.w_scale <= 0):
             raise ContractViolation("weight scales must be > 0")
+        self.w_sums = _weight_sums(self.q_weight)
+
+    def accumulate(self, x: QuantizedTensor) -> np.ndarray:
+        return _int_conv_acc(
+            x.arr, int(x.params.zero_point[0]), self.q_weight, self.q_bias,
+            self.stride, self.padding, self.groups, self.w_sums,
+        )
+
+
+def _requantize(t: np.ndarray, zero_point) -> np.ndarray:
+    """int8 codes clip(round_half_away(t) + zero_point, -128, 127), reusing the
+    float64 array t. Clipping t to [-128 - zp, 127 - zp] first gives the same
+    codes, because rounding is monotone and keeps integers; any wider bound
+    would let the int8 cast wrap."""
+    t = np.asarray(t)  # a 0-d array for scalar input, so the in-place steps work
+    np.clip(t, -128 - zero_point, 127 - zero_point, out=t)
+    round_half_away(t, out=t)
+    t += zero_point
+    return t.astype(np.int8)
+
+
+def _conv_requant(
+    x: QuantizedTensor, spec: QConvSpec, mult: np.ndarray, out_params: QuantParams
+) -> QuantizedTensor:
+    """The int8 conv kernel: the exact accumulator times the float64 per-channel
+    multiplier s_in * s_w_c / s_out, requantized in place."""
+    t = spec.accumulate(x) * mult
+    return QuantizedTensor(_requantize(t, out_params.zero_point[0]), out_params)
+
+
+def _conv_mult(in_params: QuantParams, spec: QConvSpec, out_params: QuantParams) -> np.ndarray:
+    return (in_params.scale[0] * spec.w_scale / out_params.scale[0]).reshape(1, -1, 1, 1)
 
 
 def quantized_conv2d(x: QuantizedTensor, spec: QConvSpec, out_params: QuantParams) -> QuantizedTensor:
     """int8 conv: integer accumulation, then one requantization to out_params."""
     if len(out_params.scale) != 1:
         raise ContractViolation("conv output params must be per-tensor")
-    acc = _int_conv_acc(
-        x.arr, int(x.params.zero_point[0]), spec.q_weight, spec.q_bias,
-        spec.stride, spec.padding, spec.groups,
-    )
-    m = x.params.scale[0] * spec.w_scale / out_params.scale[0]
-    q = round_half_away(acc * m.reshape(1, -1, 1, 1)) + out_params.zero_point[0]
-    return QuantizedTensor(np.clip(q, -128, 127).astype(np.int8), out_params)
-
-
-def _conv_float_out(x: QuantizedTensor, spec: QConvSpec) -> Tensor:
-    """int8 conv with an exactly dequantized float32 output (used by the head)."""
-    acc = _int_conv_acc(
-        x.arr, int(x.params.zero_point[0]), spec.q_weight, spec.q_bias,
-        spec.stride, spec.padding, spec.groups,
-    )
-    scale = (x.params.scale[0] * spec.w_scale).reshape(1, -1, 1, 1)
-    return Tensor((acc * scale).astype(np.float32))
+    return _conv_requant(x, spec, _conv_mult(x.params, spec, out_params), out_params)
 
 
 def _pointwise_lut(in_params: QuantParams, out_params: QuantParams, fn) -> np.ndarray:
-    """256-entry int8 -> int8 table for quant(fn(dequant(v)))."""
+    """256-entry int8 -> int8 table for quant(fn(dequant(v))), indexed by v + 128."""
     v = np.arange(-128, 128, dtype=np.float64)
     x = in_params.scale[0] * (v - in_params.zero_point[0])
-    q = round_half_away(fn(x) / out_params.scale[0]) + out_params.zero_point[0]
-    return np.clip(q, -128, 127).astype(np.int8)
+    return _requantize(fn(x) / out_params.scale[0], out_params.zero_point[0])
+
+
+def _code_table(lut: np.ndarray) -> np.ndarray:
+    """The same table indexed by each code's uint8 bit pattern instead of v + 128."""
+    return np.roll(lut, 128)
+
+
+def _regrid_table(in_params: QuantParams, out_params: QuantParams) -> np.ndarray | None:
+    """Code table moving codes between grids; None when the grids are the same."""
+    if in_params.same_grid(out_params):
+        return None
+    return _code_table(_pointwise_lut(in_params, out_params, lambda x: x))
 
 
 _ACT_FNS = {
@@ -519,14 +591,17 @@ _ACT_FNS = {
 }
 
 
-def _apply_lut(q: QuantizedTensor, lut: np.ndarray, out_params: QuantParams) -> QuantizedTensor:
-    return QuantizedTensor(np.take(lut, q.arr.astype(np.int16) + 128), out_params)
+def _apply_lut(
+    q: QuantizedTensor, table: np.ndarray | None, out_params: QuantParams
+) -> QuantizedTensor:
+    """Map every code through a code table; no table passes q through."""
+    if table is None:
+        return q
+    return QuantizedTensor(np.take(table, q.arr.view(np.uint8)), out_params)
 
 
 def _requant(q: QuantizedTensor, out_params: QuantParams) -> QuantizedTensor:
-    if q.params.same_grid(out_params):
-        return q
-    return _apply_lut(q, _pointwise_lut(q.params, out_params, lambda x: x), out_params)
+    return _apply_lut(q, _regrid_table(q.params, out_params), out_params)
 
 
 def _maxpool_int8(q: QuantizedTensor, kernel: int, stride: int, padding: int) -> QuantizedTensor:
@@ -547,88 +622,116 @@ def _maxpool_int8(q: QuantizedTensor, kernel: int, stride: int, padding: int) ->
     return QuantizedTensor(out, q.params)
 
 
+class _Step(NamedTuple):
+    run: Callable  # the layer, bound to its weights, tables and params
+    inputs: tuple[int, ...]
+    frees: tuple[int, ...]  # outputs (-1: the input) whose last consumer this is
+
+
+@dataclass
+class _Plan:
+    steps: list[_Step]
+    head: int
+
+
+def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
+    """One layer as a function of its input tensors, with every per-model
+    value (conv spec, multiplier, LUT, params) computed here, once."""
+    kind = layer.kind
+    if kind == "bn":
+        raise ContractViolation("quantized graph contains an unfolded bn layer")
+    out_params = model.act_params.get(slot_key(idx))
+    in_params = model.act_params.get(slot_key(layer.inputs[0]))
+    attrs = layer.attrs
+    if kind in ("conv", "detect_head"):
+        qw = model.conv_weights[layer.slot]
+        spec = QConvSpec(
+            qw["q_weight"], qw["w_scale"], qw["q_bias"],
+            stride=int(attrs.get("stride", 1)),
+            padding=int(attrs.get("padding", 0)),
+            groups=int(attrs.get("groups", 1)),
+        )
+        if kind == "detect_head":
+            # The head's accumulator is dequantized exactly to float32.
+            scale = (in_params.scale[0] * spec.w_scale).reshape(1, -1, 1, 1)
+            return lambda q: Tensor((spec.accumulate(q) * scale).astype(np.float32))
+        mult = _conv_mult(in_params, spec, out_params)
+        return lambda q: _conv_requant(q, spec, mult, out_params)
+    if kind == "act":
+        table = _code_table(_pointwise_lut(in_params, out_params, _ACT_FNS[attrs["fn"]]))
+        return lambda q: _apply_lut(q, table, out_params)
+    if kind == "concat":
+        tables = [
+            _regrid_table(model.act_params[slot_key(ref)], out_params) for ref in layer.inputs
+        ]
+
+        def concat(*qs: QuantizedTensor) -> QuantizedTensor:
+            parts = [_apply_lut(q, t, out_params).arr for q, t in zip(qs, tables)]
+            return QuantizedTensor(np.concatenate(parts, axis=1), out_params)
+
+        return concat
+    if kind == "cbam":
+        params = model.cbam_params(layer.slot)
+        return lambda q: quantize_tensor(cbam_forward(dequantize(q), params), out_params)
+    if kind == "pool":
+        kernel = int(attrs["kernel"])
+        stride = int(attrs.get("stride", kernel))
+        padding = int(attrs.get("padding", 0))
+        if attrs.get("pool") == "max":
+            return lambda q: _requant(_maxpool_int8(q, kernel, stride, padding), out_params)
+        return lambda q: quantize_tensor(
+            pool(dequantize(q), attrs["pool"], kernel, stride, padding), out_params
+        )
+    if kind == "upsample":
+        return lambda q: _requant(
+            QuantizedTensor(np.repeat(np.repeat(q.arr, 2, axis=2), 2, axis=3), q.params),
+            out_params,
+        )
+    if kind == "global_pool":
+        return lambda q: quantize_tensor(global_pool(dequantize(q), attrs["pool"]), out_params)
+    raise ContractViolation(f"unsupported quantized layer kind {layer.kind!r}")
+
+
+def _plan(model: QuantizedModel) -> _Plan:
+    """The model's bound layers and release points, built on first use."""
+    if model._plan_cache is None:
+        heads = [i for i, layer in enumerate(model.layers) if layer.kind == "detect_head"]
+        if not heads:
+            raise ContractViolation("quantized graph has no detect_head layer")
+        last_use = {}
+        for idx, layer in enumerate(model.layers):
+            for ref in layer.inputs:
+                last_use[ref] = idx
+        steps = [
+            _Step(
+                _bind(model, idx, layer),
+                layer.inputs,
+                tuple(ref for ref, last in last_use.items() if last == idx),
+            )
+            for idx, layer in enumerate(model.layers)
+        ]
+        model._plan_cache = _Plan(steps, heads[-1])
+    return model._plan_cache
+
+
 def forward_quantized(model: QuantizedModel, x: Tensor) -> Tensor:
-    """Run the int8 graph on a float (1, 3, S, S) input; returns the float head."""
+    """Run the int8 graph on a float (1, 3, S, S) input; returns the float head.
+
+    Each intermediate output is dropped right after its last consumer runs.
+    """
     n, c, h, w = x.shape
     s = model.meta.input_size
     if (n, c, h, w) != (1, 3, s, s):
         raise ContractViolation(f"forward expects input (1, 3, {s}, {s}), got {(n, c, h, w)}")
-    remaining = [0] * len(model.layers)
-    for layer in model.layers:
-        for ref in layer.inputs:
-            if ref >= 0:
-                remaining[ref] += 1
-
-    q_input = quantize_tensor(x, model.act_params[INPUT_SLOT])
-    outputs: list[object] = [None] * len(model.layers)
-
-    def fetch(ref: int):
-        return q_input if ref == -1 else outputs[ref]
-
-    result: Tensor | None = None
-    for idx, layer in enumerate(model.layers):
-        out_params = model.act_params.get(slot_key(idx))
-        if layer.kind in ("conv", "detect_head"):
-            qw = model.conv_weights[layer.slot]
-            spec = QConvSpec(
-                qw["q_weight"], qw["w_scale"], qw["q_bias"],
-                stride=int(layer.attrs.get("stride", 1)),
-                padding=int(layer.attrs.get("padding", 0)),
-                groups=int(layer.attrs.get("groups", 1)),
-            )
-            if layer.kind == "detect_head":
-                out = _conv_float_out(fetch(layer.inputs[0]), spec)
-            else:
-                out = quantized_conv2d(fetch(layer.inputs[0]), spec, out_params)
-        elif layer.kind == "act":
-            qin = fetch(layer.inputs[0])
-            lut = _pointwise_lut(qin.params, out_params, _ACT_FNS[layer.attrs["fn"]])
-            out = _apply_lut(qin, lut, out_params)
-        elif layer.kind == "pool" and layer.attrs.get("pool") == "max":
-            qin = fetch(layer.inputs[0])
-            out = _requant(
-                _maxpool_int8(
-                    qin,
-                    int(layer.attrs["kernel"]),
-                    int(layer.attrs.get("stride", layer.attrs["kernel"])),
-                    int(layer.attrs.get("padding", 0)),
-                ),
-                out_params,
-            )
-        elif layer.kind == "upsample":
-            qin = fetch(layer.inputs[0])
-            rep = np.repeat(np.repeat(qin.arr, 2, axis=2), 2, axis=3)
-            out = _requant(QuantizedTensor(rep, qin.params), out_params)
-        elif layer.kind == "concat":
-            parts = [_requant(fetch(ref), out_params) for ref in layer.inputs]
-            out = QuantizedTensor(np.concatenate([p.arr for p in parts], axis=1), out_params)
-        elif layer.kind == "cbam":
-            qin = fetch(layer.inputs[0])
-            refined = cbam_forward(dequantize(qin), model.cbam_params(layer.slot))
-            out = quantize_tensor(refined, out_params)
-        elif layer.kind == "bn":
-            raise ContractViolation("quantized graph contains an unfolded bn layer")
-        elif layer.kind == "pool":
-            qin = fetch(layer.inputs[0])
-            f = pool(
-                dequantize(qin), layer.attrs["pool"], int(layer.attrs["kernel"]),
-                int(layer.attrs.get("stride", layer.attrs["kernel"])),
-                int(layer.attrs.get("padding", 0)),
-            )
-            out = quantize_tensor(f, out_params)
-        elif layer.kind == "global_pool":
-            out = quantize_tensor(global_pool(dequantize(fetch(layer.inputs[0])), layer.attrs["pool"]), out_params)
-        else:
-            raise ContractViolation(f"unsupported quantized layer kind {layer.kind!r}")
-        outputs[idx] = out
-        if layer.kind == "detect_head":
-            result = out
-        for ref in layer.inputs:
-            if ref >= 0:
-                remaining[ref] -= 1
-                if remaining[ref] == 0:
-                    outputs[ref] = None
-    return result
+    plan = _plan(model)
+    # The input sits in the last slot, so input ref -1 indexes it directly.
+    outputs: list[object] = [None] * len(plan.steps)
+    outputs.append(quantize_tensor(x, model.act_params[INPUT_SLOT]))
+    for idx, step in enumerate(plan.steps):
+        outputs[idx] = step.run(*[outputs[ref] for ref in step.inputs])
+        for ref in step.frees:
+            outputs[ref] = None
+    return outputs[plan.head]
 
 
 # --- serialization ------------------------------------------------------------

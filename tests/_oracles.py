@@ -40,6 +40,35 @@ def conv2d_naive(x, weight, bias, stride, padding, groups):
     return out
 
 
+def conv2d_int_naive(q_in, z_in, q_weight, q_bias, stride, padding, groups):
+    """Direct 6-loop integer convolution in Python ints:
+    sum (q_in - z_in) * q_w + q_bias, padded cells contributing nothing."""
+    n, c, h, w = q_in.shape
+    oc, icg, k, _ = q_weight.shape
+    assert icg * groups == c
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (w + 2 * padding - k) // stride + 1
+    out = np.zeros((n, oc, oh, ow), dtype=np.int64)
+    ocg = oc // groups
+    for b in range(n):
+        for o in range(oc):
+            g = o // ocg
+            for oy in range(oh):
+                for ox in range(ow):
+                    acc = int(q_bias[o])
+                    for ic in range(icg):
+                        for ky in range(k):
+                            for kx in range(k):
+                                iy = oy * stride + ky - padding
+                                ix = ox * stride + kx - padding
+                                if 0 <= iy < h and 0 <= ix < w:
+                                    acc += (int(q_in[b, g * icg + ic, iy, ix]) - z_in) * int(
+                                        q_weight[o, ic, ky, kx]
+                                    )
+                    out[b, o, oy, ox] = acc
+    return out
+
+
 def pool_naive(x, kind, kernel, stride, padding):
     """Direct pooling loops; max pads with -inf, avg divides by valid cells."""
     n, c, h, w = x.shape

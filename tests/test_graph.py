@@ -33,7 +33,7 @@ from greenlite import (
     save_model_bytes,
     unletterbox_point,
 )
-from greenlite.graph import LetterboxMeta, _apply_layer, infer_shapes
+from greenlite.graph import LetterboxMeta, _apply_layer, _pairwise_iou, infer_shapes
 
 from _oracles import iou_ref, nms_ref
 
@@ -364,6 +364,29 @@ def test_nms_matches_brute_force_reference():
     for case in range(1200):
         dets = random_detections(rng, int(rng.integers(0, 12)))
         thr = float(rng.choice([0.3, 0.45, 0.5, 0.7]))
+        got = [(d.class_id, d.score, d.box) for d in nms(dets, thr)]
+        want = nms_ref([(d.class_id, d.score, d.box) for d in dets], thr)
+        assert got == want, f"case {case}"
+
+
+def test_pairwise_iou_equals_iou_on_every_pair():
+    """Bit for bit, touching and disjoint pairs included."""
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        boxes = [d.box for d in random_detections(rng, 30, span=30.0)]
+        boxes.append((boxes[0][2], boxes[0][1], boxes[0][2] + 5.0, boxes[0][3]))  # touches box 0
+        got = _pairwise_iou(np.array(boxes))
+        want = np.array([[iou_ref(a, b) for b in boxes] for a in boxes])
+        assert np.array_equal(got, want)
+
+
+def test_nms_matches_brute_force_reference_on_dense_sets():
+    """Crowded one- and two-class sets, where most boxes get suppressed."""
+    rng = np.random.default_rng(45)
+    for case in range(40):
+        n = int(rng.integers(40, 101))
+        dets = random_detections(rng, n, num_classes=1 + case % 2, span=60.0)
+        thr = float(rng.choice([0.0, 0.3, 0.45, 0.7]))
         got = [(d.class_id, d.score, d.box) for d in nms(dets, thr)]
         want = nms_ref([(d.class_id, d.score, d.box) for d in dets], thr)
         assert got == want, f"case {case}"

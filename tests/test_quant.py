@@ -50,7 +50,7 @@ from greenlite.quant import (
     slot_key,
 )
 
-from _oracles import conv2d_naive, pool_naive
+from _oracles import conv2d_int_naive, conv2d_naive, pool_naive
 
 
 def tiny_model(num_classes=2):
@@ -66,7 +66,8 @@ def tiny_images(count, seed=0):
 
 
 def test_round_half_away_fixtures():
-    pairs = [(0.5, 1), (-0.5, -1), (1.5, 2), (2.5, 3), (-2.5, -3), (0.49, 0), (-1.4, -1)]
+    pairs = [(0.5, 1), (-0.5, -1), (1.5, 2), (2.5, 3), (-2.5, -3), (0.49, 0), (-1.4, -1),
+             (0.49999999999999994, 0), (-0.49999999999999994, 0), (2.0**52 + 1, 2**52 + 1)]
     for x, want in pairs:
         assert round_half_away(x) == want
     got = round_half_away(np.array([0.5, -0.5, 2.5]))
@@ -238,6 +239,21 @@ def test_integer_accumulator_is_exact():
         assert np.array_equal(acc, np.round(acc))  # integer-valued bit for bit
 
 
+def test_integer_accumulator_is_exact_past_the_float32_bound():
+    """Odd products summing past 2^24 would lose their low bit in float32."""
+    rng = np.random.default_rng(20)
+    z = 121
+    q_in = np.full((1, 128, 7, 7), z, dtype=np.int8)
+    flip = rng.random(q_in.shape) < 0.05
+    q_in[flip] = z + rng.integers(-3, 4, int(flip.sum()))
+    q_w = rng.integers(-127, 128, (2, 128, 3, 3), dtype=np.int8)
+    q_w[0] = 127
+    q_b = np.array([12345, -678], dtype=np.int32)
+    acc = _int_conv_acc(q_in, z, q_w, q_b, 1, 1, 1)
+    assert np.array_equal(acc, conv2d_int_naive(q_in, z, q_w, q_b, 1, 1, 1))
+    assert 128 * int(np.abs(q_w[0].astype(np.int64)).sum()) >= 2**24
+
+
 def test_quantized_conv_zero_weights_yield_zero_point():
     p_in = choose_params(-1.0, 1.0)
     x = QuantizedTensor(np.full((1, 2, 4, 4), 37, dtype=np.int8), p_in)
@@ -276,6 +292,81 @@ def test_quantized_conv_within_one_step_of_float_oracle():
         )
         err = np.abs(dequantize_array(got.arr, out_params).astype(np.float64) - acc)
         assert np.max(err) <= out_params.scale[0] * 0.5 + 1e-9, f"case {case}"
+
+
+def test_quantized_conv_requant_matches_exact_integer_oracle():
+    """Output codes equal clip(round_half_away(acc * m) + zp, -128, 127), with
+    acc from Python-int loops and m = s_in * s_w_c / s_out, on both
+    accumulator dtypes, groups 1 and 2, z_in padding and saturation."""
+    rng = np.random.default_rng(19)
+    seen = {"f32": 0, "f64": 0, "lo": 0, "hi": 0, "padded": 0}
+    for case in range(24):
+        groups = 1 + case % 2
+        c = groups * int(rng.integers(1, 4))
+        oc = groups * int(rng.integers(1, 4))
+        k = int(rng.choice([1, 3]))
+        stride = int(rng.choice([1, 2]))
+        padding = k // 2
+        z_in = int(rng.choice([-1, 1])) * int(rng.integers(1, 100))
+        q_in = rng.integers(-128, 128, (1, c, 7, 7), dtype=np.int8)
+        q_w = rng.integers(-127, 128, (oc, c // groups, k, k), dtype=np.int8)
+        q_b = rng.integers(-5000, 5000, oc).astype(np.int32)
+        if case % 3 == 0:
+            q_b[0] = 2**25 + int(rng.integers(0, 1000))  # past the float32 bound
+        acc = conv2d_int_naive(q_in, z_in, q_w, q_b, stride, padding, groups)
+        # Each channel's largest |acc| lands at 75..300 steps: both ends saturate.
+        w_scale = rng.uniform(0.5, 2.0, oc) / np.maximum(1, np.abs(acc).max(axis=(0, 2, 3)))
+        in_params = QuantParams(PER_TENSOR_AFFINE, np.array([0.05]), np.array([z_in]))
+        z_out = int(rng.integers(-20, 21))
+        out_params = QuantParams(PER_TENSOR_AFFINE, np.array([0.05 / 150]), np.array([z_out]))
+        got = quantized_conv2d(
+            QuantizedTensor(q_in, in_params),
+            QConvSpec(q_w, w_scale, q_b, stride, padding, groups),
+            out_params,
+        )
+        m = (in_params.scale[0] * w_scale / out_params.scale[0]).reshape(1, -1, 1, 1)
+        want = np.clip(round_half_away(acc.astype(np.float64) * m) + z_out, -128, 127)
+        assert np.array_equal(got.arr, want.astype(np.int8)), f"case {case}"
+
+        w_flat = q_w.reshape(oc, -1).astype(np.int64)
+        bias = q_b.astype(np.int64) - z_in * w_flat.sum(axis=1)
+        over = np.max(128 * np.abs(w_flat).sum(axis=1) + np.abs(bias)) >= 2**24
+        seen["f64" if over else "f32"] += 1
+        seen["lo"] += int(np.any(got.arr == -128))
+        seen["hi"] += int(np.any(got.arr == 127))
+        seen["padded"] += padding > 0
+    assert min(seen.values()) > 0, seen
+
+
+def test_forward_plans_each_model_once(tmp_path, monkeypatch):
+    """Only the first forward builds conv specs and LUTs, for a quantized and
+    a loaded model alike; later forwards reuse them and repeat bit for bit."""
+    import greenlite.quant as quant
+
+    m = tiny_model()
+    qm = quantize_model(m, calibrate(m, tiny_images(3)))
+    path = tmp_path / "m.q.glw"
+    save_quantized(qm, path)
+    x, y = tiny_images(2, seed=9)
+    for model in (qm, load_quantized(path)):
+        first = forward_quantized(model, x).arr.tobytes()
+        calls = {"lut": 0, "spec": 0}
+        real_lut, real_spec = quant._pointwise_lut, quant.QConvSpec
+
+        def counted_lut(*args):
+            calls["lut"] += 1
+            return real_lut(*args)
+
+        def counted_spec(*args, **kwargs):
+            calls["spec"] += 1
+            return real_spec(*args, **kwargs)
+
+        monkeypatch.setattr(quant, "_pointwise_lut", counted_lut)
+        monkeypatch.setattr(quant, "QConvSpec", counted_spec)
+        assert forward_quantized(model, x).arr.tobytes() == first
+        forward_quantized(model, y)
+        assert calls == {"lut": 0, "spec": 0}
+        monkeypatch.undo()
 
 
 def test_lut_matches_pointwise_definition_on_all_256_codes():
