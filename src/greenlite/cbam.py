@@ -6,20 +6,22 @@ spatial gate: Ms(x) = sigmoid(conv_kxk([mean_c(x); max_c(x)])).
 output: y = Ms(x') * x' with x' = Mc(x) * x.
 
 Gates are computed in float64 and returned as float32 factors in (0, 1),
-so |y| <= |x| elementwise. The pooled reductions are correctly rounded
-(fsum), which makes the channel gate bit-exact under spatial permutations
-and the spatial gate bit-exact under channel permutations.
+so |y| <= |x| elementwise. The means divide math.fsum's correctly rounded
+sums, taken by tensor.exact_sum: a plain float64 sum while
+sum|x| < 2**52 * ulp_min (ulp_min the smallest ulp among a row's nonzero
+inputs, which keeps every partial sum exact), math.fsum itself otherwise.
+That makes the channel gate bit-exact under spatial permutations and the
+spatial gate bit-exact under channel permutations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import ConvSpec, Tensor, _sigmoid64, conv2d, global_pool
+from .tensor import ConvSpec, Tensor, _sigmoid64, conv2d, exact_sum, global_pool
 
 _GATE_LO = np.nextafter(np.float32(0.0), np.float32(1.0))
 _GATE_HI = np.nextafter(np.float32(1.0), np.float32(0.0))
@@ -102,10 +104,7 @@ def spatial_attention(x: Tensor, p: CbamParams) -> Tensor:
     if c != p.channels:
         raise ContractViolation(f"cbam params are for {p.channels} channels, tensor has {c}")
     desc = np.empty((n, 2, h, w), dtype=np.float32)
-    for b in range(n):
-        for y in range(h):
-            for xx in range(w):
-                desc[b, 0, y, xx] = math.fsum(x.arr[b, :, y, xx]) / c
+    desc[:, 0] = exact_sum(x.arr, axis=1) / c
     desc[:, 1] = x.arr.max(axis=1)
     k = p.spatial_kernel
     spec = ConvSpec(p.spatial_weight, p.spatial_bias, stride=1, padding=(k - 1) // 2)

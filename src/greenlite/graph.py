@@ -149,16 +149,26 @@ def infer_shapes(model: ModelGraph) -> list[tuple[int, int, int]]:
     def shape_of(ref: int) -> tuple[int, int, int]:
         return (3, s, s) if ref == -1 else shapes[ref]
 
+    def geometry(idx: int, layer: Layer, name: str, default: int | None, low: int) -> int:
+        if name not in layer.attrs and default is None:
+            raise ContractViolation(f"layer {idx} ({layer.kind}): missing {name}")
+        value = int(layer.attrs.get(name, default))
+        if value < low:
+            raise ContractViolation(
+                f"layer {idx} ({layer.kind}): {name} must be >= {low}, got {value}"
+            )
+        return value
+
     def conv_out(idx: int, layer: Layer, c: int, h: int, w: int) -> tuple[int, int, int]:
         weight = model.weights[layer.slot]["weight"]
         oc, icg, k, _ = weight.shape
-        groups = int(layer.attrs.get("groups", 1))
+        groups = geometry(idx, layer, "groups", 1, 1)
         if icg * groups != c:
             raise ContractViolation(
                 f"layer {idx}: conv expects {icg * groups} input channels, got {c}"
             )
-        stride = int(layer.attrs.get("stride", 1))
-        padding = int(layer.attrs.get("padding", 0))
+        stride = geometry(idx, layer, "stride", 1, 1)
+        padding = geometry(idx, layer, "padding", 0, 0)
         oh = (h + 2 * padding - k) // stride + 1
         ow = (w + 2 * padding - k) // stride + 1
         if oh < 1 or ow < 1:
@@ -176,9 +186,13 @@ def infer_shapes(model: ModelGraph) -> list[tuple[int, int, int]]:
         elif layer.kind == "act":
             out = (c, h, w)
         elif layer.kind == "pool":
-            k = int(layer.attrs["kernel"])
-            stride = int(layer.attrs.get("stride", k))
-            padding = int(layer.attrs.get("padding", 0))
+            k = geometry(idx, layer, "kernel", None, 1)
+            stride = geometry(idx, layer, "stride", k, 1)
+            padding = geometry(idx, layer, "padding", 0, 0)
+            if padding >= k:
+                raise ContractViolation(
+                    f"layer {idx} (pool): padding must be < kernel {k}, got {padding}"
+                )
             oh = (h + 2 * padding - k) // stride + 1
             ow = (w + 2 * padding - k) // stride + 1
             if oh < 1 or ow < 1:

@@ -8,9 +8,14 @@ pure functions returning fresh tensors, deterministic for identical inputs.
 Float semantics: inputs and outputs are float32; convolution, batch norm
 and the activations accumulate in float64 internally (wider accumulation
 is allowed, outputs are rounded once to float32 at the end). Average
-pooling sums windows with math.fsum, which is correctly rounded and hence
+pooling sums with math.fsum's correctly rounded result, which is
 independent of element order; this is what makes the attention-gate
-permutation invariances exact rather than approximate.
+permutation invariances exact rather than approximate. exact_sum gets that
+result without a Python loop: every float32 in a row is an integer multiple
+of the smallest ulp among the row's nonzero inputs, ulp_min, so while
+sum|x| < 2**52 * ulp_min every partial sum is exact in float64, in any
+order, and a plain float64 sum equals fsum. Rows outside that bound, rows
+holding inf or NaN and rows that sum to zero are summed by math.fsum itself.
 """
 
 from __future__ import annotations
@@ -140,8 +145,12 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     oc = spec.out_channels
     oh = _out_dim(h, k, s, p)
     ow = _out_dim(w, k, s, p)
-    padded = np.pad(x.arr, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = _im2col(padded, k, s, oh, ow).reshape(n, g, (c // g) * k * k, oh * ow)
+    if k == 1 and s == 1 and p == 0:
+        # a 1x1 patch matrix is the input itself: same operands, same shapes
+        cols = x.arr.astype(np.float64).reshape(n, g, c // g, h * w)
+    else:
+        padded = np.pad(x.arr, ((0, 0), (0, 0), (p, p), (p, p)))
+        cols = _im2col(padded, k, s, oh, ow).reshape(n, g, (c // g) * k * k, oh * ow)
     wmat = spec.weight.reshape(g, oc // g, (c // g) * k * k).astype(np.float64)
     out = np.matmul(wmat[None, :, :, :], cols).reshape(n, oc, oh, ow)
     out += spec.bias.astype(np.float64).reshape(1, oc, 1, 1)
@@ -170,17 +179,26 @@ def batchnorm_infer(
         raise ContractViolation("bn variance must be >= 0")
     scale = params["gamma"] / np.sqrt(params["var"] + eps)
     shift = params["beta"] - params["mean"] * scale
-    out = x.arr.astype(np.float64) * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
+    out = x.arr.astype(np.float64)
+    out *= scale.reshape(1, c, 1, 1)
+    out += shift.reshape(1, c, 1, 1)
     return Tensor(out.astype(np.float32))
 
 
 def _sigmoid64(z: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid on float64 input, no overflow warnings."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Numerically stable sigmoid on float64 input, no overflow warnings.
+
+    With e = exp(-|z|) this is 1 / (1 + e) for z >= 0 and e / (1 + e)
+    otherwise: exp never sees a positive argument, and each element goes
+    through the same float64 operations as the two-branch textbook form,
+    so the results are bit-identical to it without a masked gather.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -191,9 +209,35 @@ def activation(x: Tensor, kind: str) -> Tensor:
     if kind == "identity":
         return Tensor(x.arr.copy())
     z = x.arr.astype(np.float64)
-    sig = _sigmoid64(z)
-    out = sig if kind == "sigmoid" else z * sig
+    out = _sigmoid64(z)
+    if kind == "silu":
+        out *= z
     return Tensor(out.astype(np.float32))
+
+
+def exact_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """math.fsum of a float32 array along one axis, as float64.
+
+    A row is summed in float64 when sum|x| < 2**52 * ulp_min, with ulp_min
+    the smallest ulp among its nonzero inputs: every input is then an
+    integer multiple of ulp_min, so every partial sum is exact in any order
+    and equals fsum's. Rows outside that bound, rows holding inf or NaN and
+    rows that sum to zero (whose sign is fsum's to choose) go to math.fsum
+    itself, which keeps its results and its ValueError on inf + -inf.
+    """
+    rows = np.moveaxis(np.asarray(a, dtype=np.float32), axis, -1)
+    wide = rows.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # inf + -inf: fsum below raises instead
+        total = np.asarray(wide.sum(axis=-1))
+    magnitude = np.abs(wide, out=wide).sum(axis=-1)
+    bits = rows.view(np.uint32) & np.uint32(0x7FFFFFFF)
+    # float32 ulp = 2**(biased exponent - 150); subnormals share exponent 1's
+    biased = np.maximum(bits >> np.uint32(23), np.uint32(1))
+    biased[bits == 0] = 255  # a zero puts no floor under the granularity
+    bound = np.ldexp(2.0**52, biased.min(axis=-1).astype(np.int32) - 150)
+    for idx in np.argwhere(~((magnitude < bound) & (total != 0.0))):
+        total[tuple(idx)] = math.fsum(rows[tuple(idx)].tolist())
+    return total
 
 
 def pool(x: Tensor, kind: str, kernel: int, stride: int | None = None, padding: int = 0) -> Tensor:
@@ -243,20 +287,18 @@ def pool(x: Tensor, kind: str, kernel: int, stride: int | None = None, padding: 
 def global_pool(x: Tensor, kind: str) -> Tensor:
     """Collapse the spatial extent to 1x1 by mean or max.
 
-    The mean uses a correctly rounded sum, so it is bit-identical under any
-    spatial permutation of the input and equal to pool(avg) at full extent.
+    The mean divides math.fsum's correctly rounded sum, taken by exact_sum
+    (a float64 sum while sum|x| < 2**52 * ulp_min, math.fsum itself
+    otherwise), so it is bit-identical under any spatial permutation of the
+    input and equal to pool(avg) at full extent.
     """
     if kind not in POOL_KINDS:
         raise ContractViolation(f"unknown pool kind {kind!r}, expected one of {POOL_KINDS}")
     n, c, h, w = x.shape
     if kind == "max":
         return Tensor(x.arr.max(axis=(2, 3), keepdims=True))
-    out = np.empty((n, c, 1, 1), dtype=np.float32)
-    area = h * w
-    for b in range(n):
-        for ch in range(c):
-            out[b, ch, 0, 0] = math.fsum(x.arr[b, ch].flat) / area
-    return Tensor(out)
+    mean = exact_sum(x.arr.reshape(n, c, h * w), axis=-1) / (h * w)
+    return Tensor(mean.astype(np.float32).reshape(n, c, 1, 1))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

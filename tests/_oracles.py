@@ -93,6 +93,26 @@ def pool_naive(x, kind, kernel, stride, padding):
     return out
 
 
+def sigmoid64_masked(z):
+    """Two-branch stable sigmoid on float64: 1 / (1 + exp(-z)) where z >= 0,
+    exp(z) / (1 + exp(z)) elsewhere, each branch on its masked subset."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def fsum_along(a, axis):
+    """math.fsum of each row along `axis`, one Python call per row."""
+    rows = np.moveaxis(np.asarray(a), axis, -1)
+    out = np.empty(rows.shape[:-1], dtype=np.float64)
+    for idx in np.ndindex(out.shape):
+        out[idx] = math.fsum(float(v) for v in rows[idx])
+    return out
+
+
 def batchnorm_naive(x, gamma, beta, mean, var, eps):
     n, c, h, w = x.shape
     out = np.zeros((n, c, h, w), dtype=np.float64)

@@ -6,6 +6,8 @@ starts every memory assertion from an empty baseline.
 """
 
 import gc
+import math
+import types
 
 import pytest
 
@@ -19,6 +21,7 @@ from greenlite import (
     save_manifest,
     synth_dataset,
 )
+from greenlite import tensor as gl_tensor
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +60,19 @@ def calib_stats(synth_manifest):
     del model
     gc.collect()
     return stats
+
+
+@pytest.fixture
+def fsum_rows(monkeypatch):
+    """Record each row that tensor.exact_sum hands to math.fsum."""
+    rows = []
+
+    def fsum(values):
+        rows.append(values)
+        return math.fsum(values)
+
+    monkeypatch.setattr(gl_tensor, "math", types.SimpleNamespace(fsum=fsum))
+    return rows
 
 
 @pytest.fixture(autouse=True)

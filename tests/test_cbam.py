@@ -83,6 +83,24 @@ def test_spatial_gate_ignores_channel_order_bitwise():
     assert np.array_equal(spatial_attention(Tensor(x.arr[:, perm]), p).arr, base)
 
 
+def test_spatial_gate_ignores_channel_order_on_the_fsum_fallback(fsum_rows):
+    """Channels of +-1e20 that cancel push every pixel's channel sum past the
+    float64 bound, so the mean comes from math.fsum; the max half of the
+    spatial conv is zeroed so the gate depends on that exact mean."""
+    rng = np.random.default_rng(8)
+    p = rand_params(rng, 8)
+    p.spatial_weight[:, 1] = 0.0
+    x = rng.uniform(-3, 3, (1, 8, 4, 4)).astype(np.float32)
+    x[:, 6] = rng.uniform(1e20, 2e20, (1, 4, 4)).astype(np.float32)
+    x[:, 7] = -x[:, 6]
+    base = spatial_attention(Tensor(x), p).arr
+    assert len(fsum_rows) == 16
+    assert len(np.unique(base)) > 1
+    for _ in range(3):
+        perm = rng.permutation(8)
+        assert np.array_equal(spatial_attention(Tensor(x[:, perm]), p).arr, base)
+
+
 def test_gates_are_strictly_inside_unit_interval():
     rng = np.random.default_rng(7)
     for trial in range(5):

@@ -30,6 +30,7 @@ from greenlite.cli import (
     MEMORY_CSV_HEADER,
     main,
 )
+from greenlite.container import read_container, write_container
 
 
 def sha(path):
@@ -314,6 +315,19 @@ def test_data_errors_exit_two(cli_env, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "b")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_detect_on_a_stride_zero_container_exits_two(cli_env, tmp_path, capsys):
+    doc, tensors = read_container(str(cli_env / "model.glw"))
+    conv = next(layer for layer in doc["layers"] if layer["kind"] == "conv")
+    conv["attrs"]["stride"] = 0
+    bad = tmp_path / "bad.glw"
+    bad.write_bytes(write_container(doc, list(tensors.items())))
+    img = str(cli_env / "data" / "images" / "img_00000.ppm")
+    assert main(["detect", "--model", str(bad), "--image", img]) == 2
+    err = capsys.readouterr().err
+    assert "stride must be >= 1" in err
+    assert "Traceback" not in err
 
 
 # ---- console script ----

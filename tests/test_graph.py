@@ -5,6 +5,7 @@ forward pass. They were recorded from a verified run on this platform; a
 changed BLAS or numpy stream policy is the only legitimate reason they move.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -205,6 +206,45 @@ def test_graph_validation_rejects_malformed_graphs():
         ModelGraph([Layer("concat", (-1,))], {}, meta)
     with pytest.raises(ContractViolation):
         ModelGraph([Layer("act", (3,), None, {"fn": "silu"})], {}, meta)
+
+
+@pytest.mark.parametrize(
+    "kind, attrs",
+    [
+        ("conv", {"stride": 0}),
+        ("conv", {"stride": -2}),
+        ("conv", {"padding": -3}),
+        ("conv", {"groups": 0}),
+        ("detect_head", {"stride": 0}),
+        ("detect_head", {"padding": -1}),
+        ("detect_head", {"groups": -1}),
+        ("pool", {"kernel": 0}),
+        ("pool", {"stride": 0}),
+        ("pool", {"padding": -1}),
+        ("pool", {"padding": 5}),
+        ("pool", {"padding": 7}),
+    ],
+)
+def test_graph_validation_rejects_bad_geometry(kind, attrs):
+    """Out-of-range stride, padding, groups and kernel fail at construction
+    with a typed error, not a ZeroDivisionError or a later kernel error."""
+    model = tiny_model()
+    layers = list(model.layers)
+    idx = next(i for i, layer in enumerate(layers) if layer.kind == kind)
+    layers[idx] = dataclasses.replace(layers[idx], attrs={**layers[idx].attrs, **attrs})
+    name = next(iter(attrs))
+    with pytest.raises(ContractViolation, match=f"layer {idx} .*{name}"):
+        ModelGraph(layers, model.weights, model.meta)
+
+
+def test_graph_validation_requires_a_pool_kernel():
+    model = tiny_model()
+    layers = list(model.layers)
+    idx = next(i for i, layer in enumerate(layers) if layer.kind == "pool")
+    attrs = {k: v for k, v in layers[idx].attrs.items() if k != "kernel"}
+    layers[idx] = dataclasses.replace(layers[idx], attrs=attrs)
+    with pytest.raises(ContractViolation, match="missing kernel"):
+        ModelGraph(layers, model.weights, model.meta)
 
 
 # ---- letterbox ----

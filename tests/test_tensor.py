@@ -1,6 +1,7 @@
 """Float kernel tests: exact hand fixtures plus randomized oracle sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from greenlite import (
     pool,
     upsample_nearest2x,
 )
+from greenlite import tensor as gl_tensor
 
-from _oracles import batchnorm_naive, conv2d_naive, pool_naive
+from _oracles import batchnorm_naive, conv2d_naive, fsum_along, pool_naive, sigmoid64_masked
 
 
 def rand_tensor(rng, n, c, h, w, lo=-2.0, hi=2.0):
@@ -202,6 +204,42 @@ def test_activation_matches_scalar_math():
         assert abs(float(si[idx]) - v * s) <= 1e-6
 
 
+def sigmoid_probe_values():
+    """Special values, both exp under/overflow edges, subnormals, float32
+    magnitudes and random float64 bit patterns (NaN payloads included)."""
+    rng = np.random.default_rng(71)
+    f64 = np.finfo(np.float64)
+    special = np.array([
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 36.7, -36.7,
+        3e38, -3e38, 709.78, -709.78, 745.13, -745.13, 745.2, -745.2,
+        f64.tiny, -f64.tiny, 5e-324, -5e-324, f64.max, -f64.max,
+    ])
+    edges = np.concatenate([rng.uniform(709.0, 710.5, 50_000), rng.uniform(744.0, 746.5, 50_000)])
+    return np.concatenate([
+        special,
+        edges,
+        -edges,
+        rng.normal(scale=8.0, size=200_000),
+        rng.uniform(-800.0, 800.0, size=200_000),
+        rng.uniform(-1.0, 1.0, size=50_000) * 2.0**-1022,
+        rng.normal(scale=20.0, size=100_000).astype(np.float32).astype(np.float64),
+        np.frombuffer(rng.bytes(8 * 400_000), dtype=np.float64),
+    ])
+
+
+def test_sigmoid_matches_the_masked_two_branch_form_bitwise():
+    z = sigmoid_probe_values()
+    before = z.copy()
+    with np.errstate(over="raise", invalid="ignore"):  # signalling NaNs set "invalid"
+        got = gl_tensor._sigmoid64(z)
+        ref = sigmoid64_masked(z)
+    assert np.array_equal(z.view(np.uint64), before.view(np.uint64)), "input was modified"
+    nan = np.isnan(z)
+    assert nan.sum() > 100 and (~nan).sum() > 1_000_000
+    assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+    assert np.all(np.isnan(got[nan]))
+
+
 def test_activation_rejects_unknown_kind():
     x = Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
     with pytest.raises(ContractViolation):
@@ -273,6 +311,81 @@ def test_global_pool_is_permutation_invariant_bitwise():
         shuffled = Tensor(flat[:, :, perm].reshape(1, 3, 6, 6))
         assert np.array_equal(global_pool(shuffled, "avg").arr, base_avg)
         assert np.array_equal(global_pool(shuffled, "max").arr, base_max)
+
+
+# ---- exact sums ----
+
+
+def assert_same_bytes(got, ref):
+    assert got.shape == ref.shape
+    assert got.dtype == np.float64
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_exact_sum_float64_path_equals_fsum_along_every_axis(fsum_rows):
+    rng = np.random.default_rng(81)
+    for scale in (1e-30, 1e-3, 1.0, 1e4, 1e30):
+        a = (rng.normal(size=(3, 4, 5, 6)) * scale).astype(np.float32)
+        for axis in (0, 1, 2, 3, -1):
+            assert_same_bytes(gl_tensor.exact_sum(a, axis), fsum_along(a, axis))
+        strided = a[:, ::2, :, ::3]
+        assert_same_bytes(gl_tensor.exact_sum(strided, 1), fsum_along(strided, 1))
+        assert_same_bytes(gl_tensor.exact_sum(a[0, 0, 0], 0), fsum_along(a[0, 0, 0], 0))
+    assert fsum_rows == []
+
+
+def test_exact_sum_falls_back_to_fsum_outside_the_bound(fsum_rows):
+    rng = np.random.default_rng(82)
+    big = rng.uniform(1.0, 2.0, 6).astype(np.float32) * np.float32(1e30)
+    small = rng.uniform(-1.0, 1.0, 6).astype(np.float32) * np.float32(1e-30)
+    subnormal = np.array([1e-45, -3e-45, 7e-42, 1.5, -2.25, 1e-44], dtype=np.float32)
+    finite = rng.normal(size=6).astype(np.float32)
+    cases = {
+        "1e30 mixed with 1e-30": np.stack([np.concatenate([big, small, -big])] * 2),
+        "subnormals": np.stack([subnormal, subnormal[::-1]]),
+        "cancellation to 0": np.stack([np.concatenate([finite, -finite[::-1]])] * 2),
+        "c = 1 with -0.0": np.array([[-0.0], [2.5], [-0.0]], dtype=np.float32),
+    }
+    for name, a in cases.items():
+        seen = len(fsum_rows)
+        assert_same_bytes(gl_tensor.exact_sum(a, 1), fsum_along(a, 1))
+        assert_same_bytes(gl_tensor.exact_sum(a.T, 0), fsum_along(a.T, 0))
+        assert len(fsum_rows) > seen, name
+    # the case that shows why: a plain float64 sum loses the 1e-30 terms
+    mixed = cases["1e30 mixed with 1e-30"]
+    assert fsum_along(mixed, 1)[0] != mixed[0].astype(np.float64).sum()
+    zero = gl_tensor.exact_sum(cases["c = 1 with -0.0"], 1)
+    assert math.copysign(1.0, zero[0]) == math.copysign(1.0, math.fsum([-0.0]))
+
+
+def test_exact_sum_keeps_fsum_special_values_and_errors():
+    a = np.array([[np.inf, 1.0], [-np.inf, 2.0], [np.nan, 3.0], [np.inf, np.inf]], dtype=np.float32)
+    got = gl_tensor.exact_sum(a, 1)
+    assert got[0] == np.inf and got[1] == -np.inf and got[3] == np.inf
+    assert np.isnan(got[2])
+    bad = np.array([[1.0, 2.0], [np.inf, -np.inf]], dtype=np.float32)
+    with pytest.raises(ValueError) as want:
+        math.fsum([math.inf, -math.inf])
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        gl_tensor.exact_sum(bad, 1)
+
+
+def test_exact_sum_matches_fsum_on_adversarial_rows():
+    """Scales 1e-40 (subnormal) to 1e30, zeros of both signs, cancelling
+    pairs: whichever path a row takes, the bytes are fsum's."""
+    rng = np.random.default_rng(83)
+    for trial in range(200):
+        m = int(rng.integers(1, 40))
+        lo, hi = sorted(rng.uniform(-40.0, 30.0, 2))
+        mags = 10.0 ** rng.uniform(lo, hi, m)
+        row = (mags * rng.choice([-1.0, 1.0], m)).astype(np.float32)
+        row[rng.random(m) < 0.1] = 0.0
+        row[rng.random(m) < 0.05] = -0.0
+        if trial % 3 == 0:
+            row = np.concatenate([row, -row[: m // 2]])
+        rng.shuffle(row)
+        a = np.stack([row, row[::-1]])
+        assert_same_bytes(gl_tensor.exact_sum(a, 1), fsum_along(a, 1))
 
 
 # ---- concat and upsample ----
