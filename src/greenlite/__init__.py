@@ -112,7 +112,6 @@ from .tensor import (
     conv2d,
     global_pool,
     pool,
-    upsample_nearest2x,
 )
 
 __version__ = "0.1.0"

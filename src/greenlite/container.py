@@ -58,6 +58,14 @@ def write_container(doc: dict, tensors: list[tuple[str, np.ndarray]]) -> bytes:
     return bytes(out)
 
 
+def require(mapping: dict, key: str):
+    """mapping[key] from a read container's document or tensors; a missing
+    key is a malformed container."""
+    if key not in mapping:
+        raise ContainerError(f"container is missing {key!r}")
+    return mapping[key]
+
+
 def read_container(path_or_bytes) -> tuple[dict, dict[str, np.ndarray]]:
     """Parse container bytes (or a file path) back to (document, tensors)."""
     if isinstance(path_or_bytes, (bytes, bytearray)):

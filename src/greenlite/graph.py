@@ -1,13 +1,14 @@
 """Desk-scale detector graph: build, run, pre/postprocess.
 
-The graph is a flat DAG of layers (conv, bn, act, pool, global_pool,
-concat, upsample, cbam, detect_head); each layer names the indices of the
-layers it consumes, with -1 meaning the graph input. The default build is
-a narrow single-scale backbone: stem conv s2, four stages of
-[downsampling conv s2 + C2f-style block], SPPF, one CBAM, and an
-anchor-free head emitting (4 + num_classes) channels on the stride-32
-grid. Weights are drawn uniform in [-0.1, 0.1] from a seeded generator;
-batch norm starts at gamma=1, beta=0, mean=0, var=1.
+The graph is a flat DAG of layers (conv, bn, act, max pool, concat, cbam,
+detect_head); each layer names the indices of the layers it consumes, with
+-1 meaning the graph input. The default build is a narrow single-scale
+backbone: stem conv s2, four stages of [downsampling conv s2 + C2f-style
+block], SPPF, one CBAM, and an anchor-free head emitting (4 + num_classes)
+channels on the stride-32 grid. Weights are drawn uniform in [-0.1, 0.1]
+from a seeded generator; batch norm starts at gamma=1, beta=0, mean=0,
+var=1. plan() binds each layer once and run() is the one forward loop; the
+float forward and quant.forward_quantized both execute through them.
 
 Preprocessing letterboxes raw RGB bytes (aspect-preserving nearest resize,
 centered on a 114/255 gray canvas, values scaled to [0, 1]). Decoding maps
@@ -21,6 +22,8 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,22 +39,10 @@ from .tensor import (
     batchnorm_infer,
     concat_channels,
     conv2d,
-    global_pool,
     pool,
-    upsample_nearest2x,
 )
 
-LAYER_KINDS = (
-    "conv",
-    "bn",
-    "act",
-    "pool",
-    "global_pool",
-    "concat",
-    "upsample",
-    "cbam",
-    "detect_head",
-)
+LAYER_KINDS = ("conv", "bn", "act", "pool", "concat", "cbam", "detect_head")
 
 HEAD_SLOT = "head"
 GRID_STRIDE = 32
@@ -104,8 +95,13 @@ class ModelGraph:
         return sum(int(a.size) for slot in self.weights.values() for a in slot.values())
 
 
-def validate_graph(model: ModelGraph) -> None:
-    """Structural checks: topology, arity, slot presence, one trailing head."""
+def validate_graph(model) -> None:
+    """Structural checks: topology, arity, slot presence, one trailing head.
+
+    model is anything with layers, meta and weights (slot -> array name ->
+    array, under the names in _SLOT_ARRAYS): a ModelGraph, or the view of
+    its own arrays that a QuantizedModel checks itself with.
+    """
     if not model.layers:
         raise ContractViolation("graph has no layers")
     head_indices = [i for i, l in enumerate(model.layers) if l.kind == "detect_head"]
@@ -141,7 +137,7 @@ def validate_graph(model: ModelGraph) -> None:
     infer_shapes(model)
 
 
-def infer_shapes(model: ModelGraph) -> list[tuple[int, int, int]]:
+def infer_shapes(model) -> list[tuple[int, int, int]]:
     """Symbolically propagate (c, h, w) through the graph, checking geometry."""
     s = model.meta.input_size
     shapes: list[tuple[int, int, int]] = []
@@ -186,6 +182,10 @@ def infer_shapes(model: ModelGraph) -> list[tuple[int, int, int]]:
         elif layer.kind == "act":
             out = (c, h, w)
         elif layer.kind == "pool":
+            if layer.attrs.get("pool") != "max":
+                raise ContractViolation(
+                    f"layer {idx} (pool): pool must be 'max', got {layer.attrs.get('pool')!r}"
+                )
             k = geometry(idx, layer, "kernel", None, 1)
             stride = geometry(idx, layer, "stride", k, 1)
             padding = geometry(idx, layer, "padding", 0, 0)
@@ -198,15 +198,11 @@ def infer_shapes(model: ModelGraph) -> list[tuple[int, int, int]]:
             if oh < 1 or ow < 1:
                 raise ContractViolation(f"layer {idx}: pool output would be empty")
             out = (c, oh, ow)
-        elif layer.kind == "global_pool":
-            out = (c, 1, 1)
         elif layer.kind == "concat":
             c2, h2, w2 = shape_of(layer.inputs[1])
             if (h, w) != (h2, w2):
                 raise ContractViolation(f"layer {idx}: concat spatial mismatch")
             out = (c + c2, h, w)
-        elif layer.kind == "upsample":
-            out = (c, 2 * h, 2 * w)
         else:  # cbam
             ch = model.weights[layer.slot]["mlp_w1"].shape[1]
             if ch != c:
@@ -339,74 +335,92 @@ def build_model(
     return ModelGraph(layers, weights, meta)
 
 
-def _apply_layer(model: ModelGraph, layer: Layer, ins: list[Tensor]) -> Tensor:
+class Step(NamedTuple):
+    run: Callable  # the layer, bound to its weights and attrs
+    inputs: tuple[int, ...]
+    frees: tuple[int, ...]  # outputs (-1: the input) whose last consumer this is
+
+
+def plan(layers: list[Layer], bind: Callable[[int, Layer], Callable]) -> list[Step]:
+    """One step per layer: bind(idx, layer), its input refs, and the refs it
+    is the last consumer of."""
+    last_use = {}
+    for idx, layer in enumerate(layers):
+        for ref in layer.inputs:
+            last_use[ref] = idx
+    frees: list[list[int]] = [[] for _ in layers]
+    for ref, last in last_use.items():
+        frees[last].append(ref)
+    return [
+        Step(bind(idx, layer), layer.inputs, tuple(frees[idx])) for idx, layer in enumerate(layers)
+    ]
+
+
+def run(steps: list[Step], x, size: int, hook=None):
+    """Run planned steps on a (1, 3, size, size) input; returns the last
+    layer's output (the head).
+
+    Each output is dropped as soon as its last consumer has run, so the
+    instrumented allocator sees a deterministic peak. hook(idx, out) is
+    called for every layer output; calibration uses it.
+    """
+    n, c, h, w = x.shape
+    if (n, c, h, w) != (1, 3, size, size):
+        raise ContractViolation(f"forward expects input (1, 3, {size}, {size}), got {(n, c, h, w)}")
+    # The input sits in the last slot, so input ref -1 indexes it directly.
+    outputs: list = [None] * len(steps) + [x]
+    del x  # so releasing the slot frees the input when no caller holds it (int8)
+    for idx, step in enumerate(steps):
+        out = step.run(*[outputs[ref] for ref in step.inputs])
+        if hook is not None:
+            hook(idx, out)
+        outputs[idx] = out
+        for ref in step.frees:
+            outputs[ref] = None
+    return outputs[len(steps) - 1]
+
+
+def _bind(model: ModelGraph, idx: int, layer: Layer) -> Callable:
+    """One float layer as a function of its input tensors."""
+    attrs = layer.attrs
     if layer.kind in ("conv", "detect_head"):
         slot = model.weights[layer.slot]
         spec = ConvSpec(
             slot["weight"],
             slot["bias"],
-            stride=int(layer.attrs.get("stride", 1)),
-            padding=int(layer.attrs.get("padding", 0)),
-            groups=int(layer.attrs.get("groups", 1)),
+            stride=int(attrs.get("stride", 1)),
+            padding=int(attrs.get("padding", 0)),
+            groups=int(attrs.get("groups", 1)),
         )
-        return conv2d(ins[0], spec)
+        return lambda t: conv2d(t, spec)
     if layer.kind == "bn":
         slot = model.weights[layer.slot]
-        return batchnorm_infer(
-            ins[0], slot["gamma"], slot["beta"], slot["mean"], slot["var"],
-            float(layer.attrs.get("eps", 1e-5)),
+        eps = float(attrs.get("eps", 1e-5))
+        return lambda t: batchnorm_infer(
+            t, slot["gamma"], slot["beta"], slot["mean"], slot["var"], eps
         )
     if layer.kind == "act":
-        return activation(ins[0], layer.attrs["fn"])
+        return partial(activation, kind=attrs["fn"])
     if layer.kind == "pool":
-        return pool(
-            ins[0],
-            layer.attrs["pool"],
-            int(layer.attrs["kernel"]),
-            int(layer.attrs.get("stride", layer.attrs["kernel"])),
-            int(layer.attrs.get("padding", 0)),
-        )
-    if layer.kind == "global_pool":
-        return global_pool(ins[0], layer.attrs["pool"])
+        kernel = int(attrs["kernel"])
+        stride = int(attrs.get("stride", kernel))
+        padding = int(attrs.get("padding", 0))
+        return lambda t: pool(t, "max", kernel, stride, padding)
     if layer.kind == "concat":
-        return concat_channels(ins[0], ins[1])
-    if layer.kind == "upsample":
-        return upsample_nearest2x(ins[0])
+        return concat_channels
     if layer.kind == "cbam":
-        return cbam_forward(ins[0], CbamParams(**model.weights[layer.slot]))
+        params = CbamParams(**model.weights[layer.slot])
+        return lambda t: cbam_forward(t, params)
     raise ContractViolation(f"unknown layer kind {layer.kind!r}")
 
 
 def forward(model: ModelGraph, x: Tensor, hook=None) -> Tensor:
-    """Run the graph on a (1, 3, S, S) input, freeing intermediates eagerly.
+    """Run the graph on a (1, 3, S, S) input; see run() for hook and freeing.
 
-    Intermediate outputs are dropped as soon as their last consumer has run,
-    so the instrumented allocator sees a deterministic peak. hook(idx, out)
-    is called for every layer output; calibration uses it.
+    The plan is rebuilt on every call, so weights edited between calls take
+    effect.
     """
-    n, c, h, w = x.shape
-    s = model.meta.input_size
-    if (n, c, h, w) != (1, 3, s, s):
-        raise ContractViolation(f"forward expects input (1, 3, {s}, {s}), got {(n, c, h, w)}")
-    remaining = [0] * len(model.layers)
-    for layer in model.layers:
-        for ref in layer.inputs:
-            if ref >= 0:
-                remaining[ref] += 1
-    outputs: list[Tensor | None] = [None] * len(model.layers)
-    for idx, layer in enumerate(model.layers):
-        ins = [x if ref == -1 else outputs[ref] for ref in layer.inputs]
-        out = _apply_layer(model, layer, ins)
-        if hook is not None:
-            hook(idx, out)
-        outputs[idx] = out
-        del ins
-        for ref in layer.inputs:
-            if ref >= 0:
-                remaining[ref] -= 1
-                if remaining[ref] == 0:
-                    outputs[ref] = None
-    return outputs[-1]
+    return run(plan(model.layers, partial(_bind, model)), x, model.meta.input_size, hook)
 
 
 # --- preprocessing -----------------------------------------------------------
@@ -664,7 +678,8 @@ def load_model(path_or_bytes) -> ModelGraph:
     for key, arr in tensors.items():
         slot, _, name = key.rpartition("/")
         weights.setdefault(slot, {})[name] = arr
-    return ModelGraph(_layers_from_json(doc["layers"]), weights, _meta_from_json(doc["meta"]))
+    layers = _layers_from_json(container.require(doc, "layers"))
+    return ModelGraph(layers, weights, _meta_from_json(container.require(doc, "meta")))
 
 
 def model_size_bytes(model: ModelGraph) -> int:

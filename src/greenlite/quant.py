@@ -22,14 +22,17 @@ float32 holds exactly in any summation order; otherwise in float64. The
 product acc * s_in * s_w_c / s_out is formed in float64 and rounded once.
 
 Activation functions run as exact 256-entry lookup tables composing
-dequantize -> f -> requantize. Max pooling and nearest upsampling reuse
-their input's params (value-preserving, no requantization error); concat
-inputs are requantized only if their params differ from the output's.
+dequantize -> f -> requantize. Max pooling reuses its input's params
+(value-preserving, no requantization error); concat inputs are requantized
+only if their params differ from the output's.
 
-The first forward pass plans the model once: each layer is bound to its
-conv spec, requantization multiplier, output params and lookup tables, and
-to the point where its output is released. Later passes reuse the plan, so
-a model's weights and params must not change after its first forward.
+A QuantizedModel checks its graph at construction, and so at load, with the
+float graph's structural and geometry checks. The first forward pass plans
+the model once through graph.plan: each layer is bound to its conv spec,
+requantization multiplier, output params and lookup tables, and to the
+point where its output is released; graph.run executes the plan. Later
+passes reuse the plan, so a model's weights and params must not change
+after its first forward.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from functools import partial
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -53,14 +58,17 @@ from .graph import (
     Layer,
     ModelGraph,
     ModelMeta,
+    Step,
     _layers_from_json,
     _layers_to_json,
     _meta_from_json,
     _meta_to_json,
+    plan,
+    run,
     validate_graph,
 )
 from .profiling import TRACKER
-from .tensor import Tensor, _sigmoid64, batchnorm_infer, global_pool, pool
+from .tensor import Tensor, _sigmoid64
 
 PER_TENSOR_AFFINE = "per_tensor_affine"
 PER_CHANNEL_SYMMETRIC = "per_channel_symmetric"
@@ -334,6 +342,16 @@ _CBAM_WEIGHTS = ("mlp_w1", "mlp_w2", "spatial_weight")
 _CBAM_FLOATS = ("mlp_b1", "mlp_b2", "spatial_bias")
 
 
+def _float_named(conv_weights, cbam_weights) -> dict[str, dict[str, np.ndarray]]:
+    """Each slot's int8 and float arrays under the float graph's array names,
+    which is all the float graph's checks read (shapes only)."""
+    view = {slot: {"weight": w["q_weight"], "bias": w["q_bias"]} for slot, w in conv_weights.items()}
+    for slot, w in cbam_weights.items():
+        view[slot] = {name: w[f"{name}_q"] for name in _CBAM_WEIGHTS}
+        view[slot].update((name, w[name]) for name in _CBAM_FLOATS)
+    return view
+
+
 class QuantizedModel:
     """Folded graph with int8 conv weights and per-slot activation params."""
 
@@ -350,8 +368,18 @@ class QuantizedModel:
         self.conv_weights = conv_weights
         self.cbam_weights = cbam_weights
         self.act_params = act_params
+        validate_graph(
+            SimpleNamespace(layers=layers, meta=meta, weights=_float_named(conv_weights, cbam_weights))
+        )
+        needed = {INPUT_SLOT} | {
+            slot_key(i) for i, layer in enumerate(layers) if layer.kind != "detect_head"
+        }
+        if not needed <= act_params.keys():
+            raise ContractViolation(
+                f"no activation params for slots {sorted(needed - act_params.keys())}"
+            )
         self._cbam_cache: dict[str, CbamParams] = {}
-        self._plan_cache: _Plan | None = None  # see _plan()
+        self._plan_cache: list[Step] | None = None  # see _plan()
         total = 0
         for slot in list(conv_weights.values()) + list(cbam_weights.values()):
             for arr in slot.values():
@@ -396,9 +424,8 @@ def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel
     for j, layer in enumerate(folded.layers):
         if layer.kind == "detect_head":
             continue  # head output stays float
-        is_max_pool = layer.kind == "pool" and layer.attrs.get("pool") == "max"
-        if is_max_pool or layer.kind == "upsample":
-            # Value-preserving ops inherit their input's grid exactly.
+        if layer.kind == "pool":
+            # Max pooling is value-preserving: it inherits its input's grid exactly.
             act_params[slot_key(j)] = act_params[slot_key(layer.inputs[0])]
         else:
             act_params[slot_key(j)] = from_stats(stats_keys[j])
@@ -622,24 +649,10 @@ def _maxpool_int8(q: QuantizedTensor, kernel: int, stride: int, padding: int) ->
     return QuantizedTensor(out, q.params)
 
 
-class _Step(NamedTuple):
-    run: Callable  # the layer, bound to its weights, tables and params
-    inputs: tuple[int, ...]
-    frees: tuple[int, ...]  # outputs (-1: the input) whose last consumer this is
-
-
-@dataclass
-class _Plan:
-    steps: list[_Step]
-    head: int
-
-
 def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
     """One layer as a function of its input tensors, with every per-model
     value (conv spec, multiplier, LUT, params) computed here, once."""
     kind = layer.kind
-    if kind == "bn":
-        raise ContractViolation("quantized graph contains an unfolded bn layer")
     out_params = model.act_params.get(slot_key(idx))
     in_params = model.act_params.get(slot_key(layer.inputs[0]))
     attrs = layer.attrs
@@ -673,65 +686,29 @@ def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
     if kind == "cbam":
         params = model.cbam_params(layer.slot)
         return lambda q: quantize_tensor(cbam_forward(dequantize(q), params), out_params)
-    if kind == "pool":
+    if kind == "pool":  # validated as a max pool
         kernel = int(attrs["kernel"])
         stride = int(attrs.get("stride", kernel))
         padding = int(attrs.get("padding", 0))
-        if attrs.get("pool") == "max":
-            return lambda q: _requant(_maxpool_int8(q, kernel, stride, padding), out_params)
-        return lambda q: quantize_tensor(
-            pool(dequantize(q), attrs["pool"], kernel, stride, padding), out_params
-        )
-    if kind == "upsample":
-        return lambda q: _requant(
-            QuantizedTensor(np.repeat(np.repeat(q.arr, 2, axis=2), 2, axis=3), q.params),
-            out_params,
-        )
-    if kind == "global_pool":
-        return lambda q: quantize_tensor(global_pool(dequantize(q), attrs["pool"]), out_params)
+        return lambda q: _requant(_maxpool_int8(q, kernel, stride, padding), out_params)
+    # bn never gets here: validation finds no bn params in a quantized model.
     raise ContractViolation(f"unsupported quantized layer kind {layer.kind!r}")
 
 
-def _plan(model: QuantizedModel) -> _Plan:
+def _plan(model: QuantizedModel) -> list[Step]:
     """The model's bound layers and release points, built on first use."""
     if model._plan_cache is None:
-        heads = [i for i, layer in enumerate(model.layers) if layer.kind == "detect_head"]
-        if not heads:
-            raise ContractViolation("quantized graph has no detect_head layer")
-        last_use = {}
-        for idx, layer in enumerate(model.layers):
-            for ref in layer.inputs:
-                last_use[ref] = idx
-        steps = [
-            _Step(
-                _bind(model, idx, layer),
-                layer.inputs,
-                tuple(ref for ref, last in last_use.items() if last == idx),
-            )
-            for idx, layer in enumerate(model.layers)
-        ]
-        model._plan_cache = _Plan(steps, heads[-1])
+        model._plan_cache = plan(model.layers, partial(_bind, model))
     return model._plan_cache
 
 
 def forward_quantized(model: QuantizedModel, x: Tensor) -> Tensor:
     """Run the int8 graph on a float (1, 3, S, S) input; returns the float head.
 
-    Each intermediate output is dropped right after its last consumer runs.
+    Each intermediate output, the quantized input included, is dropped right
+    after its last consumer runs.
     """
-    n, c, h, w = x.shape
-    s = model.meta.input_size
-    if (n, c, h, w) != (1, 3, s, s):
-        raise ContractViolation(f"forward expects input (1, 3, {s}, {s}), got {(n, c, h, w)}")
-    plan = _plan(model)
-    # The input sits in the last slot, so input ref -1 indexes it directly.
-    outputs: list[object] = [None] * len(plan.steps)
-    outputs.append(quantize_tensor(x, model.act_params[INPUT_SLOT]))
-    for idx, step in enumerate(plan.steps):
-        outputs[idx] = step.run(*[outputs[ref] for ref in step.inputs])
-        for ref in step.frees:
-            outputs[ref] = None
-    return outputs[plan.head]
+    return run(_plan(model), quantize_tensor(x, model.act_params[INPUT_SLOT]), model.meta.input_size)
 
 
 # --- serialization ------------------------------------------------------------
@@ -770,27 +747,23 @@ def load_quantized(path_or_bytes) -> QuantizedModel:
     doc, tensors = container_io.read_container(path_or_bytes)
     if doc.get("container") != "int8":
         raise ContainerError(f"expected an int8 container, got {doc.get('container')!r}")
-    conv_weights: dict[str, dict[str, np.ndarray]] = {}
-    for slot in doc["conv_slots"]:
-        conv_weights[slot] = {
-            name: tensors[f"{slot}/{name}"] for name in ("q_weight", "w_scale", "q_bias")
-        }
-    cbam_weights: dict[str, dict[str, np.ndarray]] = {}
-    for slot in doc["cbam_slots"]:
-        packed = {}
-        for name in _CBAM_WEIGHTS:
-            packed[f"{name}_q"] = tensors[f"{slot}/{name}_q"]
-            packed[f"{name}_scale"] = tensors[f"{slot}/{name}_scale"]
-        for name in _CBAM_FLOATS:
-            packed[name] = tensors[f"{slot}/{name}"]
-        cbam_weights[slot] = packed
+    require = container_io.require
+
+    def arrays(slot: str, names) -> dict[str, np.ndarray]:
+        return {name: require(tensors, f"{slot}/{name}") for name in names}
+
+    conv_weights = {
+        slot: arrays(slot, ("q_weight", "w_scale", "q_bias")) for slot in require(doc, "conv_slots")
+    }
+    cbam_names = [f"{n}_{part}" for n in _CBAM_WEIGHTS for part in ("q", "scale")] + list(_CBAM_FLOATS)
+    cbam_weights = {slot: arrays(slot, cbam_names) for slot in require(doc, "cbam_slots")}
     act_params = {
         key: QuantParams(PER_TENSOR_AFFINE, np.array([p["scale"]]), np.array([p["zero_point"]]))
-        for key, p in doc["act_params"].items()
+        for key, p in require(doc, "act_params").items()
     }
     return QuantizedModel(
-        _layers_from_json(doc["layers"]),
-        _meta_from_json(doc["meta"]),
+        _layers_from_json(require(doc, "layers")),
+        _meta_from_json(require(doc, "meta")),
         conv_weights,
         cbam_weights,
         act_params,

@@ -306,8 +306,3 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ContractViolation(f"concat shape mismatch: {a.shape} vs {b.shape}")
     return Tensor(np.concatenate([a.arr, b.arr], axis=1))
-
-
-def upsample_nearest2x(x: Tensor) -> Tensor:
-    """Nearest-neighbor spatial upsampling by exactly 2x."""
-    return Tensor(np.repeat(np.repeat(x.arr, 2, axis=2), 2, axis=3))

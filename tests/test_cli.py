@@ -317,8 +317,9 @@ def test_data_errors_exit_two(cli_env, tmp_path, capsys):
     assert "error:" in err
 
 
-def test_detect_on_a_stride_zero_container_exits_two(cli_env, tmp_path, capsys):
-    doc, tensors = read_container(str(cli_env / "model.glw"))
+@pytest.mark.parametrize("name", ["model.glw", "model.q.glw"])
+def test_detect_on_a_stride_zero_container_exits_two(cli_env, tmp_path, capsys, name):
+    doc, tensors = read_container(str(cli_env / name))
     conv = next(layer for layer in doc["layers"] if layer["kind"] == "conv")
     conv["attrs"]["stride"] = 0
     bad = tmp_path / "bad.glw"
@@ -327,6 +328,18 @@ def test_detect_on_a_stride_zero_container_exits_two(cli_env, tmp_path, capsys):
     assert main(["detect", "--model", str(bad), "--image", img]) == 2
     err = capsys.readouterr().err
     assert "stride must be >= 1" in err
+    assert "Traceback" not in err
+
+
+def test_detect_on_a_container_without_conv_slots_exits_two(cli_env, tmp_path, capsys):
+    doc, tensors = read_container(str(cli_env / "model.q.glw"))
+    del doc["conv_slots"]
+    bad = tmp_path / "bad.q.glw"
+    bad.write_bytes(write_container(doc, list(tensors.items())))
+    img = str(cli_env / "data" / "images" / "img_00000.ppm")
+    assert main(["detect", "--model", str(bad), "--image", img]) == 2
+    err = capsys.readouterr().err
+    assert "container is missing 'conv_slots'" in err
     assert "Traceback" not in err
 
 

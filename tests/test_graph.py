@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from greenlite import (
+    ContainerError,
     ContractViolation,
     Detection,
     Layer,
@@ -34,7 +35,8 @@ from greenlite import (
     save_model_bytes,
     unletterbox_point,
 )
-from greenlite.graph import LetterboxMeta, _apply_layer, _pairwise_iou, infer_shapes
+from greenlite.container import read_container, write_container
+from greenlite.graph import LetterboxMeta, _bind, _pairwise_iou, infer_shapes
 
 from _oracles import iou_ref, nms_ref
 
@@ -136,6 +138,14 @@ def test_load_from_bytes_matches_load_from_path(tmp_path):
     assert back.param_count() == m.param_count()
 
 
+@pytest.mark.parametrize("key", ["layers", "meta"])
+def test_container_without_a_doc_key_is_a_container_error(key):
+    doc, tensors = read_container(save_model_bytes(tiny_model()))
+    del doc[key]
+    with pytest.raises(ContainerError, match=key):
+        load_model(write_container(doc, list(tensors.items())))
+
+
 def test_param_count_recounts_through_serialization():
     m = build_model(num_classes=7)
     back = load_model(save_model_bytes(m))
@@ -158,7 +168,7 @@ def test_forward_replay_recomputes_every_layer():
     assert len(recorded) == len(m.layers)
     for idx, layer in enumerate(m.layers):
         ins = [x if ref == -1 else recorded[ref] for ref in layer.inputs]
-        again = _apply_layer(m, layer, ins)
+        again = _bind(m, idx, layer)(*ins)
         assert np.array_equal(again.arr, recorded[idx].arr), f"layer {idx} ({layer.kind})"
 
 
@@ -223,6 +233,7 @@ def test_graph_validation_rejects_malformed_graphs():
         ("pool", {"padding": -1}),
         ("pool", {"padding": 5}),
         ("pool", {"padding": 7}),
+        ("pool", {"pool": "avg"}),
     ],
 )
 def test_graph_validation_rejects_bad_geometry(kind, attrs):

@@ -8,6 +8,7 @@ import pytest
 
 from greenlite import (
     CalibrationCoverageError,
+    ContainerError,
     ContractViolation,
     DegenerateRangeError,
     ModelGraph,
@@ -36,6 +37,7 @@ from greenlite import (
     save_quantized,
     weight_params,
 )
+from greenlite.container import read_container, write_container
 from greenlite.quant import (
     INPUT_SLOT,
     PER_CHANNEL_SYMMETRIC,
@@ -532,6 +534,58 @@ def test_load_any_dispatches_on_container_kind(tmp_path):
     save_quantized(qm, qpath)
     assert isinstance(load_any(fpath), ModelGraph)
     assert isinstance(load_any(qpath), QuantizedModel)
+
+
+# ---- int8 containers are checked at load ----
+
+
+@pytest.fixture
+def int8_container(tmp_path):
+    """The document and tensors of a saved tiny int8 container."""
+    m = tiny_model()
+    path = tmp_path / "m.q.glw"
+    save_quantized(quantize_model(m, calibrate(m, tiny_images(2))), path)
+    return read_container(str(path))
+
+
+def first_layer(doc, kind):
+    return next(layer for layer in doc["layers"] if layer["kind"] == kind)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: first_layer(doc, "conv")["attrs"].update(stride=0), "stride must be >= 1"),
+        (lambda doc: first_layer(doc, "pool")["attrs"].pop("kernel"), "missing kernel"),
+        (lambda doc: first_layer(doc, "pool")["attrs"].update(pool="avg"), "pool must be 'max'"),
+        (lambda doc: first_layer(doc, "pool").update(kind="upsample"), "unknown kind 'upsample'"),
+        (lambda doc: doc["act_params"].pop("L001"), "no activation params .*L001"),
+    ],
+    ids=["conv-stride-0", "pool-without-kernel", "avg-pool", "upsample", "missing-act-params"],
+)
+def test_int8_graph_errors_fail_at_load(int8_container, edit, match):
+    """The float graph's checks run on a loaded int8 graph, so a bad one is a
+    ContractViolation from load_quantized, not an error in its first forward."""
+    doc, tensors = int8_container
+    edit(doc)
+    with pytest.raises(ContractViolation, match=match):
+        load_quantized(write_container(doc, list(tensors.items())))
+
+
+@pytest.mark.parametrize("key", ["layers", "meta", "conv_slots", "cbam_slots", "act_params"])
+def test_int8_container_without_a_doc_key_is_a_container_error(int8_container, key):
+    doc, tensors = int8_container
+    del doc[key]
+    with pytest.raises(ContainerError, match=key):
+        load_quantized(write_container(doc, list(tensors.items())))
+
+
+@pytest.mark.parametrize("key", ["head/q_weight", "cbam/mlp_w1_scale", "cbam/spatial_bias"])
+def test_int8_container_without_a_named_tensor_is_a_container_error(int8_container, key):
+    doc, tensors = int8_container
+    del tensors[key]
+    with pytest.raises(ContainerError, match=key):
+        load_quantized(write_container(doc, list(tensors.items())))
 
 
 def test_format_reduction_fixture():
