@@ -60,8 +60,8 @@ def write_container(doc: dict, tensors: list[tuple[str, np.ndarray]]) -> bytes:
 
 def require(mapping: dict, key: str):
     """mapping[key] from a read container's document or tensors; a missing
-    key is a malformed container."""
-    if key not in mapping:
+    key, or a document entry that is not a mapping, is a malformed container."""
+    if not isinstance(mapping, dict) or key not in mapping:
         raise ContainerError(f"container is missing {key!r}")
     return mapping[key]
 

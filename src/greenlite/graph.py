@@ -32,6 +32,7 @@ from .errors import ContainerError, ContractViolation
 from . import container
 from .profiling import TRACKER
 from .tensor import (
+    ACTIVATION_KINDS,
     ConvSpec,
     Tensor,
     _sigmoid64,
@@ -180,6 +181,11 @@ def infer_shapes(model) -> list[tuple[int, int, int]]:
                 raise ContractViolation(f"layer {idx}: bn params do not match {c} channels")
             out = (c, h, w)
         elif layer.kind == "act":
+            if layer.attrs.get("fn") not in ACTIVATION_KINDS:
+                raise ContractViolation(
+                    f"layer {idx} (act): fn must be one of {ACTIVATION_KINDS}, "
+                    f"got {layer.attrs.get('fn')!r}"
+                )
             out = (c, h, w)
         elif layer.kind == "pool":
             if layer.attrs.get("pool") != "max":
@@ -625,10 +631,18 @@ def _layers_to_json(layers: list[Layer]) -> list[dict]:
 
 
 def _layers_from_json(doc: list[dict]) -> list[Layer]:
-    return [
-        Layer(d["kind"], tuple(int(i) for i in d["inputs"]), d.get("slot"), dict(d.get("attrs") or {}))
-        for d in doc
-    ]
+    layers = []
+    for d in doc:
+        inputs = container.require(d, "inputs")
+        if not (isinstance(inputs, list) and all(isinstance(i, int) for i in inputs)):
+            raise ContainerError(f"layer inputs must be a list of ints, got {inputs!r}")
+        layers.append(Layer(
+            container.require(d, "kind"),
+            tuple(inputs),
+            d.get("slot"),
+            dict(d.get("attrs") or {}),
+        ))
+    return layers
 
 
 def _meta_to_json(meta: ModelMeta) -> dict:
@@ -642,9 +656,9 @@ def _meta_to_json(meta: ModelMeta) -> dict:
 
 def _meta_from_json(doc: dict) -> ModelMeta:
     return ModelMeta(
-        int(doc["input_size"]),
-        int(doc["num_classes"]),
-        tuple(doc["class_names"]),
+        int(container.require(doc, "input_size")),
+        int(container.require(doc, "num_classes")),
+        tuple(container.require(doc, "class_names")),
         int(doc.get("stride", GRID_STRIDE)),
     )
 

@@ -21,6 +21,20 @@ raw codes. A layer accumulates in float32 when every output channel has
 float32 holds exactly in any summation order; otherwise in float64. The
 product acc * s_in * s_w_c / s_out is formed in float64 and rounded once.
 
+The requantization rule is exact and fixed: a conv output code is
+  clip(round_half_away(fl64(acc * m_c)) + zp, -128, 127),  m_c = s_in * s_w_c / s_out,
+and a float32 tensor x quantizes to clip(round_half_away(fl64(x) / s) + zp,
+-128, 127). The public kernels (quantize_array, quantize_tensor,
+quantized_conv2d) compute it literally. A planned forward instead binds each
+conv and each float32 -> int8 quantizer to the cheaper affine map
+clip(floor(fl64(v * m) + zp + 128.5), 0, 255) - 128 (m = 1/s for a
+quantizer), but only after proving, once per model, that the map equals the
+exact rule on every possible input of that step: both maps are monotone, so
+they agree everywhere when they step to each level at the same input, which
+a check at two inputs per level settles (see _proves_conv_affine). A step
+whose check fails (a negative tie such as m = 0.5 does) keeps the exact rule,
+so planned and literal outputs are bit-identical either way.
+
 Activation functions run as exact 256-entry lookup tables composing
 dequantize -> f -> requantize. Max pooling reuses its input's params
 (value-preserving, no requantization error); concat inputs are requantized
@@ -29,7 +43,7 @@ only if their params differ from the output's.
 A QuantizedModel checks its graph at construction, and so at load, with the
 float graph's structural and geometry checks. The first forward pass plans
 the model once through graph.plan: each layer is bound to its conv spec,
-requantization multiplier, output params and lookup tables, and to the
+proven requantization map, output params and lookup tables, and to the
 point where its output is released; graph.run executes the plan. Later
 passes reuse the plan, so a model's weights and params must not change
 after its first forward.
@@ -68,7 +82,7 @@ from .graph import (
     validate_graph,
 )
 from .profiling import TRACKER
-from .tensor import Tensor, _sigmoid64
+from .tensor import Tensor, _sigmoid64, max_windows
 
 PER_TENSOR_AFFINE = "per_tensor_affine"
 PER_CHANNEL_SYMMETRIC = "per_channel_symmetric"
@@ -379,7 +393,7 @@ class QuantizedModel:
                 f"no activation params for slots {sorted(needed - act_params.keys())}"
             )
         self._cbam_cache: dict[str, CbamParams] = {}
-        self._plan_cache: list[Step] | None = None  # see _plan()
+        self._plan_cache: tuple[Callable, list[Step]] | None = None  # see _plan()
         total = 0
         for slot in list(conv_weights.values()) + list(cbam_weights.values()):
             for arr in slot.values():
@@ -476,6 +490,16 @@ def _weight_sums(q_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w.sum(axis=1), np.abs(w).sum(axis=1)
 
 
+def _folded_bias(
+    q_bias: np.ndarray, z_in: int, w_sums: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-out-channel bias' = q_bias - z_in * sum(q_w) and the accumulator
+    bound 128 * sum|q_w| + |bias'|, which no |acc| exceeds, as int64."""
+    w_sum, w_abs_sum = w_sums
+    bias = q_bias.astype(np.int64) - z_in * w_sum
+    return bias, 128 * w_abs_sum + np.abs(bias)
+
+
 def _int_conv_acc(
     q_in: np.ndarray,
     z_in: int,
@@ -506,17 +530,14 @@ def _int_conv_acc(
     ow = (w + 2 * padding - k) // stride + 1
     if oh < 1 or ow < 1:
         raise ContractViolation("quantized conv output would be empty")
-    w_sum, w_abs_sum = _weight_sums(q_weight) if w_sums is None else w_sums
-    bias = q_bias.astype(np.int64) - z_in * w_sum
-    exact32 = bool(np.all(128 * w_abs_sum + np.abs(bias) < _F32_EXACT))
-    dtype = np.float32 if exact32 else np.float64
+    bias, bound = _folded_bias(q_bias, z_in, _weight_sums(q_weight) if w_sums is None else w_sums)
+    dtype = np.float32 if bool(np.all(bound < _F32_EXACT)) else np.float64
     if k == 1 and stride == 1 and padding == 0:
         cols = q_in.astype(dtype)
     else:
-        padded = np.pad(
-            q_in, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            constant_values=np.int8(z_in),
-        )
+        # Cast once into a z_in-filled plane; the window copies then keep the dtype.
+        padded = np.full((n, c, h + 2 * padding, w + 2 * padding), z_in, dtype=dtype)
+        padded[:, :, padding : padding + h, padding : padding + w] = q_in
         cols = np.empty((n, c, k, k, oh, ow), dtype=dtype)
         for ky in range(k):
             for kx in range(k):
@@ -573,7 +594,7 @@ def _requantize(t: np.ndarray, zero_point) -> np.ndarray:
 
 
 def _conv_requant(
-    x: QuantizedTensor, spec: QConvSpec, mult: np.ndarray, out_params: QuantParams
+    spec: QConvSpec, mult: np.ndarray, out_params: QuantParams, x: QuantizedTensor
 ) -> QuantizedTensor:
     """The int8 conv kernel: the exact accumulator times the float64 per-channel
     multiplier s_in * s_w_c / s_out, requantized in place."""
@@ -589,7 +610,130 @@ def quantized_conv2d(x: QuantizedTensor, spec: QConvSpec, out_params: QuantParam
     """int8 conv: integer accumulation, then one requantization to out_params."""
     if len(out_params.scale) != 1:
         raise ContractViolation("conv output params must be per-tensor")
-    return _conv_requant(x, spec, _conv_mult(x.params, spec, out_params), out_params)
+    return _conv_requant(spec, _conv_mult(x.params, spec, out_params), out_params, x)
+
+
+# --- planned requantization ---------------------------------------------------
+#
+# The affine map costs a multiply, an add, a clip and a uint8 cast where the
+# exact rule clips, rounds half away from zero in three steps and adds zp. The
+# two differ on negative ties and where fl64(y + K) rounds across an integer,
+# hence the per-step proof (module docstring).
+
+_LEVELS = np.arange(-127, 128, dtype=np.float64)  # each code whose lower threshold is checked
+
+
+def _affine_codes(t: np.ndarray, k) -> np.ndarray:
+    """int8 codes clip(floor(t + k), 0, 255) - 128, reusing the float64 array t.
+
+    The uint8 cast truncates, which is floor on [0, 255], and flipping the top
+    bit turns u into u - 128 read as int8.
+    """
+    t += k
+    np.clip(t, 0, 255, out=t)
+    u = t.astype(np.uint8)
+    u ^= np.uint8(0x80)
+    return u.view(np.int8)
+
+
+def _proves_conv_affine(mult: np.ndarray, zp, bound: np.ndarray) -> bool:
+    """Whether _affine_codes(acc * m_c, zp + 128.5) equals the exact rule
+    _requantize(acc * m_c, zp) for every channel c and every integer acc with
+    |acc| <= bound[c], both products taken in float64.
+
+    Both maps are monotone non-decreasing in acc, so they are equal on that
+    range when, for each level L in -127..127, the accumulators they send to
+    L or above start at the same place. For the exact map g that start is
+    near est = ceil((L - zp - 0.5) / m_c), clipped to [-bound, bound + 1]
+    (the ends: every acc reaches L, or none does). The check proves that g's
+    start is est, g(est - 1) < L <= g(est) with points beyond the range left
+    out, and that the affine map equals g at est - 1 and est, so its start is
+    est too; it also compares the two at +-bound. A wrong estimate fails the
+    check; it cannot pass a wrong map.
+    """
+    m = np.asarray(mult, dtype=np.float64).reshape(-1, 1)
+    b = np.asarray(bound, dtype=np.int64).reshape(-1, 1).astype(np.float64)
+    if not (np.all(np.isfinite(m)) and np.all(m > 0) and np.all(b < 2.0**53)):
+        return False
+    with np.errstate(over="ignore"):  # far thresholds of a tiny m; clipped next
+        est = np.clip(np.ceil((_LEVELS - zp - 0.5) / m), -b, b + 1)
+    points = np.concatenate([np.maximum(est - 1, -b), np.minimum(est, b), -b, b], axis=1)
+    t = points * m
+    exact = _requantize(t.copy(), zp)
+    if not np.array_equal(_affine_codes(t, zp + 128.5), exact):
+        return False
+    n = len(_LEVELS)
+    below, at = exact[:, :n], exact[:, n : 2 * n]
+    return bool(np.all(((est == -b) | (below < _LEVELS)) & ((est == b + 1) | (at >= _LEVELS))))
+
+
+def _proves_quantizer_affine(scale, zp) -> bool:
+    """Whether _affine_codes(x * (1 / scale), zp + 128.5) equals the exact
+    quantize_array rule _requantize(x / scale, zp) for every float32 x, +-inf
+    included, with 1 / scale, the product and the quotient in float64.
+
+    The argument is _proves_conv_affine's over the ordered float32 values.
+    For each level L the candidates are e = fl32((L - zp - 0.5) * scale) and
+    its two float32 neighbours: the check needs the exact code to step from
+    below L to L or above between two adjacent candidates, and the affine
+    map to equal the exact rule at all three. It also compares them at +-inf.
+    """
+    s = np.float64(scale)
+    with np.errstate(over="ignore"):  # thresholds past the float32 range become +-inf
+        e = ((_LEVELS - zp - 0.5) * s).astype(np.float32)
+    inf = np.float32(np.inf)
+    points = np.concatenate([np.nextafter(e, -inf), e, np.nextafter(e, inf), [-inf, inf]])
+    exact = _requantize(points.astype(np.float64) / s, zp)
+    fast = _affine_codes(np.multiply(points, 1.0 / s, dtype=np.float64), zp + 128.5)
+    if not np.array_equal(fast, exact):
+        return False
+    lo, mid, hi = exact[:-2].reshape(3, -1)
+    steps = ((lo < _LEVELS) & (_LEVELS <= mid)) | ((mid < _LEVELS) & (_LEVELS <= hi))
+    return bool(np.all(steps))
+
+
+def _conv_affine(
+    spec: QConvSpec, mult: np.ndarray, k, out_params: QuantParams, x: QuantizedTensor
+) -> QuantizedTensor:
+    """_conv_requant through the affine map, for a conv whose map is proven."""
+    return QuantizedTensor(_affine_codes(spec.accumulate(x) * mult, k), out_params)
+
+
+def _bind_conv(
+    spec: QConvSpec, in_params: QuantParams, out_params: QuantParams
+) -> Callable[[QuantizedTensor], QuantizedTensor]:
+    """The conv step: the affine map where it is proven exact on the
+    accumulator's bound for this input grid, the exact rule otherwise."""
+    mult = _conv_mult(in_params, spec, out_params)
+    zp = out_params.zero_point[0]
+    _, bound = _folded_bias(spec.q_bias, int(in_params.zero_point[0]), spec.w_sums)
+    if _proves_conv_affine(mult, zp, bound):
+        return partial(_conv_affine, spec, mult, zp + 128.5, out_params)
+    return partial(_conv_requant, spec, mult, out_params)
+
+
+def _no_nan(x: Tensor) -> np.ndarray:
+    if np.isnan(x.arr).any():
+        raise ContractViolation("cannot quantize a tensor holding NaN")
+    return x.arr
+
+
+def _quantize_affine(params: QuantParams, recip, k, x: Tensor) -> QuantizedTensor:
+    """quantize_tensor through the affine map, for params whose map is proven."""
+    return QuantizedTensor(_affine_codes(np.multiply(_no_nan(x), recip, dtype=np.float64), k), params)
+
+
+def _quantize_exact(params: QuantParams, x: Tensor) -> QuantizedTensor:
+    return QuantizedTensor(quantize_array(_no_nan(x), params), params)
+
+
+def _bind_quantizer(params: QuantParams) -> Callable[[Tensor], QuantizedTensor]:
+    """float32 -> int8 onto params: the affine map where it is proven exact,
+    the exact rule otherwise. NaN raises ContractViolation either way."""
+    scale, zp = params.scale[0], params.zero_point[0]
+    if _proves_quantizer_affine(scale, zp):
+        return partial(_quantize_affine, params, 1.0 / scale, zp + 128.5)
+    return partial(_quantize_exact, params)
 
 
 def _pointwise_lut(in_params: QuantParams, out_params: QuantParams, fn) -> np.ndarray:
@@ -632,21 +776,7 @@ def _requant(q: QuantizedTensor, out_params: QuantParams) -> QuantizedTensor:
 
 
 def _maxpool_int8(q: QuantizedTensor, kernel: int, stride: int, padding: int) -> QuantizedTensor:
-    n, c, h, w = q.shape
-    oh = (h + 2 * padding - kernel) // stride + 1
-    ow = (w + 2 * padding - kernel) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ContractViolation("pool output would be empty")
-    padded = np.pad(
-        q.arr, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        constant_values=np.int8(-128),
-    )
-    out = None
-    for ky in range(kernel):
-        for kx in range(kernel):
-            sl = padded[:, :, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride]
-            out = sl.copy() if out is None else np.maximum(out, sl)
-    return QuantizedTensor(out, q.params)
+    return QuantizedTensor(max_windows(q.arr, kernel, stride, padding, np.int8(-128)), q.params)
 
 
 def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
@@ -668,8 +798,7 @@ def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
             # The head's accumulator is dequantized exactly to float32.
             scale = (in_params.scale[0] * spec.w_scale).reshape(1, -1, 1, 1)
             return lambda q: Tensor((spec.accumulate(q) * scale).astype(np.float32))
-        mult = _conv_mult(in_params, spec, out_params)
-        return lambda q: _conv_requant(q, spec, mult, out_params)
+        return _bind_conv(spec, in_params, out_params)
     if kind == "act":
         table = _code_table(_pointwise_lut(in_params, out_params, _ACT_FNS[attrs["fn"]]))
         return lambda q: _apply_lut(q, table, out_params)
@@ -685,7 +814,8 @@ def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
         return concat
     if kind == "cbam":
         params = model.cbam_params(layer.slot)
-        return lambda q: quantize_tensor(cbam_forward(dequantize(q), params), out_params)
+        quantize = _bind_quantizer(out_params)
+        return lambda q: quantize(cbam_forward(dequantize(q), params))
     if kind == "pool":  # validated as a max pool
         kernel = int(attrs["kernel"])
         stride = int(attrs.get("stride", kernel))
@@ -695,10 +825,14 @@ def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
     raise ContractViolation(f"unsupported quantized layer kind {layer.kind!r}")
 
 
-def _plan(model: QuantizedModel) -> list[Step]:
-    """The model's bound layers and release points, built on first use."""
+def _plan(model: QuantizedModel) -> tuple[Callable[[Tensor], QuantizedTensor], list[Step]]:
+    """The model's input quantizer, bound layers and release points, built on
+    first use."""
     if model._plan_cache is None:
-        model._plan_cache = plan(model.layers, partial(_bind, model))
+        model._plan_cache = (
+            _bind_quantizer(model.act_params[INPUT_SLOT]),
+            plan(model.layers, partial(_bind, model)),
+        )
     return model._plan_cache
 
 
@@ -708,7 +842,8 @@ def forward_quantized(model: QuantizedModel, x: Tensor) -> Tensor:
     Each intermediate output, the quantized input included, is dropped right
     after its last consumer runs.
     """
-    return run(_plan(model), quantize_tensor(x, model.act_params[INPUT_SLOT]), model.meta.input_size)
+    quantize_input, steps = _plan(model)
+    return run(steps, quantize_input(x), model.meta.input_size)
 
 
 # --- serialization ------------------------------------------------------------
@@ -758,7 +893,9 @@ def load_quantized(path_or_bytes) -> QuantizedModel:
     cbam_names = [f"{n}_{part}" for n in _CBAM_WEIGHTS for part in ("q", "scale")] + list(_CBAM_FLOATS)
     cbam_weights = {slot: arrays(slot, cbam_names) for slot in require(doc, "cbam_slots")}
     act_params = {
-        key: QuantParams(PER_TENSOR_AFFINE, np.array([p["scale"]]), np.array([p["zero_point"]]))
+        key: QuantParams(
+            PER_TENSOR_AFFINE, np.array([require(p, "scale")]), np.array([require(p, "zero_point")])
+        )
         for key, p in require(doc, "act_params").items()
     }
     return QuantizedModel(

@@ -240,6 +240,30 @@ def exact_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return total
 
 
+def max_windows(arr: np.ndarray, kernel: int, stride: int, padding: int, fill) -> np.ndarray:
+    """Max over each kernel x kernel window of an (n, c, h, w) array padded
+    with fill; the float and int8 max pools share it.
+
+    The reduction is separable: over kx within every padded row first, then
+    over ky. np.maximum returns its second argument on ties, so both passes
+    keep the last tied element, and the winner is the last one in row-major
+    window order, as in a k * k scan: for -0.0 and +0.0 ties, the same sign.
+    """
+    h, w = arr.shape[2:]
+    oh = _out_dim(h, kernel, stride, padding)
+    ow = _out_dim(w, kernel, stride, padding)
+    padded = np.pad(
+        arr, ((0, 0), (0, 0), (padding, padding), (padding, padding)), constant_values=fill
+    )
+    rows = padded[:, :, :, 0 : stride * ow : stride].copy()
+    for kx in range(1, kernel):
+        np.maximum(rows, padded[:, :, :, kx : kx + stride * ow : stride], out=rows)
+    out = rows[:, :, 0 : stride * oh : stride].copy()
+    for ky in range(1, kernel):
+        np.maximum(out, rows[:, :, ky : ky + stride * oh : stride], out=out)
+    return out
+
+
 def pool(x: Tensor, kind: str, kernel: int, stride: int | None = None, padding: int = 0) -> Tensor:
     """Square max / average pooling.
 
@@ -254,21 +278,11 @@ def pool(x: Tensor, kind: str, kernel: int, stride: int | None = None, padding: 
         raise ContractViolation(f"pool kernel and stride must be >= 1, got {kernel}, {s}")
     if not 0 <= padding < kernel:
         raise ContractViolation(f"pool padding must satisfy 0 <= p < kernel, got {padding}")
+    if kind == "max":
+        return Tensor(max_windows(x.arr, kernel, s, padding, np.float32(-np.inf)))
     n, c, h, w = x.shape
     oh = _out_dim(h, kernel, s, padding)
     ow = _out_dim(w, kernel, s, padding)
-    if kind == "max":
-        padded = np.pad(
-            x.arr,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            constant_values=np.float32(-np.inf),
-        )
-        out = None
-        for ky in range(kernel):
-            for kx in range(kernel):
-                sl = padded[:, :, ky : ky + s * oh : s, kx : kx + s * ow : s]
-                out = sl.copy() if out is None else np.maximum(out, sl)
-        return Tensor(out)
     out = np.empty((n, c, oh, ow), dtype=np.float32)
     for b in range(n):
         for ch in range(c):

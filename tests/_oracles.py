@@ -93,6 +93,22 @@ def pool_naive(x, kind, kernel, stride, padding):
     return out
 
 
+def maxpool_scan(x, kernel, stride, padding, fill):
+    """Max pool as one np.maximum(running, window) step per kernel cell, in
+    row-major window order, over x padded with fill: on ties np.maximum
+    returns its second argument, so the last tied cell of the scan wins."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * padding - kernel) // stride + 1
+    ow = (w + 2 * padding - kernel) // stride + 1
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), constant_values=fill)
+    out = None
+    for ky in range(kernel):
+        for kx in range(kernel):
+            sl = padded[:, :, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride]
+            out = sl.copy() if out is None else np.maximum(out, sl)
+    return out
+
+
 def sigmoid64_masked(z):
     """Two-branch stable sigmoid on float64: 1 / (1 + exp(-z)) where z >= 0,
     exp(z) / (1 + exp(z)) elsewhere, each branch on its masked subset."""

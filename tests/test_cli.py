@@ -343,6 +343,18 @@ def test_detect_on_a_container_without_conv_slots_exits_two(cli_env, tmp_path, c
     assert "Traceback" not in err
 
 
+def test_detect_on_act_params_without_a_scale_exits_two(cli_env, tmp_path, capsys):
+    doc, tensors = read_container(str(cli_env / "model.q.glw"))
+    del doc["act_params"]["input"]["scale"]
+    bad = tmp_path / "bad.q.glw"
+    bad.write_bytes(write_container(doc, list(tensors.items())))
+    img = str(cli_env / "data" / "images" / "img_00000.ppm")
+    assert main(["detect", "--model", str(bad), "--image", img]) == 2
+    err = capsys.readouterr().err
+    assert "container is missing 'scale'" in err
+    assert "Traceback" not in err
+
+
 # ---- console script ----
 
 CHECKOUT_SRC = Path(greenlite.__file__).parents[1]

@@ -146,6 +146,30 @@ def test_container_without_a_doc_key_is_a_container_error(key):
         load_model(write_container(doc, list(tensors.items())))
 
 
+def first_layer(doc, kind):
+    return next(layer for layer in doc["layers"] if layer["kind"] == kind)
+
+
+@pytest.mark.parametrize(
+    "edit, error, match",
+    [
+        (lambda doc: doc["layers"][0].pop("kind"), ContainerError, "missing 'kind'"),
+        (lambda doc: doc["layers"][0].pop("inputs"), ContainerError, "missing 'inputs'"),
+        (lambda doc: doc["layers"][0].update(inputs=5), ContainerError, "inputs must be a list"),
+        (lambda doc: doc["layers"][0].update(inputs=[None]), ContainerError, "inputs must be a list"),
+        (lambda doc: doc["meta"].pop("input_size"), ContainerError, "missing 'input_size'"),
+        (lambda doc: first_layer(doc, "act")["attrs"].update(fn="gelu"), ContractViolation, "'gelu'"),
+    ],
+    ids=["layer-without-kind", "layer-without-inputs", "inputs-not-a-list", "inputs-null",
+         "meta-without-input-size", "act-gelu"],
+)
+def test_malformed_container_fields_fail_at_load_with_typed_errors(edit, error, match):
+    doc, tensors = read_container(save_model_bytes(tiny_model()))
+    edit(doc)
+    with pytest.raises(error, match=match):
+        load_model(write_container(doc, list(tensors.items())))
+
+
 def test_param_count_recounts_through_serialization():
     m = build_model(num_classes=7)
     back = load_model(save_model_bytes(m))

@@ -43,9 +43,17 @@ from greenlite.quant import (
     PER_CHANNEL_SYMMETRIC,
     PER_TENSOR_AFFINE,
     QConvSpec,
+    _affine_codes,
+    _bind_conv,
+    _bind_quantizer,
+    _conv_affine,
+    _conv_requant,
     _int_conv_acc,
     _maxpool_int8,
     _pointwise_lut,
+    _proves_conv_affine,
+    _quantize_affine,
+    _quantize_exact,
     _requant,
     quantized_size_bytes,
     save_quantized_bytes,
@@ -410,6 +418,157 @@ def test_int8_maxpool_commutes_with_dequantization():
         assert np.array_equal(got, want)
 
 
+# ---- planned requantization ----
+
+
+def exact_codes(t, zp):
+    """The exact rule, clip(round_half_away(t) + zp, -128, 127), on float64 t."""
+    return np.clip(round_half_away(t) + zp, -128, 127).astype(np.int8)
+
+
+def first_reaching(g, lo, hi, levels):
+    """Per level, the least integer key in [lo, hi] whose code under the
+    monotone map g reaches it (hi + 1 where none does), by bisection."""
+    lo = np.broadcast_to(lo, levels.shape).astype(np.int64)
+    hi = np.broadcast_to(hi, levels.shape).astype(np.int64) + 1
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        up = g(np.minimum(mid, hi - 1)) >= levels
+        hi = np.where((lo < hi) & up, mid, hi)
+        lo = np.where((lo < hi) & ~up, mid + 1, lo)
+    return lo
+
+
+def test_proven_conv_map_equals_the_exact_rule_on_breakpoints_and_bounds():
+    """Seeded sweep over multipliers, zero points and accumulator bounds:
+    wherever the plan-time check passes, the affine map gives the exact
+    rule's codes one below, at and one above every breakpoint (found by
+    bisection on the exact rule), at +-bound and on random accumulators."""
+    rng = np.random.default_rng(23)
+    levels = np.arange(-127, 128)
+    proved = 0
+    for case in range(40):
+        m = np.float64(10.0 ** rng.uniform(-7, 0.5)) * rng.uniform(1, 2)
+        zp = int(rng.integers(-128, 128))
+        bound = int(rng.choice([0, 1, 300, 2**20, 2**31 + 12345]))
+        if not _proves_conv_affine(np.array([m]), zp, np.array([bound])):
+            continue
+        proved += 1
+        t = first_reaching(lambda a: exact_codes(a * m, zp), -bound, bound, levels)
+        acc = np.concatenate([t - 1, t, t + 1, [-bound, bound], rng.integers(-bound, bound + 1, 2000)])
+        acc = np.clip(acc, -bound, bound).astype(np.float64)
+        got = _affine_codes(acc * m, np.float64(zp) + 128.5)
+        assert np.array_equal(got, exact_codes(acc * m, zp)), f"case {case}"
+    assert proved >= 35
+
+
+def f32_key(x):
+    """float32 -> integer key in the floats' order (-0.0 and +0.0 share 0)."""
+    bits = np.asarray(x, dtype=np.float32).view(np.int32).astype(np.int64)
+    return np.where(bits < 0, -(bits & 0x7FFFFFFF), bits)
+
+
+def f32_of(key):
+    bits = np.where(key < 0, (-key) | 0x80000000, key)
+    return bits.astype(np.uint32).view(np.float32)
+
+
+def test_proven_quantizer_equals_quantize_array_on_breakpoints_and_infinities():
+    """The same sweep for float32 inputs over random grids: the bound
+    quantizer equals quantize_array one float32 below, at and above every
+    breakpoint, at +-inf, +-0, the float32 extremes and on random inputs."""
+    rng = np.random.default_rng(24)
+    levels = np.arange(-127, 128)
+    inf = np.float32(np.inf)
+    proved = 0
+    for case in range(40):
+        lo, hi = sorted(rng.uniform(-1, 1, 2) * 10.0 ** rng.uniform(-4, 4))
+        params = choose_params(float(lo), float(hi))
+        quantize = _bind_quantizer(params)
+        if quantize.func is not _quantize_affine:
+            continue
+        proved += 1
+        t = first_reaching(
+            lambda k: quantize_array(f32_of(k), params), f32_key(-inf), f32_key(inf), levels
+        )
+        keys = np.clip(np.concatenate([t - 1, t, t + 1]), f32_key(-inf), f32_key(inf))
+        x = np.concatenate([
+            f32_of(keys),
+            np.array([-inf, inf, -0.0, 0.0, np.finfo(np.float32).max, np.finfo(np.float32).min]),
+            rng.uniform(2 * lo, 2 * hi, 2000),
+        ]).astype(np.float32)
+        got = quantize(Tensor(x.reshape(1, 1, 1, -1))).arr.ravel()
+        assert np.array_equal(got, quantize_array(x, params)), f"case {case}"
+    assert proved >= 30
+
+
+def test_ties_fail_the_check_and_keep_the_exact_rule():
+    """m = 0.5 puts acc = -1, -3, ... on negative ties, which the affine map
+    rounds towards zero: the check fails, the plan binds the exact kernel and
+    the codes match the integer oracle."""
+    one = QuantParams(PER_TENSOR_AFFINE, np.array([1.0]), np.array([0]))
+    k = np.float64(128.5)
+    assert _affine_codes(np.array([-0.5]), k)[0] != exact_codes(np.array([-0.5]), 0)[0]
+    assert not _proves_conv_affine(np.array([0.5]), 0, np.array([1000]))
+    rng = np.random.default_rng(25)
+    q_in = rng.integers(-128, 128, (1, 3, 5, 5), dtype=np.int8)
+    q_w = rng.integers(-3, 4, (4, 3, 3, 3), dtype=np.int8)
+    q_b = rng.integers(-50, 50, 4).astype(np.int32)
+    spec = QConvSpec(q_w, np.full(4, 0.5), q_b, 1, 1)
+    step = _bind_conv(spec, one, one)
+    assert step.func is _conv_requant
+    acc = conv2d_int_naive(q_in, 0, q_w, q_b, 1, 1, 1)
+    assert np.any(acc % 2 == 1) and np.any(acc < 0)
+    got = step(QuantizedTensor(q_in, one))
+    assert np.array_equal(got.arr, exact_codes(acc * 0.5, 0))
+    # A grid where some float32 input lands on a negative tie keeps the exact quantizer.
+    assert _bind_quantizer(one).func is _quantize_exact
+
+
+@pytest.mark.parametrize("params", [choose_params(-1.0, 3.0), QuantParams(PER_TENSOR_AFFINE, [1.0], [0])])
+def test_quantizing_nan_is_a_contract_violation(params):
+    """Both bound quantizers (proven, and the exact fallback) refuse NaN."""
+    x = Tensor(np.array([0.5, np.nan, 1.0], dtype=np.float32).reshape(1, 1, 1, 3))
+    with pytest.raises(ContractViolation, match="NaN"):
+        _bind_quantizer(params)(x)
+
+
+def test_forward_quantized_rejects_a_nan_input():
+    m = tiny_model()
+    qm = quantize_model(m, calibrate(m, tiny_images(2)))
+    x = tiny_images(1, seed=5)[0]
+    x.arr[0, 1, 2, 3] = np.nan
+    with pytest.raises(ContractViolation, match="NaN"):
+        forward_quantized(qm, x)
+
+
+@pytest.mark.parametrize("seed, per_stage", [(1, False), (42, False), (42, True)])
+def test_built_models_take_the_proven_path_and_match_the_exact_plan(seed, per_stage, monkeypatch):
+    """Every conv layer and the input quantizer of the default-size build
+    use the proven affine map, so the speed-up cannot silently switch off,
+    and the head equals that of a plan with every check failed."""
+    import greenlite.quant as quant
+
+    m = build_model(7, seed=seed, cbam_per_stage=per_stage)
+    rng = np.random.default_rng(seed)
+    images = [Tensor(rng.uniform(0, 1, (1, 3, 320, 320)).astype(np.float32)) for _ in range(3)]
+    blob = save_quantized_bytes(quantize_model(m, calibrate(m, images[:2])))
+    qm = load_quantized(blob)
+    quantize_input, steps = quant._plan(qm)
+    assert quantize_input.func is _quantize_affine
+    convs = [steps[i].run for i, layer in enumerate(qm.layers) if layer.kind == "conv"]
+    assert len(convs) >= 25
+    assert all(getattr(run, "func", None) is _conv_affine for run in convs)
+    head = forward_quantized(qm, images[2]).arr.tobytes()
+
+    monkeypatch.setattr(quant, "_proves_conv_affine", lambda *args: False)
+    monkeypatch.setattr(quant, "_proves_quantizer_affine", lambda *args: False)
+    exact = load_quantized(blob)
+    assert all(step.run.func is _conv_requant
+               for step, layer in zip(quant._plan(exact)[1], exact.layers) if layer.kind == "conv")
+    assert forward_quantized(exact, images[2]).arr.tobytes() == head
+
+
 # ---- calibration ----
 
 
@@ -560,8 +719,10 @@ def first_layer(doc, kind):
         (lambda doc: first_layer(doc, "pool")["attrs"].update(pool="avg"), "pool must be 'max'"),
         (lambda doc: first_layer(doc, "pool").update(kind="upsample"), "unknown kind 'upsample'"),
         (lambda doc: doc["act_params"].pop("L001"), "no activation params .*L001"),
+        (lambda doc: first_layer(doc, "act")["attrs"].update(fn="gelu"), "fn must be one of"),
     ],
-    ids=["conv-stride-0", "pool-without-kernel", "avg-pool", "upsample", "missing-act-params"],
+    ids=["conv-stride-0", "pool-without-kernel", "avg-pool", "upsample", "missing-act-params",
+         "act-gelu"],
 )
 def test_int8_graph_errors_fail_at_load(int8_container, edit, match):
     """The float graph's checks run on a loaded int8 graph, so a bad one is a
@@ -577,6 +738,25 @@ def test_int8_container_without_a_doc_key_is_a_container_error(int8_container, k
     doc, tensors = int8_container
     del doc[key]
     with pytest.raises(ContainerError, match=key):
+        load_quantized(write_container(doc, list(tensors.items())))
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: doc["layers"][0].pop("kind"), "missing 'kind'"),
+        (lambda doc: doc["layers"][0].update(inputs=5), "inputs must be a list"),
+        (lambda doc: doc["meta"].pop("input_size"), "missing 'input_size'"),
+        (lambda doc: doc["act_params"]["L001"].pop("scale"), "missing 'scale'"),
+        (lambda doc: doc["act_params"]["L001"].pop("zero_point"), "missing 'zero_point'"),
+    ],
+    ids=["layer-without-kind", "inputs-not-a-list", "meta-without-input-size",
+         "act-params-without-scale", "act-params-without-zero-point"],
+)
+def test_int8_container_malformed_fields_are_container_errors(int8_container, edit, match):
+    doc, tensors = int8_container
+    edit(doc)
+    with pytest.raises(ContainerError, match=match):
         load_quantized(write_container(doc, list(tensors.items())))
 
 

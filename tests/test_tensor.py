@@ -19,7 +19,14 @@ from greenlite import (
 )
 from greenlite import tensor as gl_tensor
 
-from _oracles import batchnorm_naive, conv2d_naive, fsum_along, pool_naive, sigmoid64_masked
+from _oracles import (
+    batchnorm_naive,
+    conv2d_naive,
+    fsum_along,
+    maxpool_scan,
+    pool_naive,
+    sigmoid64_masked,
+)
 
 
 def rand_tensor(rng, n, c, h, w, lo=-2.0, hi=2.0):
@@ -268,6 +275,24 @@ def test_pool_matches_naive_oracle():
         want = pool_naive(x.arr, kind, k, stride, padding)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-6, f"case {case}"
+
+
+def test_max_pool_keeps_the_scan_winner_on_signed_zero_ties():
+    """The separable max pool picks the same element as a k * k scan, so
+    windows whose maximum is a tie of -0.0 and +0.0 keep the scan's sign."""
+    rng = np.random.default_rng(45)
+    zero_signs = set()
+    for case in range(60):
+        k = int(rng.choice([1, 2, 3, 5]))
+        padding = int(rng.integers(0, k))
+        stride = int(rng.choice([1, 2]))
+        h, w = int(rng.integers(k, k + 7)), int(rng.integers(k, k + 7))
+        vals = rng.choice(np.array([-0.0, 0.0, -1.0], dtype=np.float32), (1, 2, h, w))
+        got = pool(Tensor(vals), "max", k, stride, padding).arr
+        want = maxpool_scan(vals, k, stride, padding, np.float32(-np.inf))
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), f"case {case}"
+        zero_signs.update(np.signbit(want[want == 0]).tolist())
+    assert zero_signs == {False, True}
 
 
 def test_pool_avg_ignores_padding_cells():
