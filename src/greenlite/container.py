@@ -15,6 +15,7 @@ produce bit-identical containers.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -84,20 +85,31 @@ def read_container(path_or_bytes) -> tuple[dict, dict[str, np.ndarray]]:
         raise ContainerError(f"container metadata is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict) or "tensors" not in meta:
         raise ContainerError("container metadata is missing the tensor manifest")
+    manifest = meta.pop("tensors")
+    if not isinstance(manifest, list):
+        raise ContainerError("container tensor manifest is not a list")
     pos = 8 + meta_len
     tensors: dict[str, np.ndarray] = {}
-    for entry in meta.pop("tensors"):
+    for entry in manifest:
+        key, tag, shape = (require(entry, name) for name in ("key", "dtype", "shape"))
+        if not isinstance(key, str):
+            raise ContainerError(f"tensor key {key!r} is not a string")
+        if key in tensors:
+            raise ContainerError(f"duplicate tensor key {key!r}")
+        if not isinstance(tag, str) or tag not in _DTYPES:
+            raise ContainerError(f"tensor {key!r} has unknown dtype {tag!r}")
+        # type(d) is int: JSON true/false load as bools, an int subclass
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ContainerError(f"tensor {key!r} shape {shape!r} is not a list of dims >= 0")
         if pos % ALIGN:
             pos += ALIGN - pos % ALIGN
-        dtype = np.dtype(_DTYPES[entry["dtype"]])
-        count = 1
-        for d in entry["shape"]:
-            count *= int(d)
+        dtype = np.dtype(_DTYPES[tag])
+        count = math.prod(shape)
         nbytes = count * dtype.itemsize
         if pos + nbytes > len(blob):
-            raise ContainerError(f"container truncated inside tensor {entry['key']!r}")
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos).reshape(entry["shape"])
-        tensors[entry["key"]] = arr.copy()
+            raise ContainerError(f"container truncated inside tensor {key!r}")
+        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos).reshape(shape)
+        tensors[key] = arr.copy()
         pos += nbytes
     if pos != len(blob):
         raise ContainerError(f"{len(blob) - pos} trailing bytes after last tensor")

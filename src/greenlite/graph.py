@@ -685,7 +685,11 @@ def save_model(model: ModelGraph, path: str) -> int:
 
 
 def load_model(path_or_bytes) -> ModelGraph:
-    doc, tensors = container.read_container(path_or_bytes)
+    return _model_from_container(*container.read_container(path_or_bytes))
+
+
+def _model_from_container(doc: dict, tensors: dict[str, np.ndarray]) -> ModelGraph:
+    """A float model from a parsed container's document and tensors."""
     if doc.get("container") != "float":
         raise ContainerError(f"expected a float container, got {doc.get('container')!r}")
     weights: dict[str, dict[str, np.ndarray]] = {}

@@ -77,6 +77,7 @@ from .graph import (
     _layers_to_json,
     _meta_from_json,
     _meta_to_json,
+    _model_from_container,
     plan,
     run,
     validate_graph,
@@ -879,7 +880,11 @@ def save_quantized(model: QuantizedModel, path: str) -> int:
 
 
 def load_quantized(path_or_bytes) -> QuantizedModel:
-    doc, tensors = container_io.read_container(path_or_bytes)
+    return _quantized_from_container(*container_io.read_container(path_or_bytes))
+
+
+def _quantized_from_container(doc: dict, tensors: dict[str, np.ndarray]) -> QuantizedModel:
+    """An int8 model from a parsed container's document and tensors."""
     if doc.get("container") != "int8":
         raise ContainerError(f"expected an int8 container, got {doc.get('container')!r}")
     require = container_io.require
@@ -908,15 +913,16 @@ def load_quantized(path_or_bytes) -> QuantizedModel:
 
 
 def load_any(path_or_bytes):
-    """Load either container kind; returns ModelGraph or QuantizedModel."""
-    doc, _ = container_io.read_container(path_or_bytes)
+    """Load either container kind; returns ModelGraph or QuantizedModel.
+
+    The container is read and parsed once, then built by its kind.
+    """
+    doc, tensors = container_io.read_container(path_or_bytes)
     kind = doc.get("container")
     if kind == "float":
-        from .graph import load_model
-
-        return load_model(path_or_bytes)
+        return _model_from_container(doc, tensors)
     if kind == "int8":
-        return load_quantized(path_or_bytes)
+        return _quantized_from_container(doc, tensors)
     raise ContainerError(f"unknown container kind {kind!r}")
 
 

@@ -32,6 +32,10 @@ from .profiling import TRACKER
 ACTIVATION_KINDS = ("silu", "sigmoid", "identity")
 POOL_KINDS = ("max", "avg")
 
+# Elements per float64 temporary in the chunked bn and activation kernels:
+# 256 KB each, so a chunk's chain of temporaries stays inside one core's L2.
+CHUNK = 32_768
+
 
 class Tensor:
     """Dense (n, c, h, w) float32 container; all dims must be >= 1."""
@@ -149,10 +153,14 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
         # a 1x1 patch matrix is the input itself: same operands, same shapes
         cols = x.arr.astype(np.float64).reshape(n, g, c // g, h * w)
     else:
+        # the padded plane is a temporary, freed once im2col has copied it
         padded = np.pad(x.arr, ((0, 0), (0, 0), (p, p), (p, p)))
         cols = _im2col(padded, k, s, oh, ow).reshape(n, g, (c // g) * k * k, oh * ow)
+        del padded
     wmat = spec.weight.reshape(g, oc // g, (c // g) * k * k).astype(np.float64)
     out = np.matmul(wmat[None, :, :, :], cols).reshape(n, oc, oh, ow)
+    # the float64 operands go before the float32 output is allocated
+    del cols, wmat
     out += spec.bias.astype(np.float64).reshape(1, oc, 1, 1)
     return Tensor(out.astype(np.float32))
 
@@ -165,7 +173,13 @@ def batchnorm_infer(
     var: np.ndarray,
     eps: float,
 ) -> Tensor:
-    """Inference-mode batch norm: gamma * (x - mean) / sqrt(var + eps) + beta."""
+    """Inference-mode batch norm: gamma * (x - mean) / sqrt(var + eps) + beta.
+
+    Each element is x * scale + shift in float64, rounded once to float32.
+    The arithmetic runs over blocks of whole channel rows of about CHUNK
+    elements (one row when a row is longer), so the float64 scratch stays
+    one block however large the tensor is.
+    """
     n, c, h, w = x.shape
     if eps <= 0.0:
         raise ContractViolation(f"bn eps must be > 0, got {eps}")
@@ -179,10 +193,17 @@ def batchnorm_infer(
         raise ContractViolation("bn variance must be >= 0")
     scale = params["gamma"] / np.sqrt(params["var"] + eps)
     shift = params["beta"] - params["mean"] * scale
-    out = x.arr.astype(np.float64)
-    out *= scale.reshape(1, c, 1, 1)
-    out += shift.reshape(1, c, 1, 1)
-    return Tensor(out.astype(np.float32))
+    rows = x.arr.reshape(n * c, h * w)
+    scale = np.tile(scale, n)[:, None]
+    shift = np.tile(shift, n)[:, None]
+    out = np.empty_like(rows)
+    step = max(1, CHUNK // (h * w))
+    for lo in range(0, n * c, step):
+        block = rows[lo : lo + step].astype(np.float64)
+        block *= scale[lo : lo + step]
+        block += shift[lo : lo + step]
+        out[lo : lo + step] = block
+    return Tensor(out.reshape(n, c, h, w))
 
 
 def _sigmoid64(z: np.ndarray) -> np.ndarray:
@@ -203,16 +224,25 @@ def _sigmoid64(z: np.ndarray) -> np.ndarray:
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
-    """Pointwise silu / sigmoid / identity."""
+    """Pointwise silu / sigmoid / identity.
+
+    silu and sigmoid run in float64 over CHUNK-element slices of the
+    flattened input, each rounded once to float32 into the output, so the
+    float64 scratch stays a few chunks however large the tensor is.
+    """
     if kind not in ACTIVATION_KINDS:
         raise ContractViolation(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
     if kind == "identity":
         return Tensor(x.arr.copy())
-    z = x.arr.astype(np.float64)
-    out = _sigmoid64(z)
-    if kind == "silu":
-        out *= z
-    return Tensor(out.astype(np.float32))
+    flat = x.arr.reshape(-1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, CHUNK):
+        z = flat[lo : lo + CHUNK].astype(np.float64)
+        y = _sigmoid64(z)
+        if kind == "silu":
+            y *= z
+        out[lo : lo + CHUNK] = y
+    return Tensor(out.reshape(x.arr.shape))
 
 
 def exact_sum(a: np.ndarray, axis: int) -> np.ndarray:

@@ -120,6 +120,29 @@ def sigmoid64_masked(z):
     return out
 
 
+def activation_whole_array(x, kind, sigmoid64):
+    """silu / sigmoid of a float32 array in one pass over the whole array:
+    one float64 copy z, sigmoid64(z), times z for silu, one float32 rounding.
+    The sigmoid is passed in so the float64 operations match the kernel's."""
+    z = x.astype(np.float64)
+    out = sigmoid64(z)
+    if kind == "silu":
+        out = out * z
+    return out.astype(np.float32)
+
+
+def batchnorm_whole_array(x, gamma, beta, mean, var, eps):
+    """Inference bn of a float32 (n, c, h, w) array in one pass: x * scale +
+    shift in float64, scale = gamma / sqrt(var + eps), shift = beta - mean *
+    scale, rounded once to float32."""
+    c = x.shape[1]
+    gamma, beta, mean, var = (np.asarray(a, dtype=np.float64) for a in (gamma, beta, mean, var))
+    scale = gamma / np.sqrt(var + eps)
+    shift = beta - mean * scale
+    out = x.astype(np.float64) * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
+    return out.astype(np.float32)
+
+
 def fsum_along(a, axis):
     """math.fsum of each row along `axis`, one Python call per row."""
     rows = np.moveaxis(np.asarray(a), axis, -1)

@@ -5,6 +5,7 @@ import importlib.metadata
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from greenlite.cli import (
     MEMORY_CSV_HEADER,
     main,
 )
-from greenlite.container import read_container, write_container
+from greenlite.container import ALIGN, MAGIC, read_container, write_container
 
 
 def sha(path):
@@ -352,6 +353,59 @@ def test_detect_on_act_params_without_a_scale_exits_two(cli_env, tmp_path, capsy
     assert main(["detect", "--model", str(bad), "--image", img]) == 2
     err = capsys.readouterr().err
     assert "container is missing 'scale'" in err
+    assert "Traceback" not in err
+
+
+def _first(manifest, entry):
+    return [entry, *manifest[1:]]
+
+
+def _without(entry, field):
+    return {k: v for k, v in entry.items() if k != field}
+
+
+def _first_dim(manifest, value):
+    return _first(manifest, {**manifest[0], "shape": [value, *manifest[0]["shape"][1:]]})
+
+
+# case -> (manifest edit, the error message it must give)
+MALFORMED_MANIFESTS = {
+    "unknown dtype": (lambda m: _first(m, {**m[0], "dtype": "f16"}), "unknown dtype 'f16'"),
+    "no key": (lambda m: _first(m, _without(m[0], "key")), "container is missing 'key'"),
+    "no dtype": (lambda m: _first(m, _without(m[0], "dtype")), "container is missing 'dtype'"),
+    "no shape": (lambda m: _first(m, _without(m[0], "shape")), "container is missing 'shape'"),
+    "entry not an object": (lambda m: _first(m, "x"), "container is missing 'key'"),
+    "manifest not a list": (lambda m: {"entries": m}, "manifest is not a list"),
+    "shape not a list": (lambda m: _first(m, {**m[0], "shape": 4}), "is not a list of dims"),
+    "float dim": (lambda m: _first_dim(m, 2.5), "is not a list of dims"),
+    "string dim": (lambda m: _first_dim(m, "3"), "is not a list of dims"),
+    "bool dim": (lambda m: _first_dim(m, True), "is not a list of dims"),
+    "negative dim": (lambda m: _first_dim(m, -1), "is not a list of dims"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_detect_on_a_malformed_tensor_manifest_exits_two(cli_env, tmp_path, capsys, case):
+    """The manifest is rewritten raw (write_container emits only valid
+    ones); the payloads keep their order and 64-byte alignment."""
+    mutate, message = MALFORMED_MANIFESTS[case]
+    blob = (cli_env / "model.glw").read_bytes()
+    (meta_len,) = struct.unpack("<I", blob[4:8])
+    meta = json.loads(blob[8 : 8 + meta_len])
+    _, tensors = read_container(blob)
+    meta["tensors"] = mutate(meta["tensors"])
+    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    out = bytearray(MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes)
+    for arr in tensors.values():
+        out += b"\x00" * (-len(out) % ALIGN)
+        out += arr.tobytes()
+    bad = tmp_path / "bad.glw"
+    bad.write_bytes(bytes(out))
+    img = str(cli_env / "data" / "images" / "img_00000.ppm")
+    capsys.readouterr()
+    assert main(["detect", "--model", str(bad), "--image", img]) == 2
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
 
 

@@ -8,6 +8,7 @@ changed BLAS or numpy stream policy is the only legitimate reason they move.
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,28 @@ def test_forward_is_bit_stable():
     y = forward(m, x)
     assert y.shape == (1, 11, 10, 10)
     assert hashlib.sha256(y.arr.tobytes()).hexdigest() == GOLDEN_FORWARD_SHA
+
+
+# The numpy scratch peak of one default float forward is 10.72e6 bytes: the
+# s1 downsampling conv's GEMM (float32 input, float64 patches and output).
+# Whole-tensor float64 temporaries in bn or the activations, or conv
+# operands kept alive past their use, take it above this bound.
+FORWARD_SCRATCH_BOUND = 11.5e6
+
+
+def test_float_forward_working_set_is_bounded():
+    """tracemalloc peak of one forward of build_model(7, seed=1) at 320 px."""
+    m = build_model(num_classes=7, seed=1)
+    rng = np.random.Generator(np.random.PCG64(124))
+    x = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 320, 320)).astype(np.float32))
+    forward(m, x)  # warm-up: lazy numpy and BLAS set-up is not the forward's
+    tracemalloc.start()
+    try:
+        forward(m, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= FORWARD_SCRATCH_BOUND, peak
 
 
 def test_zero_image_forward_is_finite():

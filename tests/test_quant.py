@@ -37,6 +37,7 @@ from greenlite import (
     save_quantized,
     weight_params,
 )
+from greenlite import container as container_io
 from greenlite.container import read_container, write_container
 from greenlite.quant import (
     INPUT_SLOT,
@@ -693,6 +694,25 @@ def test_load_any_dispatches_on_container_kind(tmp_path):
     save_quantized(qm, qpath)
     assert isinstance(load_any(fpath), ModelGraph)
     assert isinstance(load_any(qpath), QuantizedModel)
+
+
+def test_load_any_reads_and_parses_the_container_once(tmp_path, monkeypatch):
+    m = tiny_model()
+    fpath = tmp_path / "m.glw"
+    fpath.write_bytes(save_model_bytes(m))
+    qpath = tmp_path / "m.q.glw"
+    save_quantized(quantize_model(m, calibrate(m, tiny_images(2))), qpath)
+    parses = []
+
+    def counting_read(path_or_bytes):
+        parses.append(path_or_bytes)
+        return read_container(path_or_bytes)
+
+    monkeypatch.setattr(container_io, "read_container", counting_read)
+    for path, kind in ((fpath, ModelGraph), (qpath, QuantizedModel)):
+        parses.clear()
+        assert isinstance(load_any(path), kind)
+        assert parses == [path]
 
 
 # ---- int8 containers are checked at load ----

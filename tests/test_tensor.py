@@ -20,7 +20,9 @@ from greenlite import (
 from greenlite import tensor as gl_tensor
 
 from _oracles import (
+    activation_whole_array,
     batchnorm_naive,
+    batchnorm_whole_array,
     conv2d_naive,
     fsum_along,
     maxpool_scan,
@@ -244,6 +246,67 @@ def test_sigmoid_matches_the_masked_two_branch_form_bitwise():
     assert nan.sum() > 100 and (~nan).sum() > 1_000_000
     assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
     assert np.all(np.isnan(got[nan]))
+
+
+CHUNK = gl_tensor.CHUNK
+
+
+def chunk_probe_tensor(rng, shape):
+    """A float32 tensor filled from the sigmoid probe values (cast to
+    float32, so +-0, +-inf, NaN and float32 subnormals among them), with
+    the special values and float32 subnormals placed first."""
+    with np.errstate(over="ignore", invalid="ignore"):  # beyond float32 -> inf; NaN payloads
+        pool = sigmoid_probe_values().astype(np.float32)
+    f32 = np.finfo(np.float32)
+    special = np.concatenate([
+        pool[:24],  # sigmoid_probe_values lists its 24 special values first
+        np.array([f32.smallest_subnormal, -f32.smallest_subnormal, f32.tiny / 2, -f32.tiny / 2],
+                 dtype=np.float32),
+    ])
+    flat = rng.choice(pool, size=math.prod(shape))
+    flat[: special.size] = special[: flat.size]
+    return Tensor(flat.reshape(shape))
+
+
+# (n, c, h, w): below one chunk, exactly one, straddling chunk boundaries,
+# n = 2, and channel rows longer than one chunk (bn then takes one row a block)
+CHUNK_SHAPES = [
+    (1, 1, 1, 1),
+    (1, 3, 7, 11),
+    (1, 1, 1, CHUNK - 1),
+    (1, 1, 1, CHUNK),
+    (1, 4, 1, CHUNK // 4),
+    (2, 1, 1, CHUNK // 2),
+    (1, 1, 1, CHUNK + 1),
+    (2, 5, 1, CHUNK // 8),
+    (2, 3, 5, CHUNK // 7 + 3),
+    (2, 2, 1, CHUNK + 3),
+]
+
+
+@pytest.mark.parametrize("shape", CHUNK_SHAPES)
+def test_chunked_activation_matches_the_whole_array_form_bytewise(shape):
+    x = chunk_probe_tensor(np.random.default_rng(72), shape)
+    for kind in ("silu", "sigmoid"):
+        with np.errstate(invalid="ignore"):  # silu: 0 * inf; signalling NaNs
+            got = activation(x, kind).arr
+            want = activation_whole_array(x.arr, kind, gl_tensor._sigmoid64)
+        assert got.shape == shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), kind
+
+
+@pytest.mark.parametrize("shape", CHUNK_SHAPES)
+def test_chunked_batchnorm_matches_the_whole_array_form_bytewise(shape):
+    rng = np.random.default_rng(73)
+    x = chunk_probe_tensor(rng, shape)
+    c = shape[1]
+    gamma, beta, mean = (rng.uniform(-2, 2, c) for _ in range(3))
+    var = rng.uniform(0.0, 4.0, c)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0, inf - inf, float32 overflow
+        got = batchnorm_infer(x, gamma, beta, mean, var, eps=1e-5).arr
+        want = batchnorm_whole_array(x.arr, gamma, beta, mean, var, 1e-5)
+    assert got.shape == shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_activation_rejects_unknown_kind():
