@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -68,12 +69,19 @@ def require(mapping: dict, key: str):
 
 
 def read_container(path_or_bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse container bytes (or a file path) back to (document, tensors)."""
+    """Parse container bytes (or a file path) back to (document, tensors).
+
+    The container is held in one bytearray (a file is read into it, bytes
+    are copied into it once) and every tensor is a writable view into it, so
+    loading holds the container's bytes once.
+    """
     if isinstance(path_or_bytes, (bytes, bytearray)):
-        blob = bytes(path_or_bytes)
+        blob = bytearray(path_or_bytes)
     else:
         with open(path_or_bytes, "rb") as fh:
-            blob = fh.read()
+            blob = bytearray(os.fstat(fh.fileno()).st_size)
+            del blob[fh.readinto(blob) :]
+            blob += fh.read()  # whatever the size did not count (a pipe, a growing file)
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise ContainerError("not a GLW1 container (bad magic)")
     (meta_len,) = struct.unpack("<I", blob[4:8])
@@ -108,8 +116,7 @@ def read_container(path_or_bytes) -> tuple[dict, dict[str, np.ndarray]]:
         nbytes = count * dtype.itemsize
         if pos + nbytes > len(blob):
             raise ContainerError(f"container truncated inside tensor {key!r}")
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos).reshape(shape)
-        tensors[key] = arr.copy()
+        tensors[key] = np.frombuffer(blob, dtype=dtype, count=count, offset=pos).reshape(shape)
         pos += nbytes
     if pos != len(blob):
         raise ContainerError(f"{len(blob) - pos} trailing bytes after last tensor")

@@ -177,8 +177,19 @@ def infer_shapes(model) -> list[tuple[int, int, int]]:
         if layer.kind in ("conv", "detect_head"):
             out = conv_out(idx, layer, c, h, w)
         elif layer.kind == "bn":
-            if model.weights[layer.slot]["gamma"].shape != (c,):
+            bn = model.weights[layer.slot]
+            if any(bn[name].shape != (c,) for name in _SLOT_ARRAYS["bn"]):
                 raise ContractViolation(f"layer {idx}: bn params do not match {c} channels")
+            try:
+                eps = float(layer.attrs.get("eps", 1e-5))
+            except (TypeError, ValueError):
+                eps = math.nan
+            if not (math.isfinite(eps) and eps > 0.0):
+                raise ContractViolation(
+                    f"layer {idx} (bn): eps must be finite and > 0, got {layer.attrs.get('eps')!r}"
+                )
+            if not np.all(bn["var"] >= 0.0):
+                raise ContractViolation(f"layer {idx} (bn): variance must be >= 0")
             out = (c, h, w)
         elif layer.kind == "act":
             if layer.attrs.get("fn") not in ACTIVATION_KINDS:
@@ -450,7 +461,9 @@ def letterbox(rgb: bytes, width: int, height: int, target: int) -> tuple[Tensor,
     """Raw 8-bit RGB bytes -> (1, 3, target, target) tensor in [0, 1].
 
     Aspect-preserving nearest-neighbor resize, centered with integer pad
-    offsets, gray 114/255 padding.
+    offsets, gray 114/255 padding. The uint8 image is made channel-first
+    before it is resized, and each code is divided by 255 in float32 straight
+    into the canvas.
     """
     if width < 1 or height < 1:
         raise ContractViolation(f"image dims must be >= 1, got {width}x{height}")
@@ -466,11 +479,14 @@ def letterbox(rgb: bytes, width: int, height: int, target: int) -> tuple[Tensor,
     new_h = max(1, int(round(height * scale)))
     pad_x = (target - new_w) // 2
     pad_y = (target - new_h) // 2
-    resized = img[_nearest_indices(new_h, height)][:, _nearest_indices(new_w, width)]
-    canvas = np.full((target, target, 3), np.float32(PAD_GRAY), dtype=np.float32)
-    canvas[pad_y : pad_y + new_h, pad_x : pad_x + new_w] = resized.astype(np.float32) / 255.0
-    chw = np.transpose(canvas, (2, 0, 1))[None]
-    return Tensor(chw), LetterboxMeta(width, height, scale, float(pad_x), float(pad_y), target)
+    # The canvas, which outlives the call, is allocated before the uint8
+    # temporaries, so they are freed above it rather than leaving holes below.
+    canvas = np.full((1, 3, target, target), np.float32(PAD_GRAY), dtype=np.float32)
+    chw = np.ascontiguousarray(img.transpose(2, 0, 1))
+    resized = chw[:, _nearest_indices(new_h, height)][:, :, _nearest_indices(new_w, width)]
+    inner = canvas[0, :, pad_y : pad_y + new_h, pad_x : pad_x + new_w]
+    np.divide(resized, np.float32(255), out=inner, dtype=np.float32)
+    return Tensor(canvas), LetterboxMeta(width, height, scale, float(pad_x), float(pad_y), target)
 
 
 def letterbox_point(meta: LetterboxMeta, x: float, y: float) -> tuple[float, float]:

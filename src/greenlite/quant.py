@@ -43,10 +43,10 @@ only if their params differ from the output's.
 A QuantizedModel checks its graph at construction, and so at load, with the
 float graph's structural and geometry checks. The first forward pass plans
 the model once through graph.plan: each layer is bound to its conv spec,
-proven requantization map, output params and lookup tables, and to the
-point where its output is released; graph.run executes the plan. Later
-passes reuse the plan, so a model's weights and params must not change
-after its first forward.
+folded bias' in its accumulator dtype, proven requantization map, output
+params and lookup tables, and to the point where its output is released;
+graph.run executes the plan. Later passes reuse the plan, so a model's
+weights and params must not change after its first forward.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from .graph import (
     validate_graph,
 )
 from .profiling import TRACKER
-from .tensor import Tensor, _sigmoid64, max_windows
+from .tensor import Tensor, _sigmoid64, max_windows, patches
 
 PER_TENSOR_AFFINE = "per_tensor_affine"
 PER_CHANNEL_SYMMETRIC = "per_channel_symmetric"
@@ -501,6 +501,35 @@ def _folded_bias(
     return bias, 128 * w_abs_sum + np.abs(bias)
 
 
+def _acc_bias(bias: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """bias' in the accumulator dtype: float32 when every output channel's
+    bound is below 2^24, float64 otherwise."""
+    return bias.astype(np.float32 if bool(np.all(bound < _F32_EXACT)) else np.float64)
+
+
+def _int_conv_core(
+    q_weight: np.ndarray,
+    bias: np.ndarray,
+    stride: int,
+    padding: int,
+    groups: int,
+    z_in: int,
+    q_in: np.ndarray,
+) -> np.ndarray:
+    """_int_conv_acc without its checks, for bias' already in the accumulator
+    dtype (_acc_bias): a plan computes bias once and binds the rest."""
+    n, _, h, w = q_in.shape
+    oc, icg, k, _ = q_weight.shape
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (w + 2 * padding - k) // stride + 1
+    cols = patches(q_in, k, stride, padding, z_in, bias.dtype)
+    cols = cols.reshape(n, groups, icg * k * k, oh * ow)
+    wmat = q_weight.reshape(groups, oc // groups, icg * k * k).astype(bias.dtype)
+    acc = np.matmul(wmat[None], cols).reshape(n, oc, oh, ow)
+    acc += bias.reshape(1, oc, 1, 1)
+    return acc
+
+
 def _int_conv_acc(
     q_in: np.ndarray,
     z_in: int,
@@ -516,10 +545,11 @@ def _int_conv_acc(
     The input zero point is folded into the bias, bias' = q_bias - z_in *
     sum(q_w), so the matmul takes the raw codes; padding with z_in keeps the
     fold exact. When every output channel has 128 * sum|q_w| + |bias'| <
-    2^24, no partial sum leaves the integers float32 holds exactly, so im2col
-    and the matmul run in float32. Otherwise they run in float64, exact for
-    fan-in up to 2^38. Either way BLAS does the matmul and the result is
-    integer-valued bit for bit. w_sums is _weight_sums(q_weight), if known.
+    2^24, no partial sum leaves the integers float32 holds exactly, so the
+    patch matrix and the matmul are float32. Otherwise they are float64,
+    exact for fan-in up to 2^38. Either way BLAS does the matmul and the
+    result is integer-valued bit for bit. w_sums is _weight_sums(q_weight),
+    if known.
     """
     n, c, h, w = q_in.shape
     oc, icg, k, _ = q_weight.shape
@@ -532,24 +562,7 @@ def _int_conv_acc(
     if oh < 1 or ow < 1:
         raise ContractViolation("quantized conv output would be empty")
     bias, bound = _folded_bias(q_bias, z_in, _weight_sums(q_weight) if w_sums is None else w_sums)
-    dtype = np.float32 if bool(np.all(bound < _F32_EXACT)) else np.float64
-    if k == 1 and stride == 1 and padding == 0:
-        cols = q_in.astype(dtype)
-    else:
-        # Cast once into a z_in-filled plane; the window copies then keep the dtype.
-        padded = np.full((n, c, h + 2 * padding, w + 2 * padding), z_in, dtype=dtype)
-        padded[:, :, padding : padding + h, padding : padding + w] = q_in
-        cols = np.empty((n, c, k, k, oh, ow), dtype=dtype)
-        for ky in range(k):
-            for kx in range(k):
-                cols[:, :, ky, kx] = padded[
-                    :, :, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride
-                ]
-    cols = cols.reshape(n, groups, icg * k * k, oh * ow)
-    wmat = q_weight.reshape(groups, oc // groups, icg * k * k).astype(dtype)
-    acc = np.matmul(wmat[None], cols).reshape(n, oc, oh, ow)
-    acc += bias.astype(dtype).reshape(1, oc, 1, 1)
-    return acc
+    return _int_conv_core(q_weight, _acc_bias(bias, bound), stride, padding, groups, z_in, q_in)
 
 
 @dataclass
@@ -575,9 +588,9 @@ class QConvSpec:
             raise ContractViolation("weight scales must be > 0")
         self.w_sums = _weight_sums(self.q_weight)
 
-    def accumulate(self, x: QuantizedTensor) -> np.ndarray:
+    def accumulate(self, q_in: np.ndarray, z_in: int) -> np.ndarray:
         return _int_conv_acc(
-            x.arr, int(x.params.zero_point[0]), self.q_weight, self.q_bias,
+            q_in, z_in, self.q_weight, self.q_bias,
             self.stride, self.padding, self.groups, self.w_sums,
         )
 
@@ -595,11 +608,14 @@ def _requantize(t: np.ndarray, zero_point) -> np.ndarray:
 
 
 def _conv_requant(
-    spec: QConvSpec, mult: np.ndarray, out_params: QuantParams, x: QuantizedTensor
+    accumulate: Callable[[np.ndarray], np.ndarray],
+    mult: np.ndarray,
+    out_params: QuantParams,
+    x: QuantizedTensor,
 ) -> QuantizedTensor:
-    """The int8 conv kernel: the exact accumulator times the float64 per-channel
-    multiplier s_in * s_w_c / s_out, requantized in place."""
-    t = spec.accumulate(x) * mult
+    """The int8 conv kernel: the exact accumulator of x's codes times the
+    float64 per-channel multiplier s_in * s_w_c / s_out, requantized in place."""
+    t = accumulate(x.arr) * mult
     return QuantizedTensor(_requantize(t, out_params.zero_point[0]), out_params)
 
 
@@ -611,7 +627,21 @@ def quantized_conv2d(x: QuantizedTensor, spec: QConvSpec, out_params: QuantParam
     """int8 conv: integer accumulation, then one requantization to out_params."""
     if len(out_params.scale) != 1:
         raise ContractViolation("conv output params must be per-tensor")
-    return _conv_requant(spec, _conv_mult(x.params, spec, out_params), out_params, x)
+    accumulate = partial(spec.accumulate, z_in=int(x.params.zero_point[0]))
+    return _conv_requant(accumulate, _conv_mult(x.params, spec, out_params), out_params, x)
+
+
+def _bind_accumulate(
+    spec: QConvSpec, z_in: int
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """spec.accumulate for inputs on zero point z_in, unchecked, with bias'
+    and its dtype computed here once; and the accumulator bound."""
+    bias, bound = _folded_bias(spec.q_bias, z_in, spec.w_sums)
+    core = partial(
+        _int_conv_core, spec.q_weight, _acc_bias(bias, bound),
+        spec.stride, spec.padding, spec.groups, z_in,
+    )
+    return core, bound
 
 
 # --- planned requantization ---------------------------------------------------
@@ -694,10 +724,14 @@ def _proves_quantizer_affine(scale, zp) -> bool:
 
 
 def _conv_affine(
-    spec: QConvSpec, mult: np.ndarray, k, out_params: QuantParams, x: QuantizedTensor
+    accumulate: Callable[[np.ndarray], np.ndarray],
+    mult: np.ndarray,
+    k,
+    out_params: QuantParams,
+    x: QuantizedTensor,
 ) -> QuantizedTensor:
     """_conv_requant through the affine map, for a conv whose map is proven."""
-    return QuantizedTensor(_affine_codes(spec.accumulate(x) * mult, k), out_params)
+    return QuantizedTensor(_affine_codes(accumulate(x.arr) * mult, k), out_params)
 
 
 def _bind_conv(
@@ -707,10 +741,10 @@ def _bind_conv(
     accumulator's bound for this input grid, the exact rule otherwise."""
     mult = _conv_mult(in_params, spec, out_params)
     zp = out_params.zero_point[0]
-    _, bound = _folded_bias(spec.q_bias, int(in_params.zero_point[0]), spec.w_sums)
+    accumulate, bound = _bind_accumulate(spec, int(in_params.zero_point[0]))
     if _proves_conv_affine(mult, zp, bound):
-        return partial(_conv_affine, spec, mult, zp + 128.5, out_params)
-    return partial(_conv_requant, spec, mult, out_params)
+        return partial(_conv_affine, accumulate, mult, zp + 128.5, out_params)
+    return partial(_conv_requant, accumulate, mult, out_params)
 
 
 def _no_nan(x: Tensor) -> np.ndarray:
@@ -744,12 +778,13 @@ def _pointwise_lut(in_params: QuantParams, out_params: QuantParams, fn) -> np.nd
     return _requantize(fn(x) / out_params.scale[0], out_params.zero_point[0])
 
 
-def _code_table(lut: np.ndarray) -> np.ndarray:
-    """The same table indexed by each code's uint8 bit pattern instead of v + 128."""
-    return np.roll(lut, 128)
+def _code_table(lut: np.ndarray) -> bytes:
+    """The same table as 256 bytes indexed by each code's uint8 bit pattern
+    instead of v + 128, the form bytearray.translate takes."""
+    return np.roll(lut, 128).tobytes()
 
 
-def _regrid_table(in_params: QuantParams, out_params: QuantParams) -> np.ndarray | None:
+def _regrid_table(in_params: QuantParams, out_params: QuantParams) -> bytes | None:
     """Code table moving codes between grids; None when the grids are the same."""
     if in_params.same_grid(out_params):
         return None
@@ -763,13 +798,17 @@ _ACT_FNS = {
 }
 
 
-def _apply_lut(
-    q: QuantizedTensor, table: np.ndarray | None, out_params: QuantParams
-) -> QuantizedTensor:
-    """Map every code through a code table; no table passes q through."""
+def _apply_lut(q: QuantizedTensor, table: bytes | None, out_params: QuantParams) -> QuantizedTensor:
+    """Map every code through a code table; no table passes q through.
+
+    bytearray.translate maps the bytes directly, where np.take would first
+    widen every uint8 index to intp; the result is a writable view of the
+    new bytearray.
+    """
     if table is None:
         return q
-    return QuantizedTensor(np.take(table, q.arr.view(np.uint8)), out_params)
+    codes = np.frombuffer(bytearray(q.arr).translate(table), dtype=np.int8)
+    return QuantizedTensor(codes.reshape(q.arr.shape), out_params)
 
 
 def _requant(q: QuantizedTensor, out_params: QuantParams) -> QuantizedTensor:
@@ -797,8 +836,9 @@ def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
         )
         if kind == "detect_head":
             # The head's accumulator is dequantized exactly to float32.
+            accumulate, _ = _bind_accumulate(spec, int(in_params.zero_point[0]))
             scale = (in_params.scale[0] * spec.w_scale).reshape(1, -1, 1, 1)
-            return lambda q: Tensor((spec.accumulate(q) * scale).astype(np.float32))
+            return lambda q: Tensor((accumulate(q.arr) * scale).astype(np.float32))
         return _bind_conv(spec, in_params, out_params)
     if kind == "act":
         table = _code_table(_pointwise_lut(in_params, out_params, _ACT_FNS[attrs["fn"]]))
@@ -837,14 +877,15 @@ def _plan(model: QuantizedModel) -> tuple[Callable[[Tensor], QuantizedTensor], l
     return model._plan_cache
 
 
-def forward_quantized(model: QuantizedModel, x: Tensor) -> Tensor:
+def forward_quantized(model: QuantizedModel, x: Tensor, hook=None) -> Tensor:
     """Run the int8 graph on a float (1, 3, S, S) input; returns the float head.
 
     Each intermediate output, the quantized input included, is dropped right
-    after its last consumer runs.
+    after its last consumer runs. hook(idx, out) is called for every layer
+    output, as in graph.forward.
     """
     quantize_input, steps = _plan(model)
-    return run(steps, quantize_input(x), model.meta.input_size)
+    return run(steps, quantize_input(x), model.meta.input_size, hook)
 
 
 # --- serialization ------------------------------------------------------------

@@ -126,10 +126,30 @@ def _out_dim(size: int, k: int, stride: int, padding: int) -> int:
     return out
 
 
-def _im2col(padded: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """(n, c, H, W) zero-padded plane -> (n, c*k*k, oh*ow) float64 patches."""
-    n, c = padded.shape[:2]
-    cols = np.empty((n, c, k, k, oh, ow), dtype=np.float64)
+def _padded(arr: np.ndarray, padding: int, fill) -> np.ndarray:
+    """arr with `padding` cells of fill around its last two axes, in arr's
+    dtype; arr itself when padding is 0."""
+    if padding == 0:
+        return arr
+    n, c, h, w = arr.shape
+    out = np.full((n, c, h + 2 * padding, w + 2 * padding), fill, dtype=arr.dtype)
+    out[:, :, padding : padding + h, padding : padding + w] = arr
+    return out
+
+
+def patches(arr: np.ndarray, k: int, stride: int, padding: int, fill, dtype) -> np.ndarray:
+    """(n, c, h, w) array -> (n, c*k*k, oh*ow) patch matrix in dtype.
+
+    arr is padded with fill in its own dtype, and each window is copied
+    straight into dtype; the float and int8 convs share it (fill 0 into
+    float64, fill z_in into the accumulator dtype). The padded plane is a
+    temporary, freed on return.
+    """
+    n, c, h, w = arr.shape
+    oh = _out_dim(h, k, stride, padding)
+    ow = _out_dim(w, k, stride, padding)
+    padded = _padded(arr, padding, fill)
+    cols = np.empty((n, c, k, k, oh, ow), dtype=dtype)
     for ky in range(k):
         for kx in range(k):
             cols[:, :, ky, kx] = padded[
@@ -149,14 +169,7 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     oc = spec.out_channels
     oh = _out_dim(h, k, s, p)
     ow = _out_dim(w, k, s, p)
-    if k == 1 and s == 1 and p == 0:
-        # a 1x1 patch matrix is the input itself: same operands, same shapes
-        cols = x.arr.astype(np.float64).reshape(n, g, c // g, h * w)
-    else:
-        # the padded plane is a temporary, freed once im2col has copied it
-        padded = np.pad(x.arr, ((0, 0), (0, 0), (p, p), (p, p)))
-        cols = _im2col(padded, k, s, oh, ow).reshape(n, g, (c // g) * k * k, oh * ow)
-        del padded
+    cols = patches(x.arr, k, s, p, 0, np.float64).reshape(n, g, (c // g) * k * k, oh * ow)
     wmat = spec.weight.reshape(g, oc // g, (c // g) * k * k).astype(np.float64)
     out = np.matmul(wmat[None, :, :, :], cols).reshape(n, oc, oh, ow)
     # the float64 operands go before the float32 output is allocated
@@ -217,7 +230,9 @@ def _sigmoid64(z: np.ndarray) -> np.ndarray:
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
+    # 0 <= e <= 1, so the max picks 1 for z >= 0 and e otherwise; NaN stays NaN
+    out = (z >= 0).astype(np.float64)
+    np.maximum(e, out, out=out)
     e += 1.0
     out /= e
     return out
@@ -282,9 +297,7 @@ def max_windows(arr: np.ndarray, kernel: int, stride: int, padding: int, fill) -
     h, w = arr.shape[2:]
     oh = _out_dim(h, kernel, stride, padding)
     ow = _out_dim(w, kernel, stride, padding)
-    padded = np.pad(
-        arr, ((0, 0), (0, 0), (padding, padding), (padding, padding)), constant_values=fill
-    )
+    padded = _padded(arr, padding, fill)
     rows = padded[:, :, :, 0 : stride * ow : stride].copy()
     for kx in range(1, kernel):
         np.maximum(rows, padded[:, :, :, kx : kx + stride * ow : stride], out=rows)

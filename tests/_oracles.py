@@ -69,6 +69,44 @@ def conv2d_int_naive(q_in, z_in, q_weight, q_bias, stride, padding, groups):
     return out
 
 
+def im2col_padded(x, k, stride, padding, fill, dtype):
+    """(n, c, h, w) -> (n, c*k*k, oh*ow) patches: np.pad with fill, then one
+    strided window copy per kernel cell into an array of dtype."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (w + 2 * padding - k) // stride + 1
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), constant_values=fill)
+    cols = np.empty((n, c, k, k, oh, ow), dtype=dtype)
+    for ky in range(k):
+        for kx in range(k):
+            cols[:, :, ky, kx] = padded[
+                :, :, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride
+            ]
+    return cols.reshape(n, c * k * k, oh * ow)
+
+
+def letterbox_hwc(rgb, width, height, target):
+    """Letterbox through a (target, target, 3) float32 canvas: nearest
+    resize of the HWC image, float32 / 255 into the gray 114/255 canvas,
+    then a transposing copy to (1, 3, target, target). Returns the array and
+    (orig_w, orig_h, scale, pad_x, pad_y, target)."""
+    img = np.frombuffer(rgb, dtype=np.uint8).reshape(height, width, 3)
+    scale = min(target / width, target / height)
+    new_w = max(1, int(round(width * scale)))
+    new_h = max(1, int(round(height * scale)))
+    pad_x = (target - new_w) // 2
+    pad_y = (target - new_h) // 2
+
+    def nearest(dst, src):
+        return np.minimum(((np.arange(dst) + 0.5) * (src / dst)).astype(np.int64), src - 1)
+
+    resized = img[nearest(new_h, height)][:, nearest(new_w, width)]
+    canvas = np.full((target, target, 3), np.float32(114.0 / 255.0), dtype=np.float32)
+    canvas[pad_y : pad_y + new_h, pad_x : pad_x + new_w] = resized.astype(np.float32) / 255.0
+    chw = np.ascontiguousarray(np.transpose(canvas, (2, 0, 1))[None])
+    return chw, (width, height, scale, float(pad_x), float(pad_y), target)
+
+
 def pool_naive(x, kind, kernel, stride, padding):
     """Direct pooling loops; max pads with -inf, avg divides by valid cells."""
     n, c, h, w = x.shape

@@ -4,6 +4,7 @@ import hashlib
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 import greenlite
 from greenlite import (
     DEFAULT_CLASS_NAMES,
+    ContractViolation,
     QuantizedModel,
     load_any,
     load_manifest,
@@ -401,6 +403,42 @@ def test_detect_on_a_malformed_tensor_manifest_exits_two(cli_env, tmp_path, caps
         out += arr.tobytes()
     bad = tmp_path / "bad.glw"
     bad.write_bytes(bytes(out))
+    img = str(cli_env / "data" / "images" / "img_00000.ppm")
+    capsys.readouterr()
+    assert main(["detect", "--model", str(bad), "--image", img]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def _negative_var(attrs, arrays):
+    arrays["var"] = arrays["var"].copy()
+    arrays["var"][0] = -1.0
+
+
+# case -> (edit of the first bn layer's attrs and arrays, the error message it must give)
+MALFORMED_BN = {
+    "negative var": (_negative_var, "variance must be >= 0"),
+    "zero eps": (lambda attrs, arrays: attrs.update(eps=0.0), "eps must be finite and > 0"),
+    "infinite eps": (lambda attrs, arrays: attrs.update(eps=1e999), "eps must be finite and > 0"),
+    "short beta": (lambda attrs, arrays: arrays.update(beta=arrays["beta"][:-1]), "bn params do not match"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BN))
+def test_detect_on_malformed_bn_params_exits_two(cli_env, tmp_path, capsys, case):
+    """bn params that would fail only inside the first forward are refused
+    at load: load_model raises, and detect exits 2."""
+    edit, message = MALFORMED_BN[case]
+    doc, tensors = read_container(str(cli_env / "model.glw"))
+    layer = next(layer for layer in doc["layers"] if layer["kind"] == "bn")
+    arrays = {name: tensors[f"{layer['slot']}/{name}"] for name in ("gamma", "beta", "mean", "var")}
+    edit(layer["attrs"], arrays)
+    tensors.update((f"{layer['slot']}/{name}", arr) for name, arr in arrays.items())
+    bad = tmp_path / "bad.glw"
+    bad.write_bytes(write_container(doc, list(tensors.items())))
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        load_model(str(bad))
     img = str(cli_env / "data" / "images" / "img_00000.ppm")
     capsys.readouterr()
     assert main(["detect", "--model", str(bad), "--image", img]) == 2

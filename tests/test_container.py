@@ -2,11 +2,12 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from greenlite import ContainerError, build_model, save_model_bytes
+from greenlite import ContainerError, build_model, load_model, save_model, save_model_bytes
 from greenlite.container import ALIGN, MAGIC, read_container, write_container
 
 
@@ -107,3 +108,31 @@ def test_read_from_file_path(tmp_path):
     doc, tensors = read_container(p)
     assert doc == {"container": "float"}
     assert len(tensors) == 5
+
+
+def test_loading_holds_the_container_bytes_once(tmp_path):
+    """Every tensor is a writable view into the one buffer the file is read
+    into, so the load's tracemalloc peak stays near the container's size."""
+    path = tmp_path / "model.glw"
+    size = save_model(build_model(7), str(path))
+    load_model(str(path))  # warm-up: lazy imports and numpy set-up are not the load's
+    tracemalloc.start()
+    try:
+        model = load_model(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * size, (peak, size)
+    arrays = [arr for slot in model.weights.values() for arr in slot.values()]
+    assert all(arr.flags.writeable and arr.flags.aligned for arr in arrays)
+    owners = []
+    for arr in arrays:
+        while isinstance(arr, np.ndarray):
+            arr = arr.base
+        owners.append(arr.obj if isinstance(arr, memoryview) else arr)
+    assert isinstance(owners[0], bytearray) and all(o is owners[0] for o in owners)
+    for blob in (path.read_bytes(), bytearray(path.read_bytes())):
+        _, tensors = read_container(blob)
+        arr = next(iter(tensors.values()))
+        arr.reshape(-1)[0] += 1  # writable, and a copy: the input is left as it was
+        assert blob == path.read_bytes()

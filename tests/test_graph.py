@@ -39,7 +39,7 @@ from greenlite import (
 from greenlite.container import read_container, write_container
 from greenlite.graph import LetterboxMeta, _bind, _pairwise_iou, infer_shapes
 
-from _oracles import iou_ref, nms_ref
+from _oracles import iou_ref, letterbox_hwc, nms_ref
 
 GOLDEN_LAYERS = 93
 GOLDEN_PARAMS = 1_047_982
@@ -345,6 +345,32 @@ def test_letterbox_point_round_trip():
             bx, by = unletterbox_point(meta, lx, ly)
             assert abs(bx - x) <= 0.5 and abs(by - y) <= 0.5
             assert abs(bx - x) <= 1e-9 * max(1.0, abs(x)) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "width, height, target",
+    [
+        (320, 320, 320),  # square, same size
+        (64, 64, 320),  # square upscale
+        (640, 640, 320),  # square downscale
+        (200, 100, 320),  # wide upscale
+        (640, 480, 320),  # wide downscale
+        (97, 313, 320),  # tall, odd sizes
+        (300, 701, 320),  # tall downscale
+        (1, 1, 32),
+        (1, 1, 1),
+        (3, 5, 7),
+        (33, 17, 31),
+    ],
+)
+def test_letterbox_matches_the_hwc_canvas_form_bitwise(width, height, target):
+    rng = np.random.default_rng(width * 1000 + height)
+    rgb = rng.integers(0, 256, width * height * 3, dtype=np.uint8).tobytes()
+    t, meta = letterbox(rgb, width, height, target)
+    want, want_meta = letterbox_hwc(rgb, width, height, target)
+    assert t.arr.dtype == np.float32 and t.arr.shape == want.shape
+    assert t.arr.tobytes() == want.tobytes()
+    assert dataclasses.astuple(meta) == want_meta
 
 
 def test_letterbox_validates_buffer():

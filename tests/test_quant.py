@@ -18,6 +18,7 @@ from greenlite import (
     Tensor,
     build_model,
     calibrate,
+    cbam_forward,
     choose_params,
     dequantize,
     dequantize_array,
@@ -44,9 +45,12 @@ from greenlite.quant import (
     PER_CHANNEL_SYMMETRIC,
     PER_TENSOR_AFFINE,
     QConvSpec,
+    _ACT_FNS,
     _affine_codes,
+    _apply_lut,
     _bind_conv,
     _bind_quantizer,
+    _code_table,
     _conv_affine,
     _conv_requant,
     _int_conv_acc,
@@ -409,6 +413,23 @@ def test_requant_between_grids_is_exact_per_code():
     assert np.array_equal(out.arr, want.astype(np.int8))
 
 
+def test_code_table_translate_equals_np_take_on_all_256_codes():
+    """bytearray.translate through the 256-byte code table gives np.take's
+    codes over the v + 128 table, in a fresh writable array."""
+    rng = np.random.default_rng(19)
+    p = choose_params(-1.0, 1.0)
+    codes = np.arange(-128, 128, dtype=np.int8).reshape(1, 4, 8, 8)
+    q = QuantizedTensor(codes, p)
+    for _ in range(20):
+        lut = rng.integers(-128, 128, 256, dtype=np.int8)
+        out = _apply_lut(q, _code_table(lut), p)
+        want = np.take(lut, codes.astype(np.intp) + 128)
+        assert out.arr.dtype == np.int8 and out.arr.shape == codes.shape
+        assert out.arr.tobytes() == want.tobytes()
+        assert out.arr.flags.writeable and not np.shares_memory(out.arr, codes)
+    assert np.array_equal(q.arr, np.arange(-128, 128).reshape(1, 4, 8, 8))
+
+
 def test_int8_maxpool_commutes_with_dequantization():
     rng = np.random.default_rng(18)
     p = choose_params(-1.0, 1.0)
@@ -568,6 +589,59 @@ def test_built_models_take_the_proven_path_and_match_the_exact_plan(seed, per_st
     assert all(step.run.func is _conv_requant
                for step, layer in zip(quant._plan(exact)[1], exact.layers) if layer.kind == "conv")
     assert forward_quantized(exact, images[2]).arr.tobytes() == head
+
+
+def literal_layer(qm, idx, layer, inputs):
+    """One int8 layer through the public kernels and plain np.take over the
+    v + 128 tables, with nothing bound or proven."""
+    out_params = qm.act_params.get(slot_key(idx))
+    in_params = inputs[0].params
+    attrs = layer.attrs
+
+    def regrid(q, params, fn=_ACT_FNS["identity"]):
+        return np.take(_pointwise_lut(q.params, params, fn), q.arr.astype(np.intp) + 128)
+
+    if layer.kind in ("conv", "detect_head"):
+        w = qm.conv_weights[layer.slot]
+        geometry = [int(attrs.get(name, d)) for name, d in (("stride", 1), ("padding", 0), ("groups", 1))]
+        if layer.kind == "conv":
+            spec = QConvSpec(w["q_weight"], w["w_scale"], w["q_bias"], *geometry)
+            return quantized_conv2d(inputs[0], spec, out_params).arr
+        z_in = int(in_params.zero_point[0])
+        acc = _int_conv_acc(inputs[0].arr, z_in, w["q_weight"], w["q_bias"], *geometry)
+        return (acc * (in_params.scale[0] * w["w_scale"]).reshape(1, -1, 1, 1)).astype(np.float32)
+    if layer.kind == "act":
+        return regrid(inputs[0], out_params, _ACT_FNS[attrs["fn"]])
+    if layer.kind == "concat":
+        return np.concatenate([regrid(q, out_params) for q in inputs], axis=1)
+    if layer.kind == "pool":
+        kernel = int(attrs["kernel"])
+        pooled = _maxpool_int8(inputs[0], kernel, int(attrs.get("stride", kernel)), int(attrs.get("padding", 0)))
+        return regrid(pooled, out_params)
+    assert layer.kind == "cbam"
+    return quantize_tensor(cbam_forward(dequantize(inputs[0]), qm.cbam_params(layer.slot)), out_params).arr
+
+
+@pytest.mark.parametrize("seed, per_stage", [(1, False), (42, False), (42, True)])
+def test_every_planned_int8_layer_equals_its_literal_kernel(seed, per_stage):
+    """forward_quantized's hook sees every layer output; each equals the
+    literal kernel applied to the hook-captured inputs, byte for byte."""
+    m = build_model(7, seed=seed, cbam_per_stage=per_stage)
+    rng = np.random.default_rng(seed + 7)
+    images = [Tensor(rng.uniform(0, 1, (1, 3, 320, 320)).astype(np.float32)) for _ in range(3)]
+    qm = load_quantized(save_quantized_bytes(quantize_model(m, calibrate(m, images[:2]))))
+    outputs = {-1: quantize_tensor(images[2], qm.act_params[INPUT_SLOT])}
+    head = forward_quantized(qm, images[2], hook=lambda idx, out: outputs.setdefault(idx, out))
+    assert sorted(outputs) == list(range(-1, len(qm.layers)))
+    assert outputs[len(qm.layers) - 1] is head
+    kinds = set()
+    for idx, layer in enumerate(qm.layers):
+        want = literal_layer(qm, idx, layer, [outputs[ref] for ref in layer.inputs])
+        got = outputs[idx].arr
+        assert got.dtype == want.dtype and got.shape == want.shape, (idx, layer.kind)
+        assert got.tobytes() == want.tobytes(), (idx, layer.kind)
+        kinds.add(layer.kind)
+    assert kinds == {"conv", "act", "concat", "pool", "cbam", "detect_head"}
 
 
 # ---- calibration ----

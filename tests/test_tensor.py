@@ -25,6 +25,7 @@ from _oracles import (
     batchnorm_whole_array,
     conv2d_naive,
     fsum_along,
+    im2col_padded,
     maxpool_scan,
     pool_naive,
     sigmoid64_masked,
@@ -124,6 +125,28 @@ def test_conv_validates_geometry():
         ConvSpec(np.zeros((3, 3, 1, 1), dtype=np.float32), np.zeros(3, dtype=np.float32), groups=2)
     with pytest.raises(ContractViolation):
         conv2d(x, ConvSpec(np.zeros((1, 3, 5, 5), dtype=np.float32), np.zeros(1, dtype=np.float32)))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_patches_match_np_pad_and_the_window_loop_bitwise(k, stride, padding):
+    """Both convs' forms: float32 into float64 with fill 0, and int8 codes
+    into float32 with fill z_in, against np.pad plus the window loop."""
+    rng = np.random.default_rng(100 + 9 * k + 3 * stride + padding)
+    for n in (1, 2):
+        x = rng.uniform(-2, 2, (n, 3, 7, 6)).astype(np.float32)
+        x.reshape(-1)[:4] = [-0.0, np.inf, -np.inf, np.float32(1e-45)]
+        got = gl_tensor.patches(x, k, stride, padding, 0, np.float64)
+        want = im2col_padded(x, k, stride, padding, 0, np.float64)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        q = rng.integers(-128, 128, (n, 3, 7, 6), dtype=np.int8)
+        z_in = int(rng.integers(-128, 128))
+        got = gl_tensor.patches(q, k, stride, padding, z_in, np.float32)
+        want = im2col_padded(q, k, stride, padding, z_in, np.float32)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
 
 # ---- batch norm ----
