@@ -60,11 +60,13 @@ def write_container(doc: dict, tensors: list[tuple[str, np.ndarray]]) -> bytes:
     return bytes(out)
 
 
-def require(mapping: dict, key: str):
-    """mapping[key] from a read container's document or tensors; a missing
-    key, or a document entry that is not a mapping, is a malformed container."""
+def require(mapping: dict, key: str, kind: type = object):
+    """mapping[key] from a read container's document or tensors; a missing key,
+    a document entry that is not a mapping, or a value not of kind is malformed."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise ContainerError(f"container is missing {key!r}")
+    if not isinstance(mapping[key], kind):
+        raise ContainerError(f"container {key!r} must be a {kind.__name__}, got {mapping[key]!r}")
     return mapping[key]
 
 

@@ -20,6 +20,7 @@ per-class sigmoids with the argmax class kept per cell.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
@@ -73,14 +74,27 @@ class ModelMeta:
     stride: int = GRID_STRIDE
 
 
+@dataclass(frozen=True)
+class LayerAttrs:
+    """A layer's attrs as typed values (parse_attrs); unused fields keep these defaults."""
+
+    stride: int = 1
+    padding: int = 0
+    groups: int = 1
+    kernel: int = 0
+    eps: float = 1e-5
+    fn: str = "identity"
+
+
 @dataclass
 class ModelGraph:
     layers: list[Layer]
     weights: dict[str, dict[str, np.ndarray]]
     meta: ModelMeta
+    layer_attrs: list[LayerAttrs] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        validate_graph(self)
+        self.layer_attrs = validate_graph(self)
         total = 0
         for slot in self.weights.values():
             for arr in slot.values():
@@ -88,16 +102,14 @@ class ModelGraph:
                 total += arr.nbytes
         weakref.finalize(self, TRACKER.unregister, total)
 
-    @property
-    def head_index(self) -> int:
-        return len(self.layers) - 1
-
     def param_count(self) -> int:
         return sum(int(a.size) for slot in self.weights.values() for a in slot.values())
 
 
-def validate_graph(model) -> None:
-    """Structural checks: topology, arity, slot presence, one trailing head.
+def validate_graph(model) -> list[LayerAttrs]:
+    """Structural checks: topology, arity, slot presence, one trailing head
+    with 4 + num_classes channels, attrs (parse_attrs) and geometry.
+    Returns each layer's parsed attrs.
 
     model is anything with layers, meta and weights (slot -> array name ->
     array, under the names in _SLOT_ARRAYS): a ModelGraph, or the view of
@@ -108,6 +120,7 @@ def validate_graph(model) -> None:
     head_indices = [i for i, l in enumerate(model.layers) if l.kind == "detect_head"]
     if len(head_indices) != 1 or head_indices[0] != len(model.layers) - 1:
         raise ContractViolation("graph must end with exactly one detect_head layer")
+    parsed = []
     for idx, layer in enumerate(model.layers):
         if layer.kind not in LAYER_KINDS:
             raise ContractViolation(f"layer {idx}: unknown kind {layer.kind!r}")
@@ -131,102 +144,103 @@ def validate_graph(model) -> None:
                     raise ContractViolation(
                         f"slot {layer.slot!r} is missing array {name!r} for layer {idx}"
                     )
+        parsed.append(parse_attrs(idx, layer))
     head = model.layers[-1]
     producer = model.layers[head.inputs[0]] if head.inputs[0] >= 0 else None
     if producer is None or producer.kind != "cbam":
         raise ContractViolation("detect_head must consume a cbam layer output")
-    infer_shapes(model)
+    names, n = len(model.meta.class_names), model.meta.num_classes
+    channels = model.weights[head.slot]["weight"].shape[0]
+    if not names == n == channels - 4 >= 1:
+        raise ContractViolation(
+            f"got {names} class names and {channels} head channels for {n} classes (want n >= 1, 4 + n)"
+        )
+    infer_shapes(model, parsed)
+    return parsed
 
 
-def infer_shapes(model) -> list[tuple[int, int, int]]:
-    """Symbolically propagate (c, h, w) through the graph, checking geometry."""
-    s = model.meta.input_size
-    shapes: list[tuple[int, int, int]] = []
+def parse_attrs(idx: int, layer: Layer) -> LayerAttrs:
+    """The one reading of a layer's raw JSON attrs into typed values: each
+    geometry attr a JSON int (not a bool) within its bound or its default,
+    a finite bn eps > 0, a known act fn, a 'max' pool (README: File formats)."""
+    attrs = layer.attrs
 
-    def shape_of(ref: int) -> tuple[int, int, int]:
-        return (3, s, s) if ref == -1 else shapes[ref]
+    def fail(message: str):
+        raise ContractViolation(f"layer {idx} ({layer.kind}): {message}")
 
-    def geometry(idx: int, layer: Layer, name: str, default: int | None, low: int) -> int:
-        if name not in layer.attrs and default is None:
-            raise ContractViolation(f"layer {idx} ({layer.kind}): missing {name}")
-        value = int(layer.attrs.get(name, default))
+    def integer(name: str, default: int | None, low: int) -> int:
+        if name not in attrs:
+            return fail(f"missing {name}") if default is None else default
+        value = attrs[name]
+        if type(value) is not int:  # JSON true/false load as bools, an int subclass
+            fail(f"{name} must be an int, got {value!r}")
         if value < low:
-            raise ContractViolation(
-                f"layer {idx} ({layer.kind}): {name} must be >= {low}, got {value}"
-            )
+            fail(f"{name} must be >= {low}, got {value}")
         return value
 
-    def conv_out(idx: int, layer: Layer, c: int, h: int, w: int) -> tuple[int, int, int]:
-        weight = model.weights[layer.slot]["weight"]
-        oc, icg, k, _ = weight.shape
-        groups = geometry(idx, layer, "groups", 1, 1)
-        if icg * groups != c:
-            raise ContractViolation(
-                f"layer {idx}: conv expects {icg * groups} input channels, got {c}"
-            )
-        stride = geometry(idx, layer, "stride", 1, 1)
-        padding = geometry(idx, layer, "padding", 0, 0)
-        oh = (h + 2 * padding - k) // stride + 1
-        ow = (w + 2 * padding - k) // stride + 1
-        if oh < 1 or ow < 1:
-            raise ContractViolation(f"layer {idx}: conv output would be empty")
-        return (oc, oh, ow)
+    if layer.kind in ("conv", "detect_head"):
+        return LayerAttrs(integer("stride", 1, 1), integer("padding", 0, 0), integer("groups", 1, 1))
+    if layer.kind == "pool":
+        if attrs.get("pool") != "max":
+            fail(f"pool must be 'max', got {attrs.get('pool')!r}")
+        kernel = integer("kernel", None, 1)
+        stride, padding = integer("stride", kernel, 1), integer("padding", 0, 0)
+        if padding >= kernel:
+            fail(f"padding must be < kernel {kernel}, got {padding}")
+        return LayerAttrs(stride, padding, kernel=kernel)
+    if layer.kind == "bn":
+        eps = attrs.get("eps", 1e-5)
+        # Bounded by the largest double, so an int too large for a float fails here.
+        if type(eps) not in (int, float) or not 0.0 < eps <= sys.float_info.max:
+            fail(f"eps must be finite and > 0, got {eps!r}")
+        return LayerAttrs(eps=float(eps))
+    if layer.kind == "act":
+        if attrs.get("fn") not in ACTIVATION_KINDS:
+            fail(f"fn must be one of {ACTIVATION_KINDS}, got {attrs.get('fn')!r}")
+        return LayerAttrs(fn=attrs["fn"])
+    return LayerAttrs()
 
-    for idx, layer in enumerate(model.layers):
-        c, h, w = shape_of(layer.inputs[0])
+
+def infer_shapes(model, layer_attrs: list[LayerAttrs] | None = None) -> list[tuple[int, int, int]]:
+    """Symbolically propagate (c, h, w) through the graph, checking geometry;
+    layer_attrs defaults to the model's parsed attrs."""
+    parsed = model.layer_attrs if layer_attrs is None else layer_attrs
+    # The input sits in the last slot, so input ref -1 indexes it directly, as in run().
+    shapes: list = [None] * len(model.layers) + [(3, model.meta.input_size, model.meta.input_size)]
+    for idx, (layer, a) in enumerate(zip(model.layers, parsed)):
+        c, h, w = shapes[layer.inputs[0]]
+        k = None  # the window size of a conv or pool
         if layer.kind in ("conv", "detect_head"):
-            out = conv_out(idx, layer, c, h, w)
+            oc, icg, k, _ = model.weights[layer.slot]["weight"].shape
+            if icg * a.groups != c:
+                raise ContractViolation(
+                    f"layer {idx}: conv expects {icg * a.groups} input channels, got {c}"
+                )
+            c = oc
+        elif layer.kind == "pool":
+            k = a.kernel
         elif layer.kind == "bn":
             bn = model.weights[layer.slot]
             if any(bn[name].shape != (c,) for name in _SLOT_ARRAYS["bn"]):
                 raise ContractViolation(f"layer {idx}: bn params do not match {c} channels")
-            try:
-                eps = float(layer.attrs.get("eps", 1e-5))
-            except (TypeError, ValueError):
-                eps = math.nan
-            if not (math.isfinite(eps) and eps > 0.0):
-                raise ContractViolation(
-                    f"layer {idx} (bn): eps must be finite and > 0, got {layer.attrs.get('eps')!r}"
-                )
             if not np.all(bn["var"] >= 0.0):
                 raise ContractViolation(f"layer {idx} (bn): variance must be >= 0")
-            out = (c, h, w)
-        elif layer.kind == "act":
-            if layer.attrs.get("fn") not in ACTIVATION_KINDS:
-                raise ContractViolation(
-                    f"layer {idx} (act): fn must be one of {ACTIVATION_KINDS}, "
-                    f"got {layer.attrs.get('fn')!r}"
-                )
-            out = (c, h, w)
-        elif layer.kind == "pool":
-            if layer.attrs.get("pool") != "max":
-                raise ContractViolation(
-                    f"layer {idx} (pool): pool must be 'max', got {layer.attrs.get('pool')!r}"
-                )
-            k = geometry(idx, layer, "kernel", None, 1)
-            stride = geometry(idx, layer, "stride", k, 1)
-            padding = geometry(idx, layer, "padding", 0, 0)
-            if padding >= k:
-                raise ContractViolation(
-                    f"layer {idx} (pool): padding must be < kernel {k}, got {padding}"
-                )
-            oh = (h + 2 * padding - k) // stride + 1
-            ow = (w + 2 * padding - k) // stride + 1
-            if oh < 1 or ow < 1:
-                raise ContractViolation(f"layer {idx}: pool output would be empty")
-            out = (c, oh, ow)
         elif layer.kind == "concat":
-            c2, h2, w2 = shape_of(layer.inputs[1])
+            c2, h2, w2 = shapes[layer.inputs[1]]
             if (h, w) != (h2, w2):
                 raise ContractViolation(f"layer {idx}: concat spatial mismatch")
-            out = (c + c2, h, w)
-        else:  # cbam
+            c += c2
+        elif layer.kind == "cbam":
             ch = model.weights[layer.slot]["mlp_w1"].shape[1]
             if ch != c:
                 raise ContractViolation(f"layer {idx}: cbam params are for {ch} channels, got {c}")
-            out = (c, h, w)
-        shapes.append(out)
-    return shapes
+        if k is not None:
+            h = (h + 2 * a.padding - k) // a.stride + 1
+            w = (w + 2 * a.padding - k) // a.stride + 1
+            if h < 1 or w < 1:
+                raise ContractViolation(f"layer {idx}: {layer.kind} output would be empty")
+        shapes[idx] = (c, h, w)
+    return shapes[:-1]
 
 
 def _round_scaled(base: int, mult: float) -> int:
@@ -255,10 +269,6 @@ def build_model(
         raise ContractViolation("width/depth multiples must be > 0")
     if class_names is None:
         class_names = tuple(f"class{i}" for i in range(num_classes))
-    if len(class_names) != num_classes:
-        raise ContractViolation(
-            f"got {len(class_names)} class names for {num_classes} classes"
-        )
 
     rng = np.random.Generator(np.random.PCG64(seed))
     layers: list[Layer] = []
@@ -399,30 +409,20 @@ def run(steps: list[Step], x, size: int, hook=None):
 
 def _bind(model: ModelGraph, idx: int, layer: Layer) -> Callable:
     """One float layer as a function of its input tensors."""
-    attrs = layer.attrs
+    a = model.layer_attrs[idx]
     if layer.kind in ("conv", "detect_head"):
         slot = model.weights[layer.slot]
-        spec = ConvSpec(
-            slot["weight"],
-            slot["bias"],
-            stride=int(attrs.get("stride", 1)),
-            padding=int(attrs.get("padding", 0)),
-            groups=int(attrs.get("groups", 1)),
-        )
+        spec = ConvSpec(slot["weight"], slot["bias"], a.stride, a.padding, a.groups)
         return lambda t: conv2d(t, spec)
     if layer.kind == "bn":
         slot = model.weights[layer.slot]
-        eps = float(attrs.get("eps", 1e-5))
         return lambda t: batchnorm_infer(
-            t, slot["gamma"], slot["beta"], slot["mean"], slot["var"], eps
+            t, slot["gamma"], slot["beta"], slot["mean"], slot["var"], a.eps
         )
     if layer.kind == "act":
-        return partial(activation, kind=attrs["fn"])
+        return partial(activation, kind=a.fn)
     if layer.kind == "pool":
-        kernel = int(attrs["kernel"])
-        stride = int(attrs.get("stride", kernel))
-        padding = int(attrs.get("padding", 0))
-        return lambda t: pool(t, "max", kernel, stride, padding)
+        return lambda t: pool(t, "max", a.kernel, a.stride, a.padding)
     if layer.kind == "concat":
         return concat_channels
     if layer.kind == "cbam":
@@ -647,17 +647,18 @@ def _layers_to_json(layers: list[Layer]) -> list[dict]:
 
 
 def _layers_from_json(doc: list[dict]) -> list[Layer]:
+    """Layers from a container's JSON, each attrs object kept raw."""
     layers = []
     for d in doc:
         inputs = container.require(d, "inputs")
-        if not (isinstance(inputs, list) and all(isinstance(i, int) for i in inputs)):
+        if not (isinstance(inputs, list) and all(type(i) is int for i in inputs)):
             raise ContainerError(f"layer inputs must be a list of ints, got {inputs!r}")
-        layers.append(Layer(
-            container.require(d, "kind"),
-            tuple(inputs),
-            d.get("slot"),
-            dict(d.get("attrs") or {}),
-        ))
+        slot, attrs = d.get("slot"), d.get("attrs", {})
+        if not ((slot is None or isinstance(slot, str)) and isinstance(attrs, dict)):
+            raise ContainerError(
+                f"layer slot must be a string or null, attrs must be a JSON object: {slot!r}, {attrs!r}"
+            )
+        layers.append(Layer(container.require(d, "kind"), tuple(inputs), slot, attrs))
     return layers
 
 
@@ -671,12 +672,17 @@ def _meta_to_json(meta: ModelMeta) -> dict:
 
 
 def _meta_from_json(doc: dict) -> ModelMeta:
-    return ModelMeta(
-        int(container.require(doc, "input_size")),
-        int(container.require(doc, "num_classes")),
-        tuple(container.require(doc, "class_names")),
-        int(doc.get("stride", GRID_STRIDE)),
+    """ints (not bools) input_size, num_classes, stride; class_names strings."""
+    size, classes, names = (
+        container.require(doc, key) for key in ("input_size", "num_classes", "class_names")
     )
+    stride = doc.get("stride", GRID_STRIDE)
+    for name, value in (("input_size", size), ("num_classes", classes), ("stride", stride)):
+        if type(value) is not int:
+            raise ContainerError(f"meta {name} must be an int, got {value!r}")
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ContainerError(f"meta class_names must be a list of strings, got {names!r}")
+    return ModelMeta(size, classes, tuple(names), stride)
 
 
 def save_model_bytes(model: ModelGraph) -> bytes:
@@ -712,7 +718,7 @@ def _model_from_container(doc: dict, tensors: dict[str, np.ndarray]) -> ModelGra
     for key, arr in tensors.items():
         slot, _, name = key.rpartition("/")
         weights.setdefault(slot, {})[name] = arr
-    layers = _layers_from_json(container.require(doc, "layers"))
+    layers = _layers_from_json(container.require(doc, "layers", list))
     return ModelGraph(layers, weights, _meta_from_json(container.require(doc, "meta")))
 
 

@@ -325,7 +325,7 @@ def fold_batchnorm(model: ModelGraph) -> tuple[ModelGraph, list[str]]:
             conv_idx = foldable[idx]
             conv_layer = model.layers[conv_idx]
             bn = model.weights[layer.slot]
-            eps = float(layer.attrs.get("eps", 1e-5))
+            eps = model.layer_attrs[idx].eps
             k = bn["gamma"].astype(np.float64) / np.sqrt(bn["var"].astype(np.float64) + eps)
             slot = new_weights[conv_layer.slot]
             w64 = slot["weight"].astype(np.float64) * k[:, None, None, None]
@@ -383,7 +383,7 @@ class QuantizedModel:
         self.conv_weights = conv_weights
         self.cbam_weights = cbam_weights
         self.act_params = act_params
-        validate_graph(
+        self.layer_attrs = validate_graph(
             SimpleNamespace(layers=layers, meta=meta, weights=_float_named(conv_weights, cbam_weights))
         )
         needed = {INPUT_SLOT} | {
@@ -825,15 +825,10 @@ def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
     kind = layer.kind
     out_params = model.act_params.get(slot_key(idx))
     in_params = model.act_params.get(slot_key(layer.inputs[0]))
-    attrs = layer.attrs
+    a = model.layer_attrs[idx]
     if kind in ("conv", "detect_head"):
         qw = model.conv_weights[layer.slot]
-        spec = QConvSpec(
-            qw["q_weight"], qw["w_scale"], qw["q_bias"],
-            stride=int(attrs.get("stride", 1)),
-            padding=int(attrs.get("padding", 0)),
-            groups=int(attrs.get("groups", 1)),
-        )
+        spec = QConvSpec(qw["q_weight"], qw["w_scale"], qw["q_bias"], a.stride, a.padding, a.groups)
         if kind == "detect_head":
             # The head's accumulator is dequantized exactly to float32.
             accumulate, _ = _bind_accumulate(spec, int(in_params.zero_point[0]))
@@ -841,7 +836,7 @@ def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
             return lambda q: Tensor((accumulate(q.arr) * scale).astype(np.float32))
         return _bind_conv(spec, in_params, out_params)
     if kind == "act":
-        table = _code_table(_pointwise_lut(in_params, out_params, _ACT_FNS[attrs["fn"]]))
+        table = _code_table(_pointwise_lut(in_params, out_params, _ACT_FNS[a.fn]))
         return lambda q: _apply_lut(q, table, out_params)
     if kind == "concat":
         tables = [
@@ -858,10 +853,7 @@ def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
         quantize = _bind_quantizer(out_params)
         return lambda q: quantize(cbam_forward(dequantize(q), params))
     if kind == "pool":  # validated as a max pool
-        kernel = int(attrs["kernel"])
-        stride = int(attrs.get("stride", kernel))
-        padding = int(attrs.get("padding", 0))
-        return lambda q: _requant(_maxpool_int8(q, kernel, stride, padding), out_params)
+        return lambda q: _requant(_maxpool_int8(q, a.kernel, a.stride, a.padding), out_params)
     # bn never gets here: validation finds no bn params in a quantized model.
     raise ContractViolation(f"unsupported quantized layer kind {layer.kind!r}")
 
@@ -934,18 +926,18 @@ def _quantized_from_container(doc: dict, tensors: dict[str, np.ndarray]) -> Quan
         return {name: require(tensors, f"{slot}/{name}") for name in names}
 
     conv_weights = {
-        slot: arrays(slot, ("q_weight", "w_scale", "q_bias")) for slot in require(doc, "conv_slots")
+        slot: arrays(slot, ("q_weight", "w_scale", "q_bias")) for slot in require(doc, "conv_slots", list)
     }
     cbam_names = [f"{n}_{part}" for n in _CBAM_WEIGHTS for part in ("q", "scale")] + list(_CBAM_FLOATS)
-    cbam_weights = {slot: arrays(slot, cbam_names) for slot in require(doc, "cbam_slots")}
-    act_params = {
-        key: QuantParams(
-            PER_TENSOR_AFFINE, np.array([require(p, "scale")]), np.array([require(p, "zero_point")])
-        )
-        for key, p in require(doc, "act_params").items()
-    }
+    cbam_weights = {slot: arrays(slot, cbam_names) for slot in require(doc, "cbam_slots", list)}
+    act_params = {}
+    for key, p in require(doc, "act_params", dict).items():
+        scale, zp = require(p, "scale", float), require(p, "zero_point")
+        if type(zp) is not int or not -128 <= zp <= 127:  # not a bool, and fits an int64
+            raise ContainerError(f"act_params {key!r}: zero_point must be an int in [-128, 127], got {zp!r}")
+        act_params[key] = QuantParams(PER_TENSOR_AFFINE, np.array([scale]), np.array([zp]))
     return QuantizedModel(
-        _layers_from_json(require(doc, "layers")),
+        _layers_from_json(require(doc, "layers", list)),
         _meta_from_json(require(doc, "meta")),
         conv_weights,
         cbam_weights,

@@ -320,17 +320,50 @@ def test_data_errors_exit_two(cli_env, tmp_path, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("name", ["model.glw", "model.q.glw"])
-def test_detect_on_a_stride_zero_container_exits_two(cli_env, tmp_path, capsys, name):
+# (stride, the error message it must give); the id of the stride-0 case is the container's name
+BAD_STRIDES = [
+    (0, "stride must be >= 1"),
+    (None, "layer 0 (conv): stride must be an int, got None"),
+    (1.5, "layer 0 (conv): stride must be an int, got 1.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, stride, message",
+    [
+        pytest.param(name, stride, message, id=name if stride == 0 else f"{name}-{json.dumps(stride)}")
+        for stride, message in BAD_STRIDES
+        for name in ("model.glw", "model.q.glw")
+    ],
+)
+def test_detect_on_a_stride_zero_container_exits_two(cli_env, tmp_path, capsys, name, stride, message):
+    """A zero, null or fractional conv stride is refused at load: exit 2,
+    a message naming the layer and the attr, no traceback."""
     doc, tensors = read_container(str(cli_env / name))
     conv = next(layer for layer in doc["layers"] if layer["kind"] == "conv")
-    conv["attrs"]["stride"] = 0
+    conv["attrs"]["stride"] = stride
     bad = tmp_path / "bad.glw"
     bad.write_bytes(write_container(doc, list(tensors.items())))
     img = str(cli_env / "data" / "images" / "img_00000.ppm")
     assert main(["detect", "--model", str(bad), "--image", img]) == 2
     err = capsys.readouterr().err
-    assert "stride must be >= 1" in err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["model.glw", "model.q.glw"])
+def test_detect_on_class_names_that_do_not_match_the_head_exits_two(cli_env, tmp_path, capsys, name):
+    """One class name fewer than the head's classes is refused at load, so
+    `detect --emit json` never indexes past the names."""
+    doc, tensors = read_container(str(cli_env / name))
+    doc["meta"]["class_names"] = doc["meta"]["class_names"][:-1]
+    bad = tmp_path / "bad.glw"
+    bad.write_bytes(write_container(doc, list(tensors.items())))
+    img = str(cli_env / "data" / "images" / "img_00000.ppm")
+    capsys.readouterr()
+    assert main(["detect", "--model", str(bad), "--image", img, "--conf", "0", "--emit", "json"]) == 2
+    err = capsys.readouterr().err
+    assert "got 6 class names and 11 head channels for 7 classes" in err
     assert "Traceback" not in err
 
 
@@ -422,6 +455,8 @@ MALFORMED_BN = {
     "zero eps": (lambda attrs, arrays: attrs.update(eps=0.0), "eps must be finite and > 0"),
     "infinite eps": (lambda attrs, arrays: attrs.update(eps=1e999), "eps must be finite and > 0"),
     "short beta": (lambda attrs, arrays: arrays.update(beta=arrays["beta"][:-1]), "bn params do not match"),
+    "bool eps": (lambda attrs, arrays: attrs.update(eps=True), "eps must be finite and > 0"),
+    "string eps": (lambda attrs, arrays: attrs.update(eps="1e-5"), "eps must be finite and > 0"),
 }
 
 

@@ -1,5 +1,8 @@
 """Weights container tests: layout golden rules, round trips, corruption."""
 
+import contextlib
+import copy
+import io
 import json
 import struct
 import tracemalloc
@@ -7,8 +10,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from greenlite import ContainerError, build_model, load_model, save_model, save_model_bytes
+from greenlite import (
+    ContainerError,
+    ContractViolation,
+    QuantizedModel,
+    Tensor,
+    build_model,
+    calibrate,
+    forward,
+    forward_quantized,
+    load_any,
+    load_model,
+    quantize_model,
+    save_model,
+    save_model_bytes,
+    write_ppm,
+)
+from greenlite.cli import main
 from greenlite.container import ALIGN, MAGIC, read_container, write_container
+from greenlite.quant import save_quantized_bytes
 
 
 def sample_tensors(rng):
@@ -136,3 +156,89 @@ def test_loading_holds_the_container_bytes_once(tmp_path):
         arr = next(iter(tensors.values()))
         arr.reshape(-1)[0] += 1  # writable, and a copy: the input is left as it was
         assert blob == path.read_bytes()
+
+
+# ---- mutation fuzz of model container documents ----
+
+DELETE = object()
+RETYPES = (None, True, 1.5, "x", [], {})
+
+
+def _fuzz_paths(doc, rng):
+    """Document paths to mutate: every top-level key; every field of one
+    seeded pick of each layer kind, and of its attrs; every meta field; every
+    field of two seeded act_params entries (int8 only)."""
+    by_kind = {}
+    for i, layer in enumerate(doc["layers"]):
+        by_kind.setdefault(layer["kind"], []).append(i)
+    paths = [(key,) for key in sorted(doc)]
+    for kind in sorted(by_kind):
+        i = int(rng.choice(by_kind[kind]))
+        layer = doc["layers"][i]
+        paths += [("layers", i, key) for key in sorted(layer)]
+        paths += [("layers", i, "attrs", key) for key in sorted(layer["attrs"])]
+    paths += [("meta", key) for key in sorted(doc["meta"])]
+    if "act_params" in doc:
+        for key in rng.choice(sorted(doc["act_params"]), 2, replace=False):
+            paths += [("act_params", str(key), field) for field in ("scale", "zero_point")]
+    return paths
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_subjects():
+    """The bytes of a tiny float container and of its int8 twin."""
+    model = build_model(2, width_multiple=0.0625, input_size=64)
+    rng = np.random.default_rng(0)
+    images = [Tensor(rng.uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)) for _ in range(2)]
+    return {
+        "float": save_model_bytes(model),
+        "int8": save_quantized_bytes(quantize_model(model, calibrate(model, images))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["float", "int8"])
+def test_mutated_container_documents_fail_typed_or_run(fuzz_subjects, tmp_path, kind):
+    """Each top-level key and each field of a seeded sample of layers, their
+    attrs, the meta and the act_params entries is deleted or retyped to null,
+    true, 1.5, "x", [] or {}. Loading raises ContainerError or ContractViolation or gives a
+    model whose forward runs; `greenlite detect` exits 0 or 2."""
+    doc, tensors = read_container(fuzz_subjects[kind])
+    image = tmp_path / "img.ppm"
+    write_ppm(str(image), np.random.default_rng(1).integers(0, 256, (48, 80, 3), dtype=np.uint8))
+    x = Tensor(np.random.default_rng(2).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32))
+    rng = np.random.default_rng(20251)
+    cli_rng = np.random.default_rng(20252)
+    path = tmp_path / "m.glw"
+    outcomes = {"loaded": 0, "refused": 0}
+    for where in _fuzz_paths(doc, rng):
+        for value in (DELETE, *RETYPES):
+            case = f"{where} -> {'deleted' if value is DELETE else repr(value)}"
+            blob = write_container(_mutated(doc, where, value), list(tensors.items()))
+            try:
+                model = load_any(blob)
+            except (ContainerError, ContractViolation):
+                outcomes["refused"] += 1
+                if cli_rng.random() > 0.1:  # detect on every model that loads, a tenth of the rest
+                    continue
+            else:
+                outcomes["loaded"] += 1
+                run = forward_quantized if isinstance(model, QuantizedModel) else forward
+                assert run(model, x).shape[:2] == (1, 6), case
+            path.write_bytes(blob)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["detect", "--model", str(path), "--image", str(image),
+                             "--conf", "0", "--emit", "json"])
+            assert code in (0, 2), case
+    assert min(outcomes.values()) > 0, outcomes

@@ -182,9 +182,22 @@ def first_layer(doc, kind):
         (lambda doc: doc["layers"][0].update(inputs=[None]), ContainerError, "inputs must be a list"),
         (lambda doc: doc["meta"].pop("input_size"), ContainerError, "missing 'input_size'"),
         (lambda doc: first_layer(doc, "act")["attrs"].update(fn="gelu"), ContractViolation, "'gelu'"),
+        (lambda doc: doc["layers"][2].update(inputs=[True]), ContainerError, "inputs must be a list"),
+        (lambda doc: doc["layers"][0].update(attrs=[["stride", 2]]), ContainerError, "attrs must be a JSON object"),
+        (lambda doc: doc["layers"][0].update(attrs="ab"), ContainerError, "attrs must be a JSON object"),
+        (lambda doc: doc["layers"][0].update(slot=["stem.conv"]), ContainerError, "slot must be a string"),
+        (lambda doc: doc["meta"].update(input_size="x"), ContainerError, "input_size must be an int"),
+        (lambda doc: doc["meta"].update(input_size=65.5), ContainerError, "input_size must be an int"),
+        (lambda doc: doc["meta"].update(stride=None), ContainerError, "stride must be an int"),
+        (lambda doc: doc["meta"].update(num_classes=True), ContainerError, "num_classes must be an int"),
+        (lambda doc: doc["meta"].update(class_names="ab"), ContainerError, "list of strings"),
+        (lambda doc: doc["meta"].update(num_classes=3, class_names=["a", "b", "c"]), ContractViolation,
+         "6 head channels for 3 classes"),
     ],
     ids=["layer-without-kind", "layer-without-inputs", "inputs-not-a-list", "inputs-null",
-         "meta-without-input-size", "act-gelu"],
+         "meta-without-input-size", "act-gelu", "inputs-bool", "attrs-a-list", "attrs-a-string",
+         "slot-a-list", "meta-input-size-string", "meta-input-size-float", "meta-stride-null",
+         "meta-num-classes-bool", "meta-class-names-string", "meta-classes-over-the-head"],
 )
 def test_malformed_container_fields_fail_at_load_with_typed_errors(edit, error, match):
     doc, tensors = read_container(save_model_bytes(tiny_model()))
@@ -281,11 +294,18 @@ def test_graph_validation_rejects_malformed_graphs():
         ("pool", {"padding": 5}),
         ("pool", {"padding": 7}),
         ("pool", {"pool": "avg"}),
+        ("conv", {"stride": None}),
+        ("conv", {"stride": 1.5}),
+        ("conv", {"stride": True}),
+        ("conv", {"stride": "2"}),
+        ("pool", {"kernel": None}),
+        ("pool", {"kernel": 5.5}),
     ],
 )
 def test_graph_validation_rejects_bad_geometry(kind, attrs):
-    """Out-of-range stride, padding, groups and kernel fail at construction
-    with a typed error, not a ZeroDivisionError or a later kernel error."""
+    """Out-of-range or non-int stride, padding, groups and kernel fail at
+    construction with a typed error, not a ZeroDivisionError, a later kernel
+    error or a silent truncation."""
     model = tiny_model()
     layers = list(model.layers)
     idx = next(i for i, layer in enumerate(layers) if layer.kind == kind)

@@ -814,9 +814,11 @@ def first_layer(doc, kind):
         (lambda doc: first_layer(doc, "pool").update(kind="upsample"), "unknown kind 'upsample'"),
         (lambda doc: doc["act_params"].pop("L001"), "no activation params .*L001"),
         (lambda doc: first_layer(doc, "act")["attrs"].update(fn="gelu"), "fn must be one of"),
+        (lambda doc: first_layer(doc, "conv")["attrs"].update(stride=None), "stride must be an int"),
+        (lambda doc: first_layer(doc, "conv")["attrs"].update(stride=1.5), "stride must be an int"),
     ],
     ids=["conv-stride-0", "pool-without-kernel", "avg-pool", "upsample", "missing-act-params",
-         "act-gelu"],
+         "act-gelu", "conv-stride-null", "conv-stride-1.5"],
 )
 def test_int8_graph_errors_fail_at_load(int8_container, edit, match):
     """The float graph's checks run on a loaded int8 graph, so a bad one is a
