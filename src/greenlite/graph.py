@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -95,12 +94,7 @@ class ModelGraph:
 
     def __post_init__(self) -> None:
         self.layer_attrs = validate_graph(self)
-        total = 0
-        for slot in self.weights.values():
-            for arr in slot.values():
-                TRACKER.register(arr.nbytes)
-                total += arr.nbytes
-        weakref.finalize(self, TRACKER.unregister, total)
+        TRACKER.track(self, *(arr.nbytes for slot in self.weights.values() for arr in slot.values()))
 
     def param_count(self) -> int:
         return sum(int(a.size) for slot in self.weights.values() for a in slot.values())
@@ -184,10 +178,7 @@ def parse_attrs(idx: int, layer: Layer) -> LayerAttrs:
         if attrs.get("pool") != "max":
             fail(f"pool must be 'max', got {attrs.get('pool')!r}")
         kernel = integer("kernel", None, 1)
-        stride, padding = integer("stride", kernel, 1), integer("padding", 0, 0)
-        if padding >= kernel:
-            fail(f"padding must be < kernel {kernel}, got {padding}")
-        return LayerAttrs(stride, padding, kernel=kernel)
+        return LayerAttrs(integer("stride", kernel, 1), integer("padding", 0, 0), kernel=kernel)
     if layer.kind == "bn":
         eps = attrs.get("eps", 1e-5)
         # Bounded by the largest double, so an int too large for a float fails here.
@@ -202,8 +193,9 @@ def parse_attrs(idx: int, layer: Layer) -> LayerAttrs:
 
 
 def infer_shapes(model, layer_attrs: list[LayerAttrs] | None = None) -> list[tuple[int, int, int]]:
-    """Symbolically propagate (c, h, w) through the graph, checking geometry;
-    layer_attrs defaults to the model's parsed attrs."""
+    """Symbolically propagate (c, h, w) through the graph, checking geometry
+    (channels, padding < window, non-empty outputs); layer_attrs defaults to
+    the model's parsed attrs."""
     parsed = model.layer_attrs if layer_attrs is None else layer_attrs
     # The input sits in the last slot, so input ref -1 indexes it directly, as in run().
     shapes: list = [None] * len(model.layers) + [(3, model.meta.input_size, model.meta.input_size)]
@@ -235,6 +227,12 @@ def infer_shapes(model, layer_attrs: list[LayerAttrs] | None = None) -> list[tup
             if ch != c:
                 raise ContractViolation(f"layer {idx}: cbam params are for {ch} channels, got {c}")
         if k is not None:
+            # Padding of a kernel or more only adds windows that see nothing but
+            # padding; refusing it also bounds the patch matrix a conv builds.
+            if a.padding >= k:
+                raise ContractViolation(
+                    f"layer {idx} ({layer.kind}): padding must be < kernel {k}, got {a.padding}"
+                )
             h = (h + 2 * a.padding - k) // a.stride + 1
             w = (w + 2 * a.padding - k) // a.stride + 1
             if h < 1 or w < 1:

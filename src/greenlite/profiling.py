@@ -21,6 +21,7 @@ import math
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -59,6 +60,13 @@ class MemoryTracker:
     def unregister(self, nbytes: int) -> None:
         with self._lock:
             self._current -= nbytes
+
+    def track(self, owner: object, *sizes: int) -> None:
+        """Register each payload size, and unregister their sum when owner
+        is garbage collected."""
+        for nbytes in sizes:
+            self.register(nbytes)
+        weakref.finalize(owner, self.unregister, sum(sizes))
 
     @property
     def current_bytes(self) -> int:

@@ -7,52 +7,57 @@ calibrated range widened to include 0, so real zero is exactly
 representable. Rounding is half-away-from-zero everywhere. Biases are
 stored as int32 at scale s_in * s_w_c. Batch norm is folded into the
 preceding conv before quantization; CBAM attention arithmetic stays in
-float (its weights are stored int8 and dequantized on load); the detect
+float (its weights are stored int8 and dequantized by the plan); the detect
 head's accumulator is dequantized exactly, so the model output is float32
 while every internal activation is int8.
 
-Convolutions accumulate in exact integer arithmetic:
+Every int8 conv, the detect head included, accumulates through one builder,
+QConvSpec.accumulator(z_in), in exact integer arithmetic:
   acc = sum (q_in - z_in) * q_w + q_bias          (int32 range)
-  q_out = clamp(round(acc * s_in * s_w_c / s_out) + z_out, -128, 127)
-The input zero point is folded into the bias, bias' = q_bias - z_in *
-sum(q_w) (padding uses z_in, so the fold is exact), and BLAS multiplies the
-raw codes. A layer accumulates in float32 when every output channel has
-128 * sum|q_w| + |bias'| < 2^24, which keeps every partial sum an integer
-float32 holds exactly in any summation order; otherwise in float64. The
-product acc * s_in * s_w_c / s_out is formed in float64 and rounded once.
+It folds the input zero point into the bias once, bias' = q_bias - z_in *
+sum(q_w) (padding uses z_in, so the fold is exact), so BLAS multiplies the
+raw codes, and it returns the bound 128 * sum|q_w| + |bias'| that no |acc|
+of a channel exceeds. A layer accumulates in float32 when every channel's
+bound is below 2^24, which keeps every partial sum an integer float32 holds
+exactly in any summation order; otherwise in float64.
 
 The requantization rule is exact and fixed: a conv output code is
   clip(round_half_away(fl64(acc * m_c)) + zp, -128, 127),  m_c = s_in * s_w_c / s_out,
 and a float32 tensor x quantizes to clip(round_half_away(fl64(x) / s) + zp,
--128, 127). The public kernels (quantize_array, quantize_tensor,
-quantized_conv2d) compute it literally. A planned forward instead binds each
-conv and each float32 -> int8 quantizer to the cheaper affine map
-clip(floor(fl64(v * m) + zp + 128.5), 0, 255) - 128 (m = 1/s for a
-quantizer), but only after proving, once per model, that the map equals the
-exact rule on every possible input of that step: both maps are monotone, so
-they agree everywhere when they step to each level at the same input, which
-a check at two inputs per level settles (see _proves_conv_affine). A step
-whose check fails (a negative tie such as m = 0.5 does) keeps the exact rule,
-so planned and literal outputs are bit-identical either way.
+-128, 127). One conv step (_conv_step) and one quantizer step
+(_quantize_step) form fl64(acc * m_c) or fl64(x) / s and pass it to a code
+map: the exact rule, partial(_requantize, zero_point=zp), or the cheaper
+affine map clip(floor(t + zp + 128.5), 0, 255) - 128, partial(_affine_codes,
+k=zp + 128.5), on t = fl64(acc * m_c) or fl64(x * (1 / s)). The public
+kernels (quantize_array, quantize_tensor, quantized_conv2d) take the exact
+rule. A planned forward takes the affine map for a step only after proving,
+once per model, that it equals the exact rule on every possible input of
+that step: both maps are monotone, so they agree everywhere when they step
+to each level at the same input, which a check at two inputs per level
+settles (see _proves_conv_affine). A step whose check fails (a negative tie
+such as m = 0.5 does) keeps the exact rule, so planned and literal outputs
+are bit-identical either way.
 
 Activation functions run as exact 256-entry lookup tables composing
 dequantize -> f -> requantize. Max pooling reuses its input's params
 (value-preserving, no requantization error); concat inputs are requantized
 only if their params differ from the output's.
 
-A QuantizedModel checks its graph at construction, and so at load, with the
-float graph's structural and geometry checks. The first forward pass plans
-the model once through graph.plan: each layer is bound to its conv spec,
-folded bias' in its accumulator dtype, proven requantization map, output
-params and lookup tables, and to the point where its output is released;
-graph.run executes the plan. Later passes reuse the plan, so a model's
-weights and params must not change after its first forward.
+A QuantizedModel checks everything at construction, and so at load: the
+float graph's structural and geometry checks, activation params for every
+layer output with per-tensor scales in [2^-160, 2^120], and the QConvSpec of
+every conv and the head, whose weight scales and accumulator scales (m_c,
+or s_in * s_w_c for the head) must be finite and > 0. The first forward
+pass plans the model once through graph.plan: each layer is bound to its
+accumulator, code map, output params and lookup tables, and to the point
+where its output is released; graph.run executes the plan. Later passes
+reuse the plan, so a model's weights and params must not change after its
+first forward.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from types import SimpleNamespace
@@ -89,6 +94,13 @@ PER_TENSOR_AFFINE = "per_tensor_affine"
 PER_CHANNEL_SYMMETRIC = "per_channel_symmetric"
 
 I32_MIN, I32_MAX = -(2**31), 2**31 - 1
+
+# Bounds on a per-tensor (activation) scale s. Up to 2^120 every dequantized
+# code s * (q - zp), |q - zp| <= 255, is a finite float32; from 2^-160 on,
+# 1 / s, a float32 over s and 255 steps of one scale over another are finite
+# float64s. The range holds the scale of every nonzero range of float32 data
+# up to 255 * 2^120, just under float32's largest value.
+_ACT_SCALE_MIN, _ACT_SCALE_MAX = 2.0**-160, 2.0**120
 
 
 _BELOW_HALF = np.nextafter(0.5, 0.0)
@@ -128,6 +140,11 @@ class QuantParams:
             raise ContractViolation("scale and zero_point must have matching lengths")
         if not np.all(np.isfinite(self.scale)) or np.any(self.scale <= 0):
             raise ContractViolation("quant scales must be finite and > 0")
+        in_range = (_ACT_SCALE_MIN <= self.scale) & (self.scale <= _ACT_SCALE_MAX)
+        if self.scheme == PER_TENSOR_AFFINE and not np.all(in_range):
+            raise ContractViolation(
+                f"activation scales must lie in [2**-160, 2**120], got {self.scale.tolist()}"
+            )
         if np.any(self.zero_point < -128) or np.any(self.zero_point > 127):
             raise ContractViolation("zero points must lie in [-128, 127]")
         if self.scheme == PER_CHANNEL_SYMMETRIC and np.any(self.zero_point != 0):
@@ -210,9 +227,7 @@ class QuantizedTensor:
             raise ContractViolation("activation tensors use per-tensor params")
         self.arr = arr
         self.params = params
-        nbytes = arr.size
-        TRACKER.register(nbytes)
-        weakref.finalize(self, TRACKER.unregister, nbytes)
+        TRACKER.track(self, arr.size)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -393,30 +408,35 @@ class QuantizedModel:
             raise ContractViolation(
                 f"no activation params for slots {sorted(needed - act_params.keys())}"
             )
-        self._cbam_cache: dict[str, CbamParams] = {}
+        # Each conv's and the head's spec and accumulator scale are checked
+        # here, at load; the plan only reads the specs.
+        self.conv_specs: dict[int, QConvSpec] = {}
+        for idx, (layer, a) in enumerate(zip(layers, self.layer_attrs)):
+            if layer.kind not in ("conv", "detect_head"):
+                continue
+            qw = conv_weights[layer.slot]
+            spec = QConvSpec(qw["q_weight"], qw["w_scale"], qw["q_bias"], a.stride, a.padding, a.groups)
+            out_params = act_params[slot_key(idx)] if layer.kind == "conv" else None
+            with np.errstate(over="ignore"):  # an inf product fails the check
+                scale = _acc_scale(act_params[slot_key(layer.inputs[0])], spec, out_params)
+            if not np.all((scale > 0) & (scale < np.inf)):
+                raise ContractViolation(
+                    f"layer {idx} ({layer.kind}): accumulator scales must be finite and > 0"
+                )
+            self.conv_specs[idx] = spec
         self._plan_cache: tuple[Callable, list[Step]] | None = None  # see _plan()
-        total = 0
-        for slot in list(conv_weights.values()) + list(cbam_weights.values()):
-            for arr in slot.values():
-                TRACKER.register(arr.nbytes)
-                total += arr.nbytes
-        weakref.finalize(self, TRACKER.unregister, total)
+        slots = (*conv_weights.values(), *cbam_weights.values())
+        TRACKER.track(self, *(arr.nbytes for slot in slots for arr in slot.values()))
 
     def cbam_params(self, slot: str) -> CbamParams:
-        if slot not in self._cbam_cache:
-            w = self.cbam_weights[slot]
-            kwargs = {}
-            for name in _CBAM_WEIGHTS:
-                params = QuantParams(
-                    PER_CHANNEL_SYMMETRIC,
-                    w[f"{name}_scale"],
-                    np.zeros(len(w[f"{name}_scale"]), dtype=np.int64),
-                )
-                kwargs[name] = dequantize_array(w[f"{name}_q"], params)
-            for name in _CBAM_FLOATS:
-                kwargs[name] = w[name]
-            self._cbam_cache[slot] = CbamParams(**kwargs)
-        return self._cbam_cache[slot]
+        """The slot's CBAM params with its int8 weights dequantized."""
+        w = self.cbam_weights[slot]
+        kwargs = {name: w[name] for name in _CBAM_FLOATS}
+        for name in _CBAM_WEIGHTS:
+            scale = w[f"{name}_scale"]
+            params = QuantParams(PER_CHANNEL_SYMMETRIC, scale, np.zeros(len(scale), dtype=np.int64))
+            kwargs[name] = dequantize_array(w[f"{name}_q"], params)
+        return CbamParams(**kwargs)
 
     def param_count(self) -> int:
         groups = list(self.conv_weights.values()) + list(self.cbam_weights.values())
@@ -485,29 +505,7 @@ def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel
 _F32_EXACT = 2**24
 
 
-def _weight_sums(q_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-out-channel sum(q_w) and sum(|q_w|), as int64."""
-    w = q_weight.reshape(q_weight.shape[0], -1).astype(np.int64)
-    return w.sum(axis=1), np.abs(w).sum(axis=1)
-
-
-def _folded_bias(
-    q_bias: np.ndarray, z_in: int, w_sums: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-out-channel bias' = q_bias - z_in * sum(q_w) and the accumulator
-    bound 128 * sum|q_w| + |bias'|, which no |acc| exceeds, as int64."""
-    w_sum, w_abs_sum = w_sums
-    bias = q_bias.astype(np.int64) - z_in * w_sum
-    return bias, 128 * w_abs_sum + np.abs(bias)
-
-
-def _acc_bias(bias: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """bias' in the accumulator dtype: float32 when every output channel's
-    bound is below 2^24, float64 otherwise."""
-    return bias.astype(np.float32 if bool(np.all(bound < _F32_EXACT)) else np.float64)
-
-
-def _int_conv_core(
+def _accumulate(
     q_weight: np.ndarray,
     bias: np.ndarray,
     stride: int,
@@ -516,8 +514,8 @@ def _int_conv_core(
     z_in: int,
     q_in: np.ndarray,
 ) -> np.ndarray:
-    """_int_conv_acc without its checks, for bias' already in the accumulator
-    dtype (_acc_bias): a plan computes bias once and binds the rest."""
+    """The accumulator QConvSpec.accumulator binds, on bias' already in the
+    accumulator dtype."""
     n, _, h, w = q_in.shape
     oc, icg, k, _ = q_weight.shape
     oh = (h + 2 * padding - k) // stride + 1
@@ -530,44 +528,13 @@ def _int_conv_core(
     return acc
 
 
-def _int_conv_acc(
-    q_in: np.ndarray,
-    z_in: int,
-    q_weight: np.ndarray,
-    q_bias: np.ndarray,
-    stride: int,
-    padding: int,
-    groups: int,
-    w_sums: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Exact integer accumulator (n, oc, oh, ow): sum (q_in - z_in) * q_w + q_bias.
-
-    The input zero point is folded into the bias, bias' = q_bias - z_in *
-    sum(q_w), so the matmul takes the raw codes; padding with z_in keeps the
-    fold exact. When every output channel has 128 * sum|q_w| + |bias'| <
-    2^24, no partial sum leaves the integers float32 holds exactly, so the
-    patch matrix and the matmul are float32. Otherwise they are float64,
-    exact for fan-in up to 2^38. Either way BLAS does the matmul and the
-    result is integer-valued bit for bit. w_sums is _weight_sums(q_weight),
-    if known.
-    """
-    n, c, h, w = q_in.shape
-    oc, icg, k, _ = q_weight.shape
-    if icg * groups != c:
-        raise ContractViolation(f"quantized conv expects {icg * groups} channels, got {c}")
-    if icg * k * k > 2**38:
-        raise ContractViolation("conv fan-in too large for exact float64 accumulation")
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (w + 2 * padding - k) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ContractViolation("quantized conv output would be empty")
-    bias, bound = _folded_bias(q_bias, z_in, _weight_sums(q_weight) if w_sums is None else w_sums)
-    return _int_conv_core(q_weight, _acc_bias(bias, bound), stride, padding, groups, z_in, q_in)
-
-
 @dataclass
 class QConvSpec:
-    """int8 conv weights: per-channel scales, int32 bias at s_in * s_w_c."""
+    """int8 conv weights: per-channel scales, int32 bias at s_in * s_w_c.
+
+    Construction checks what every accumulator relies on: per-channel
+    lengths, weight scales finite and > 0, and a fan-in float64 sums exactly.
+    """
 
     q_weight: np.ndarray
     w_scale: np.ndarray
@@ -581,18 +548,35 @@ class QConvSpec:
         self.q_weight = np.ascontiguousarray(self.q_weight, dtype=np.int8)
         self.w_scale = np.asarray(self.w_scale, dtype=np.float64).reshape(-1)
         self.q_bias = np.ascontiguousarray(self.q_bias, dtype=np.int32)
-        oc = self.q_weight.shape[0]
+        oc, icg, k, _ = self.q_weight.shape
         if self.w_scale.shape != (oc,) or self.q_bias.shape != (oc,):
             raise ContractViolation("per-channel scale/bias length must equal out_channels")
-        if np.any(self.w_scale <= 0):
-            raise ContractViolation("weight scales must be > 0")
-        self.w_sums = _weight_sums(self.q_weight)
+        if not np.all((self.w_scale > 0) & (self.w_scale < np.inf)):  # NaN fails both
+            raise ContractViolation("weight scales must be finite and > 0")
+        if icg * k * k > 2**38:
+            raise ContractViolation("conv fan-in too large for exact float64 accumulation")
+        w = self.q_weight.reshape(oc, -1).astype(np.int64)
+        self.w_sums = w.sum(axis=1), np.abs(w).sum(axis=1)  # sum(q_w), sum|q_w|
 
-    def accumulate(self, q_in: np.ndarray, z_in: int) -> np.ndarray:
-        return _int_conv_acc(
-            q_in, z_in, self.q_weight, self.q_bias,
-            self.stride, self.padding, self.groups, self.w_sums,
-        )
+    def accumulator(self, z_in: int) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+        """The exact integer accumulator for codes on zero point z_in, q_in ->
+        sum (q_in - z_in) * q_w + q_bias as (n, oc, oh, ow), and its
+        per-channel bound 128 * sum|q_w| + |bias'|, which no |acc| exceeds.
+
+        The input zero point is folded into the bias here, once: bias' =
+        q_bias - z_in * sum(q_w), so the matmul takes the raw codes; padding
+        with z_in keeps the fold exact. When every channel's bound is below
+        2^24, no partial sum leaves the integers float32 holds exactly, so
+        the patch matrix and the matmul are float32. Otherwise they are
+        float64, exact for fan-in up to 2^38. Either way BLAS does the matmul
+        and the result is integer-valued bit for bit.
+        """
+        w_sum, w_abs_sum = self.w_sums
+        bias = self.q_bias.astype(np.int64) - z_in * w_sum
+        bound = 128 * w_abs_sum + np.abs(bias)
+        bias = bias.astype(np.float32 if bool(np.all(bound < _F32_EXACT)) else np.float64)
+        geometry = (self.stride, self.padding, self.groups)
+        return partial(_accumulate, self.q_weight, bias, *geometry, z_in), bound
 
 
 def _requantize(t: np.ndarray, zero_point) -> np.ndarray:
@@ -607,41 +591,46 @@ def _requantize(t: np.ndarray, zero_point) -> np.ndarray:
     return t.astype(np.int8)
 
 
-def _conv_requant(
+def _acc_scale(
+    in_params: QuantParams, spec: QConvSpec, out_params: QuantParams | None = None
+) -> np.ndarray:
+    """The float64 per-channel factor on a conv's accumulator, shaped to
+    broadcast: m_c = s_in * s_w_c / s_out, or s_in * s_w_c for the head,
+    whose accumulator is dequantized to float32 (no out_params)."""
+    scale = in_params.scale[0] * spec.w_scale
+    if out_params is not None:
+        scale = scale / out_params.scale[0]
+    return scale.reshape(1, -1, 1, 1)
+
+
+def _conv_step(
     accumulate: Callable[[np.ndarray], np.ndarray],
     mult: np.ndarray,
+    codes: Callable[[np.ndarray], np.ndarray],
     out_params: QuantParams,
     x: QuantizedTensor,
 ) -> QuantizedTensor:
-    """The int8 conv kernel: the exact accumulator of x's codes times the
-    float64 per-channel multiplier s_in * s_w_c / s_out, requantized in place."""
-    t = accumulate(x.arr) * mult
-    return QuantizedTensor(_requantize(t, out_params.zero_point[0]), out_params)
-
-
-def _conv_mult(in_params: QuantParams, spec: QConvSpec, out_params: QuantParams) -> np.ndarray:
-    return (in_params.scale[0] * spec.w_scale / out_params.scale[0]).reshape(1, -1, 1, 1)
+    """The int8 conv: the exact accumulator of x's codes times the float64
+    per-channel multiplier m_c, turned into codes in place by codes, the
+    exact rule partial(_requantize, zero_point=zp) or a proven
+    partial(_affine_codes, k=zp + 128.5)."""
+    return QuantizedTensor(codes(accumulate(x.arr) * mult), out_params)
 
 
 def quantized_conv2d(x: QuantizedTensor, spec: QConvSpec, out_params: QuantParams) -> QuantizedTensor:
-    """int8 conv: integer accumulation, then one requantization to out_params."""
+    """int8 conv by the exact rule: integer accumulation, then one
+    requantization to out_params."""
     if len(out_params.scale) != 1:
         raise ContractViolation("conv output params must be per-tensor")
-    accumulate = partial(spec.accumulate, z_in=int(x.params.zero_point[0]))
-    return _conv_requant(accumulate, _conv_mult(x.params, spec, out_params), out_params, x)
-
-
-def _bind_accumulate(
-    spec: QConvSpec, z_in: int
-) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """spec.accumulate for inputs on zero point z_in, unchecked, with bias'
-    and its dtype computed here once; and the accumulator bound."""
-    bias, bound = _folded_bias(spec.q_bias, z_in, spec.w_sums)
-    core = partial(
-        _int_conv_core, spec.q_weight, _acc_bias(bias, bound),
-        spec.stride, spec.padding, spec.groups, z_in,
-    )
-    return core, bound
+    _, c, h, w = x.arr.shape
+    _, icg, k, _ = spec.q_weight.shape
+    if icg * spec.groups != c:
+        raise ContractViolation(f"quantized conv expects {icg * spec.groups} channels, got {c}")
+    if min(h, w) + 2 * spec.padding < k:
+        raise ContractViolation("quantized conv output would be empty")
+    accumulate, _ = spec.accumulator(int(x.params.zero_point[0]))
+    codes = partial(_requantize, zero_point=out_params.zero_point[0])
+    return _conv_step(accumulate, _acc_scale(x.params, spec, out_params), codes, out_params, x)
 
 
 # --- planned requantization ---------------------------------------------------
@@ -723,15 +712,9 @@ def _proves_quantizer_affine(scale, zp) -> bool:
     return bool(np.all(steps))
 
 
-def _conv_affine(
-    accumulate: Callable[[np.ndarray], np.ndarray],
-    mult: np.ndarray,
-    k,
-    out_params: QuantParams,
-    x: QuantizedTensor,
-) -> QuantizedTensor:
-    """_conv_requant through the affine map, for a conv whose map is proven."""
-    return QuantizedTensor(_affine_codes(accumulate(x.arr) * mult, k), out_params)
+def _code_map(proven: bool, zp) -> Callable[[np.ndarray], np.ndarray]:
+    """The code map a step binds: the affine map where proven, else the exact rule."""
+    return partial(_affine_codes, k=zp + 128.5) if proven else partial(_requantize, zero_point=zp)
 
 
 def _bind_conv(
@@ -739,36 +722,29 @@ def _bind_conv(
 ) -> Callable[[QuantizedTensor], QuantizedTensor]:
     """The conv step: the affine map where it is proven exact on the
     accumulator's bound for this input grid, the exact rule otherwise."""
-    mult = _conv_mult(in_params, spec, out_params)
+    mult = _acc_scale(in_params, spec, out_params)
     zp = out_params.zero_point[0]
-    accumulate, bound = _bind_accumulate(spec, int(in_params.zero_point[0]))
-    if _proves_conv_affine(mult, zp, bound):
-        return partial(_conv_affine, accumulate, mult, zp + 128.5, out_params)
-    return partial(_conv_requant, accumulate, mult, out_params)
+    accumulate, bound = spec.accumulator(int(in_params.zero_point[0]))
+    codes = _code_map(_proves_conv_affine(mult, zp, bound), zp)
+    return partial(_conv_step, accumulate, mult, codes, out_params)
 
 
-def _no_nan(x: Tensor) -> np.ndarray:
+def _quantize_step(op, operand, codes: Callable, params: QuantParams, x: Tensor) -> QuantizedTensor:
+    """float32 -> int8 onto params: codes(op(x, operand)) taken in float64,
+    with op(x, operand) x / s for the exact rule and x * (1 / s) for a
+    proven affine map. NaN raises ContractViolation either way."""
     if np.isnan(x.arr).any():
         raise ContractViolation("cannot quantize a tensor holding NaN")
-    return x.arr
-
-
-def _quantize_affine(params: QuantParams, recip, k, x: Tensor) -> QuantizedTensor:
-    """quantize_tensor through the affine map, for params whose map is proven."""
-    return QuantizedTensor(_affine_codes(np.multiply(_no_nan(x), recip, dtype=np.float64), k), params)
-
-
-def _quantize_exact(params: QuantParams, x: Tensor) -> QuantizedTensor:
-    return QuantizedTensor(quantize_array(_no_nan(x), params), params)
+    return QuantizedTensor(codes(op(x.arr, operand, dtype=np.float64)), params)
 
 
 def _bind_quantizer(params: QuantParams) -> Callable[[Tensor], QuantizedTensor]:
     """float32 -> int8 onto params: the affine map where it is proven exact,
-    the exact rule otherwise. NaN raises ContractViolation either way."""
+    the exact rule otherwise."""
     scale, zp = params.scale[0], params.zero_point[0]
-    if _proves_quantizer_affine(scale, zp):
-        return partial(_quantize_affine, params, 1.0 / scale, zp + 128.5)
-    return partial(_quantize_exact, params)
+    proven = _proves_quantizer_affine(scale, zp)
+    op, operand = (np.multiply, 1.0 / scale) if proven else (np.divide, scale)
+    return partial(_quantize_step, op, operand, _code_map(proven, zp), params)
 
 
 def _pointwise_lut(in_params: QuantParams, out_params: QuantParams, fn) -> np.ndarray:
@@ -811,28 +787,24 @@ def _apply_lut(q: QuantizedTensor, table: bytes | None, out_params: QuantParams)
     return QuantizedTensor(codes.reshape(q.arr.shape), out_params)
 
 
-def _requant(q: QuantizedTensor, out_params: QuantParams) -> QuantizedTensor:
-    return _apply_lut(q, _regrid_table(q.params, out_params), out_params)
-
-
 def _maxpool_int8(q: QuantizedTensor, kernel: int, stride: int, padding: int) -> QuantizedTensor:
     return QuantizedTensor(max_windows(q.arr, kernel, stride, padding, np.int8(-128)), q.params)
 
 
 def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
     """One layer as a function of its input tensors, with every per-model
-    value (conv spec, multiplier, LUT, params) computed here, once."""
+    value (accumulator, multiplier, code map, LUT, params) computed here,
+    once; conv specs come from load."""
     kind = layer.kind
     out_params = model.act_params.get(slot_key(idx))
     in_params = model.act_params.get(slot_key(layer.inputs[0]))
     a = model.layer_attrs[idx]
     if kind in ("conv", "detect_head"):
-        qw = model.conv_weights[layer.slot]
-        spec = QConvSpec(qw["q_weight"], qw["w_scale"], qw["q_bias"], a.stride, a.padding, a.groups)
+        spec = model.conv_specs[idx]
         if kind == "detect_head":
             # The head's accumulator is dequantized exactly to float32.
-            accumulate, _ = _bind_accumulate(spec, int(in_params.zero_point[0]))
-            scale = (in_params.scale[0] * spec.w_scale).reshape(1, -1, 1, 1)
+            accumulate, _ = spec.accumulator(int(in_params.zero_point[0]))
+            scale = _acc_scale(in_params, spec)
             return lambda q: Tensor((accumulate(q.arr) * scale).astype(np.float32))
         return _bind_conv(spec, in_params, out_params)
     if kind == "act":
@@ -853,7 +825,8 @@ def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
         quantize = _bind_quantizer(out_params)
         return lambda q: quantize(cbam_forward(dequantize(q), params))
     if kind == "pool":  # validated as a max pool
-        return lambda q: _requant(_maxpool_int8(q, a.kernel, a.stride, a.padding), out_params)
+        table = _regrid_table(in_params, out_params)
+        return lambda q: _apply_lut(_maxpool_int8(q, a.kernel, a.stride, a.padding), table, out_params)
     # bn never gets here: validation finds no bn params in a quantized model.
     raise ContractViolation(f"unsupported quantized layer kind {layer.kind!r}")
 

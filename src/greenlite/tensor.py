@@ -21,7 +21,6 @@ holding inf or NaN and rows that sum to zero are summed by math.fsum itself.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,9 +49,7 @@ class Tensor:
             if dim < 1:
                 raise ContractViolation(f"tensor dim {name} must be >= 1, got {dim}")
         self.arr = np.ascontiguousarray(arr, dtype=np.float32)
-        nbytes = self.arr.size * 4
-        TRACKER.register(nbytes)
-        weakref.finalize(self, TRACKER.unregister, nbytes)
+        TRACKER.track(self, self.arr.size * 4)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:

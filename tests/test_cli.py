@@ -367,6 +367,55 @@ def test_detect_on_class_names_that_do_not_match_the_head_exits_two(cli_env, tmp
     assert "Traceback" not in err
 
 
+def _first_conv(doc):
+    return next(layer for layer in doc["layers"] if layer["kind"] == "conv")
+
+
+def _w_scale(value):
+    def edit(doc, tensors):
+        tensors[f"{_first_conv(doc)['slot']}/w_scale"][0] = value
+    return edit
+
+
+def _act_scale(key, value):
+    return lambda doc, tensors: doc["act_params"][key].update(scale=value)
+
+
+def _conv_padding(value):
+    return lambda doc, tensors: _first_conv(doc)["attrs"].update(padding=value)
+
+
+# case -> (container, edit of its document and tensors, the error message it must give)
+BAD_AT_LOAD = {
+    "w_scale nan": ("model.q.glw", _w_scale(np.nan), "weight scales must be finite and > 0"),
+    "w_scale inf": ("model.q.glw", _w_scale(np.inf), "weight scales must be finite and > 0"),
+    "w_scale -1": ("model.q.glw", _w_scale(-1.0), "weight scales must be finite and > 0"),
+    "input scale 1e308": ("model.q.glw", _act_scale("input", 1e308), "activation scales must lie in"),
+    "input scale 5e-324": ("model.q.glw", _act_scale("input", 5e-324), "activation scales must lie in"),
+    "L002 scale 1e-310": ("model.q.glw", _act_scale("L002", 1e-310), "activation scales must lie in"),
+    "float padding 64": ("model.glw", _conv_padding(64), "layer 0 (conv): padding must be < kernel 3, got 64"),
+    "int8 padding 64": ("model.q.glw", _conv_padding(64), "layer 0 (conv): padding must be < kernel 3, got 64"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_AT_LOAD))
+def test_detect_on_bad_scales_or_padding_exits_two(cli_env, tmp_path, capsys, case):
+    """A weight scale that is not finite and > 0, an activation scale whose
+    reciprocal or 255 steps would not be finite, and a conv padding as wide
+    as its kernel are refused at load: exit 2, no traceback."""
+    name, edit, message = BAD_AT_LOAD[case]
+    doc, tensors = read_container(str(cli_env / name))
+    edit(doc, tensors)
+    bad = tmp_path / "bad.glw"
+    bad.write_bytes(write_container(doc, list(tensors.items())))
+    img = str(cli_env / "data" / "images" / "img_00000.ppm")
+    capsys.readouterr()
+    assert main(["detect", "--model", str(bad), "--image", img]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_detect_on_a_container_without_conv_slots_exits_two(cli_env, tmp_path, capsys):
     doc, tensors = read_container(str(cli_env / "model.q.glw"))
     del doc["conv_slots"]

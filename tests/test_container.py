@@ -184,6 +184,23 @@ def _fuzz_paths(doc, rng):
     return paths
 
 
+def _value_mutations(doc, tensors, rng):
+    """(case, document, tensors) triples with values out of range: a seeded
+    entry of each of three seeded */w_scale tensors set to NaN, inf, 0 and
+    -1, and two seeded act_params scales set to 1e308 and 5e-324."""
+    keys = sorted(key for key in tensors if key.endswith("/w_scale"))
+    for key in rng.choice(keys, 3, replace=False):
+        for value in (np.nan, np.inf, 0.0, -1.0):
+            arr = tensors[key].copy()
+            i = int(rng.integers(len(arr)))
+            arr[i] = value
+            yield f"{key}[{i}] -> {value}", doc, {**tensors, key: arr}
+    for key in rng.choice(sorted(doc["act_params"]), 2, replace=False):
+        for value in (1e308, 5e-324):
+            mutated = _mutated(doc, ("act_params", str(key), "scale"), value)
+            yield f"act_params {key} scale -> {value}", mutated, tensors
+
+
 def _mutated(doc, path, value):
     doc = copy.deepcopy(doc)
     parent = doc
@@ -212,8 +229,11 @@ def fuzz_subjects():
 def test_mutated_container_documents_fail_typed_or_run(fuzz_subjects, tmp_path, kind):
     """Each top-level key and each field of a seeded sample of layers, their
     attrs, the meta and the act_params entries is deleted or retyped to null,
-    true, 1.5, "x", [] or {}. Loading raises ContainerError or ContractViolation or gives a
-    model whose forward runs; `greenlite detect` exits 0 or 2."""
+    true, 1.5, "x", [] or {}; in the int8 container, weight and activation
+    scales are also set out of range (_value_mutations). Loading raises
+    ContainerError or ContractViolation or gives a model whose forward runs
+    (with no RuntimeWarning, which pytest makes an error); `greenlite detect`
+    exits 0 or 2."""
     doc, tensors = read_container(fuzz_subjects[kind])
     image = tmp_path / "img.ppm"
     write_ppm(str(image), np.random.default_rng(1).integers(0, 256, (48, 80, 3), dtype=np.uint8))
@@ -222,23 +242,28 @@ def test_mutated_container_documents_fail_typed_or_run(fuzz_subjects, tmp_path, 
     cli_rng = np.random.default_rng(20252)
     path = tmp_path / "m.glw"
     outcomes = {"loaded": 0, "refused": 0}
-    for where in _fuzz_paths(doc, rng):
-        for value in (DELETE, *RETYPES):
-            case = f"{where} -> {'deleted' if value is DELETE else repr(value)}"
-            blob = write_container(_mutated(doc, where, value), list(tensors.items()))
-            try:
-                model = load_any(blob)
-            except (ContainerError, ContractViolation):
-                outcomes["refused"] += 1
-                if cli_rng.random() > 0.1:  # detect on every model that loads, a tenth of the rest
-                    continue
-            else:
-                outcomes["loaded"] += 1
-                run = forward_quantized if isinstance(model, QuantizedModel) else forward
-                assert run(model, x).shape[:2] == (1, 6), case
-            path.write_bytes(blob)
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main(["detect", "--model", str(path), "--image", str(image),
-                             "--conf", "0", "--emit", "json"])
-            assert code in (0, 2), case
+    cases = [
+        (f"{where} -> {'deleted' if value is DELETE else repr(value)}", _mutated(doc, where, value), tensors)
+        for where in _fuzz_paths(doc, rng)
+        for value in (DELETE, *RETYPES)
+    ]
+    if kind == "int8":
+        cases += _value_mutations(doc, tensors, np.random.default_rng(20253))
+    for case, mutated_doc, mutated_tensors in cases:
+        blob = write_container(mutated_doc, list(mutated_tensors.items()))
+        try:
+            model = load_any(blob)
+        except (ContainerError, ContractViolation):
+            outcomes["refused"] += 1
+            if cli_rng.random() > 0.1:  # detect on every model that loads, a tenth of the rest
+                continue
+        else:
+            outcomes["loaded"] += 1
+            run = forward_quantized if isinstance(model, QuantizedModel) else forward
+            assert run(model, x).shape[:2] == (1, 6), case
+        path.write_bytes(blob)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["detect", "--model", str(path), "--image", str(image),
+                         "--conf", "0", "--emit", "json"])
+        assert code in (0, 2), case
     assert min(outcomes.values()) > 0, outcomes

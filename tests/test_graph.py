@@ -300,6 +300,7 @@ def test_graph_validation_rejects_malformed_graphs():
         ("conv", {"stride": "2"}),
         ("pool", {"kernel": None}),
         ("pool", {"kernel": 5.5}),
+        ("conv", {"padding": 64}),
     ],
 )
 def test_graph_validation_rejects_bad_geometry(kind, attrs):

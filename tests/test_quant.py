@@ -51,15 +51,13 @@ from greenlite.quant import (
     _bind_conv,
     _bind_quantizer,
     _code_table,
-    _conv_affine,
-    _conv_requant,
-    _int_conv_acc,
+    _conv_step,
     _maxpool_int8,
     _pointwise_lut,
     _proves_conv_affine,
-    _quantize_affine,
-    _quantize_exact,
-    _requant,
+    _quantize_step,
+    _regrid_table,
+    _requantize,
     quantized_size_bytes,
     save_quantized_bytes,
     slot_key,
@@ -233,6 +231,12 @@ def test_tensor_round_trip_wrappers():
 # ---- integer convolution ----
 
 
+def int_conv_acc(q_in, z_in, q_w, q_b, stride, padding, groups):
+    """The exact integer accumulator QConvSpec builds for codes on zero point z_in."""
+    spec = QConvSpec(q_w, np.ones(len(q_w)), q_b, stride, padding, groups)
+    return spec.accumulator(z_in)[0](q_in)
+
+
 def test_integer_accumulator_is_exact():
     """float64 matmul accumulation must equal the pure integer loop."""
     rng = np.random.default_rng(16)
@@ -245,7 +249,7 @@ def test_integer_accumulator_is_exact():
         q_in = rng.integers(-128, 128, (1, c, 6, 6), dtype=np.int8)
         q_w = rng.integers(-127, 128, (oc, c // groups, k, k), dtype=np.int8)
         q_b = rng.integers(-(2**20), 2**20, oc, dtype=np.int32)
-        acc = _int_conv_acc(q_in, z, q_w, q_b, 1, k // 2, groups)
+        acc = int_conv_acc(q_in, z, q_w, q_b, 1, k // 2, groups)
         want = conv2d_naive(
             q_in.astype(np.float64) - z, q_w.astype(np.float64), q_b.astype(np.float64),
             1, k // 2, groups,
@@ -264,7 +268,7 @@ def test_integer_accumulator_is_exact_past_the_float32_bound():
     q_w = rng.integers(-127, 128, (2, 128, 3, 3), dtype=np.int8)
     q_w[0] = 127
     q_b = np.array([12345, -678], dtype=np.int32)
-    acc = _int_conv_acc(q_in, z, q_w, q_b, 1, 1, 1)
+    acc = int_conv_acc(q_in, z, q_w, q_b, 1, 1, 1)
     assert np.array_equal(acc, conv2d_int_naive(q_in, z, q_w, q_b, 1, 1, 1))
     assert 128 * int(np.abs(q_w[0].astype(np.int64)).sum()) >= 2**24
 
@@ -354,8 +358,9 @@ def test_quantized_conv_requant_matches_exact_integer_oracle():
 
 
 def test_forward_plans_each_model_once(tmp_path, monkeypatch):
-    """Only the first forward builds conv specs and LUTs, for a quantized and
-    a loaded model alike; later forwards reuse them and repeat bit for bit."""
+    """Conv specs are built at load and LUTs by the first forward only, for a
+    quantized and a loaded model alike; later forwards reuse them and repeat
+    bit for bit."""
     import greenlite.quant as quant
 
     m = tiny_model()
@@ -400,14 +405,15 @@ def test_lut_matches_pointwise_definition_on_all_256_codes():
 def test_requant_same_grid_is_a_passthrough():
     p = choose_params(-1.0, 1.0)
     q = QuantizedTensor(np.zeros((1, 1, 2, 2), dtype=np.int8), p)
-    assert _requant(q, QuantParams(p.scheme, p.scale.copy(), p.zero_point.copy())) is q
+    same = QuantParams(p.scheme, p.scale.copy(), p.zero_point.copy())
+    assert _apply_lut(q, _regrid_table(q.params, same), same) is q
 
 
 def test_requant_between_grids_is_exact_per_code():
     a = choose_params(-2.0, 2.0)
     b = choose_params(-1.0, 3.0)
     codes = np.arange(-128, 128, dtype=np.int8).reshape(1, 1, 16, 16)
-    out = _requant(QuantizedTensor(codes, a), b)
+    out = _apply_lut(QuantizedTensor(codes, a), _regrid_table(a, b), b)
     x = a.scale[0] * (codes.astype(np.float64) - a.zero_point[0])
     want = np.clip(round_half_away(x / b.scale[0]) + b.zero_point[0], -128, 127)
     assert np.array_equal(out.arr, want.astype(np.int8))
@@ -507,7 +513,7 @@ def test_proven_quantizer_equals_quantize_array_on_breakpoints_and_infinities():
         lo, hi = sorted(rng.uniform(-1, 1, 2) * 10.0 ** rng.uniform(-4, 4))
         params = choose_params(float(lo), float(hi))
         quantize = _bind_quantizer(params)
-        if quantize.func is not _quantize_affine:
+        if quantize.args[2].func is not _affine_codes:
             continue
         proved += 1
         t = first_reaching(
@@ -538,13 +544,14 @@ def test_ties_fail_the_check_and_keep_the_exact_rule():
     q_b = rng.integers(-50, 50, 4).astype(np.int32)
     spec = QConvSpec(q_w, np.full(4, 0.5), q_b, 1, 1)
     step = _bind_conv(spec, one, one)
-    assert step.func is _conv_requant
+    assert step.func is _conv_step and step.args[2].func is _requantize
     acc = conv2d_int_naive(q_in, 0, q_w, q_b, 1, 1, 1)
     assert np.any(acc % 2 == 1) and np.any(acc < 0)
     got = step(QuantizedTensor(q_in, one))
     assert np.array_equal(got.arr, exact_codes(acc * 0.5, 0))
     # A grid where some float32 input lands on a negative tie keeps the exact quantizer.
-    assert _bind_quantizer(one).func is _quantize_exact
+    quantize = _bind_quantizer(one)
+    assert quantize.func is _quantize_step and quantize.args[2].func is _requantize
 
 
 @pytest.mark.parametrize("params", [choose_params(-1.0, 3.0), QuantParams(PER_TENSOR_AFFINE, [1.0], [0])])
@@ -577,16 +584,17 @@ def test_built_models_take_the_proven_path_and_match_the_exact_plan(seed, per_st
     blob = save_quantized_bytes(quantize_model(m, calibrate(m, images[:2])))
     qm = load_quantized(blob)
     quantize_input, steps = quant._plan(qm)
-    assert quantize_input.func is _quantize_affine
+    assert quantize_input.func is _quantize_step and quantize_input.args[2].func is _affine_codes
     convs = [steps[i].run for i, layer in enumerate(qm.layers) if layer.kind == "conv"]
     assert len(convs) >= 25
-    assert all(getattr(run, "func", None) is _conv_affine for run in convs)
+    assert all(getattr(run, "func", None) is _conv_step and run.args[2].func is _affine_codes
+               for run in convs)
     head = forward_quantized(qm, images[2]).arr.tobytes()
 
     monkeypatch.setattr(quant, "_proves_conv_affine", lambda *args: False)
     monkeypatch.setattr(quant, "_proves_quantizer_affine", lambda *args: False)
     exact = load_quantized(blob)
-    assert all(step.run.func is _conv_requant
+    assert all(step.run.func is _conv_step and step.run.args[2].func is _requantize
                for step, layer in zip(quant._plan(exact)[1], exact.layers) if layer.kind == "conv")
     assert forward_quantized(exact, images[2]).arr.tobytes() == head
 
@@ -608,7 +616,7 @@ def literal_layer(qm, idx, layer, inputs):
             spec = QConvSpec(w["q_weight"], w["w_scale"], w["q_bias"], *geometry)
             return quantized_conv2d(inputs[0], spec, out_params).arr
         z_in = int(in_params.zero_point[0])
-        acc = _int_conv_acc(inputs[0].arr, z_in, w["q_weight"], w["q_bias"], *geometry)
+        acc = int_conv_acc(inputs[0].arr, z_in, w["q_weight"], w["q_bias"], *geometry)
         return (acc * (in_params.scale[0] * w["w_scale"]).reshape(1, -1, 1, 1)).astype(np.float32)
     if layer.kind == "act":
         return regrid(inputs[0], out_params, _ACT_FNS[attrs["fn"]])
@@ -805,26 +813,54 @@ def first_layer(doc, kind):
     return next(layer for layer in doc["layers"] if layer["kind"] == kind)
 
 
+def set_first(key, value):
+    """An edit of a container's document and tensors that sets the first
+    entry of tensor key to value."""
+    def edit(doc, tensors):
+        tensors[key][0] = value
+    return edit
+
+
+def set_act_scale(key, value):
+    return lambda doc, tensors: doc["act_params"][key].update(scale=value)
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
-        (lambda doc: first_layer(doc, "conv")["attrs"].update(stride=0), "stride must be >= 1"),
-        (lambda doc: first_layer(doc, "pool")["attrs"].pop("kernel"), "missing kernel"),
-        (lambda doc: first_layer(doc, "pool")["attrs"].update(pool="avg"), "pool must be 'max'"),
-        (lambda doc: first_layer(doc, "pool").update(kind="upsample"), "unknown kind 'upsample'"),
-        (lambda doc: doc["act_params"].pop("L001"), "no activation params .*L001"),
-        (lambda doc: first_layer(doc, "act")["attrs"].update(fn="gelu"), "fn must be one of"),
-        (lambda doc: first_layer(doc, "conv")["attrs"].update(stride=None), "stride must be an int"),
-        (lambda doc: first_layer(doc, "conv")["attrs"].update(stride=1.5), "stride must be an int"),
+        (lambda doc, _: first_layer(doc, "conv")["attrs"].update(stride=0), "stride must be >= 1"),
+        (lambda doc, _: first_layer(doc, "pool")["attrs"].pop("kernel"), "missing kernel"),
+        (lambda doc, _: first_layer(doc, "pool")["attrs"].update(pool="avg"), "pool must be 'max'"),
+        (lambda doc, _: first_layer(doc, "pool").update(kind="upsample"), "unknown kind 'upsample'"),
+        (lambda doc, _: doc["act_params"].pop("L001"), "no activation params .*L001"),
+        (lambda doc, _: first_layer(doc, "act")["attrs"].update(fn="gelu"), "fn must be one of"),
+        (lambda doc, _: first_layer(doc, "conv")["attrs"].update(stride=None), "stride must be an int"),
+        (lambda doc, _: first_layer(doc, "conv")["attrs"].update(stride=1.5), "stride must be an int"),
+        (set_first("stem.conv/w_scale", np.nan), "weight scales must be finite and > 0"),
+        (set_first("stem.conv/w_scale", np.inf), "weight scales must be finite and > 0"),
+        (set_first("stem.conv/w_scale", -1.0), "weight scales must be finite and > 0"),
+        (set_first("head/w_scale", np.nan), "weight scales must be finite and > 0"),
+        (set_first("head/w_scale", 5e-324), r"layer \d+ \(detect_head\): accumulator scales must be finite"),
+        (set_act_scale("input", 1e308), "activation scales must lie in"),
+        (set_act_scale("input", 5e-324), "activation scales must lie in"),
+        (set_act_scale("input", 1e-310), "activation scales must lie in"),
+        (set_act_scale("L002", 1e308), "activation scales must lie in"),
+        (set_act_scale("L002", 5e-324), "activation scales must lie in"),
+        (set_act_scale("L002", 1e-310), "activation scales must lie in"),
     ],
     ids=["conv-stride-0", "pool-without-kernel", "avg-pool", "upsample", "missing-act-params",
-         "act-gelu", "conv-stride-null", "conv-stride-1.5"],
+         "act-gelu", "conv-stride-null", "conv-stride-1.5", "w-scale-nan", "w-scale-inf",
+         "w-scale-minus-1", "head-w-scale-nan", "head-w-scale-5e-324", "input-scale-1e308",
+         "input-scale-5e-324", "input-scale-1e-310", "L002-scale-1e308", "L002-scale-5e-324",
+         "L002-scale-1e-310"],
 )
 def test_int8_graph_errors_fail_at_load(int8_container, edit, match):
     """The float graph's checks run on a loaded int8 graph, so a bad one is a
-    ContractViolation from load_quantized, not an error in its first forward."""
+    ContractViolation from load_quantized, not an error in its first forward.
+    So are weight scales that are not finite and > 0, activation scales out
+    of range and a head whose accumulator scale underflows to 0."""
     doc, tensors = int8_container
-    edit(doc)
+    edit(doc, tensors)
     with pytest.raises(ContractViolation, match=match):
         load_quantized(write_container(doc, list(tensors.items())))
 
