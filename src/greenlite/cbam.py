@@ -39,7 +39,8 @@ def _gate32(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CbamParams:
-    """Shared-MLP channel gate weights plus the kxk spatial gate conv."""
+    """Shared-MLP channel gate weights plus the kxk spatial gate conv; the one
+    check of a CBAM layer's shapes, which both model kinds make at load."""
 
     mlp_w1: np.ndarray  # (c // r, c)
     mlp_b1: np.ndarray  # (c // r,)
@@ -51,6 +52,8 @@ class CbamParams:
     def __post_init__(self) -> None:
         for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "spatial_weight", "spatial_bias"):
             setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float32))
+        if self.mlp_w1.ndim != 2:
+            raise ContractViolation(f"mlp_w1 must be 2-d, got ndim={self.mlp_w1.ndim}")
         hidden, c = self.mlp_w1.shape
         if hidden < 1 or c % hidden != 0:
             raise ContractViolation(
@@ -65,14 +68,12 @@ class CbamParams:
         k = self.spatial_weight.shape[2]
         if self.spatial_weight.shape[3] != k or k % 2 == 0:
             raise ContractViolation(f"spatial kernel must be square and odd, got {self.spatial_weight.shape[2:]}")
+        if self.spatial_bias.shape != (1,):
+            raise ContractViolation(f"spatial_bias must have shape (1,), got {self.spatial_bias.shape}")
 
     @property
     def channels(self) -> int:
         return int(self.mlp_w1.shape[1])
-
-    @property
-    def reduction(self) -> int:
-        return int(self.mlp_w1.shape[1] // self.mlp_w1.shape[0])
 
     @property
     def spatial_kernel(self) -> int:

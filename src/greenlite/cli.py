@@ -16,7 +16,6 @@ import argparse
 import gc
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -50,6 +49,7 @@ from .profiling import (
     EmissionRecord,
     load_config,
     resolve_energy_settings,
+    stage_report,
     time_stage,
     track_memory,
 )
@@ -278,6 +278,7 @@ def _bench_one(path: str, manifest_path: str, images, gts, args, power, intensit
         if os.path.exists(twin):
             qsize_mb = os.path.getsize(twin) / 1e6
 
+    report = stage_report(records)
     row = BenchRow(
         model_name=os.path.basename(path),
         acc=None,  # detector rows have no classification accuracy
@@ -289,12 +290,11 @@ def _bench_one(path: str, manifest_path: str, images, gts, args, power, intensit
         qsize_mb=qsize_mb,
         mean_latency_s=latency.mean_s,
         peak_mem_bytes=mem.peak_live_tensor_bytes,
-        total_carbon_kg=math.fsum(r.carbon_kg for r in records),
+        total_carbon_kg=report.total_carbon_kg,
     )
-    emission_rows = [
-        f"{row.model_name},{r.stage},{r.duration_s:.6f},{r.energy_kwh:.6f},{r.carbon_kg:.6f}"
-        for r in records
-    ]
+    # One record per stage, so the report's stage rows, between its header
+    # and its total, are the records'.
+    emission_rows = [f"{row.model_name},{line}" for line in report.to_csv().splitlines()[1:-1]]
     memory_row = (
         f"{row.model_name},inference,{mem.peak_live_tensor_bytes},"
         f"{mem.current_live_tensor_bytes},{mem.allocation_count}"

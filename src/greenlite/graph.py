@@ -40,6 +40,7 @@ from .tensor import (
     batchnorm_infer,
     concat_channels,
     conv2d,
+    conv_geometry,
     pool,
 )
 
@@ -144,12 +145,11 @@ def validate_graph(model) -> list[LayerAttrs]:
     if producer is None or producer.kind != "cbam":
         raise ContractViolation("detect_head must consume a cbam layer output")
     names, n = len(model.meta.class_names), model.meta.num_classes
-    channels = model.weights[head.slot]["weight"].shape[0]
+    channels = infer_shapes(model, parsed)[-1][0]
     if not names == n == channels - 4 >= 1:
         raise ContractViolation(
             f"got {names} class names and {channels} head channels for {n} classes (want n >= 1, 4 + n)"
         )
-    infer_shapes(model, parsed)
     return parsed
 
 
@@ -193,7 +193,8 @@ def parse_attrs(idx: int, layer: Layer) -> LayerAttrs:
 
 
 def infer_shapes(model, layer_attrs: list[LayerAttrs] | None = None) -> list[tuple[int, int, int]]:
-    """Symbolically propagate (c, h, w) through the graph, checking geometry
+    """Symbolically propagate (c, h, w) through the graph, checking each conv's
+    shapes (conv_geometry), each CBAM's (CbamParams) and the geometry
     (channels, padding < window, non-empty outputs); layer_attrs defaults to
     the model's parsed attrs."""
     parsed = model.layer_attrs if layer_attrs is None else layer_attrs
@@ -203,11 +204,10 @@ def infer_shapes(model, layer_attrs: list[LayerAttrs] | None = None) -> list[tup
         c, h, w = shapes[layer.inputs[0]]
         k = None  # the window size of a conv or pool
         if layer.kind in ("conv", "detect_head"):
-            oc, icg, k, _ = model.weights[layer.slot]["weight"].shape
-            if icg * a.groups != c:
-                raise ContractViolation(
-                    f"layer {idx}: conv expects {icg * a.groups} input channels, got {c}"
-                )
+            conv = model.weights[layer.slot]
+            ic, oc, k = conv_geometry(conv["weight"].shape, conv["bias"].shape, a.stride, a.padding, a.groups)
+            if ic != c:
+                raise ContractViolation(f"layer {idx}: conv expects {ic} input channels, got {c}")
             c = oc
         elif layer.kind == "pool":
             k = a.kernel
@@ -223,7 +223,7 @@ def infer_shapes(model, layer_attrs: list[LayerAttrs] | None = None) -> list[tup
                 raise ContractViolation(f"layer {idx}: concat spatial mismatch")
             c += c2
         elif layer.kind == "cbam":
-            ch = model.weights[layer.slot]["mlp_w1"].shape[1]
+            ch = _cbam_params(model.weights[layer.slot]).channels
             if ch != c:
                 raise ContractViolation(f"layer {idx}: cbam params are for {ch} channels, got {c}")
         if k is not None:
@@ -241,18 +241,25 @@ def infer_shapes(model, layer_attrs: list[LayerAttrs] | None = None) -> list[tup
     return shapes[:-1]
 
 
+def _cbam_params(arrays: dict[str, np.ndarray]) -> CbamParams:
+    """A CBAM slot's arrays, by their names in _SLOT_ARRAYS, as checked params."""
+    return CbamParams(*(arrays[name] for name in _SLOT_ARRAYS["cbam"]))
+
+
 def _round_scaled(base: int, mult: float) -> int:
     return max(1, int(round(base * mult)))
+
+
+STAGE_DEPTHS = (1, 2, 2, 1)  # C2f bottlenecks per stage
+CBAM_REDUCTION = 16
+CBAM_KERNEL = 7
 
 
 def build_model(
     num_classes: int,
     width_multiple: float = 0.25,
-    depth_multiple: float = 0.33,
     input_size: int = 320,
     seed: int = 42,
-    cbam_reduction: int = 16,
-    cbam_kernel: int = 7,
     cbam_per_stage: bool = False,
     class_names: tuple[str, ...] | None = None,
 ) -> ModelGraph:
@@ -263,8 +270,8 @@ def build_model(
         raise ContractViolation(
             f"input_size must be a positive multiple of {GRID_STRIDE}, got {input_size}"
         )
-    if width_multiple <= 0 or depth_multiple <= 0:
-        raise ContractViolation("width/depth multiples must be > 0")
+    if width_multiple <= 0:
+        raise ContractViolation(f"width_multiple must be > 0, got {width_multiple}")
     if class_names is None:
         class_names = tuple(f"class{i}" for i in range(num_classes))
 
@@ -315,7 +322,7 @@ def build_model(
         return cbs(cat, hid * (2 + n), c, 1, 1, f"{name}.cv2")
 
     def cbam(src: int, c: int, name: str) -> int:
-        r = cbam_reduction
+        r = CBAM_REDUCTION
         while c % r != 0:
             r -= 1
         weights[name] = {
@@ -323,20 +330,18 @@ def build_model(
             "mlp_b1": uniform((c // r,)),
             "mlp_w2": uniform((c, c // r)),
             "mlp_b2": uniform((c,)),
-            "spatial_weight": uniform((1, 2, cbam_kernel, cbam_kernel)),
+            "spatial_weight": uniform((1, 2, CBAM_KERNEL, CBAM_KERNEL)),
             "spatial_bias": uniform((1,)),
         }
         return add(Layer("cbam", (src,), name))
 
     base_channels = (64, 128, 256, 512, 1024)
-    base_depths = (3, 6, 6, 3)
     ch = [_round_scaled(b, width_multiple) for b in base_channels]
-    depths = [max(1, int(round(d * depth_multiple))) for d in base_depths]
 
     x = cbs(-1, 3, ch[0], 3, 2, "stem")
     for i in range(4):
         x = cbs(x, ch[i], ch[i + 1], 3, 2, f"s{i + 1}.ds")
-        x = c2f(x, ch[i + 1], depths[i], f"s{i + 1}.c2f")
+        x = c2f(x, ch[i + 1], STAGE_DEPTHS[i], f"s{i + 1}.c2f")
         if cbam_per_stage:
             x = cbam(x, ch[i + 1], f"s{i + 1}.cbam")
 
@@ -424,7 +429,7 @@ def _bind(model: ModelGraph, idx: int, layer: Layer) -> Callable:
     if layer.kind == "concat":
         return concat_channels
     if layer.kind == "cbam":
-        params = CbamParams(**model.weights[layer.slot])
+        params = _cbam_params(model.weights[layer.slot])
         return lambda t: cbam_forward(t, params)
     raise ContractViolation(f"unknown layer kind {layer.kind!r}")
 

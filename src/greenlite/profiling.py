@@ -48,7 +48,6 @@ class MemoryTracker:
         self._current = 0
         self._total_allocs = 0
         self._window_peak = 0
-        self.enabled = True
 
     def register(self, nbytes: int) -> None:
         with self._lock:
@@ -149,8 +148,6 @@ def track_memory(action: Callable[[], object]) -> MemoryStats:
     toward the peak as long as they stay alive, which is what a VRAM proxy
     should report.
     """
-    if not TRACKER.enabled:
-        raise ContractViolation("instrumented allocator is not installed")
     with _tracking_lock:
         allocs_before = TRACKER._begin_window()
         action()

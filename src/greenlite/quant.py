@@ -7,7 +7,7 @@ calibrated range widened to include 0, so real zero is exactly
 representable. Rounding is half-away-from-zero everywhere. Biases are
 stored as int32 at scale s_in * s_w_c. Batch norm is folded into the
 preceding conv before quantization; CBAM attention arithmetic stays in
-float (its weights are stored int8 and dequantized by the plan); the detect
+float (its weights are stored int8 and dequantized once, at load); the detect
 head's accumulator is dequantized exactly, so the model output is float32
 while every internal activation is int8.
 
@@ -19,7 +19,9 @@ sum(q_w) (padding uses z_in, so the fold is exact), so BLAS multiplies the
 raw codes, and it returns the bound 128 * sum|q_w| + |bias'| that no |acc|
 of a channel exceeds. A layer accumulates in float32 when every channel's
 bound is below 2^24, which keeps every partial sum an integer float32 holds
-exactly in any summation order; otherwise in float64.
+exactly in any summation order; otherwise in float64. The accumulator is
+tensor.conv_gemm, the float conv's GEMM, bound to the int8 weights, bias'
+in the accumulator dtype and padding fill z_in.
 
 The requantization rule is exact and fixed: a conv output code is
   clip(round_half_away(fl64(acc * m_c)) + zp, -128, 127),  m_c = s_in * s_w_c / s_out,
@@ -44,10 +46,13 @@ dequantize -> f -> requantize. Max pooling reuses its input's params
 only if their params differ from the output's.
 
 A QuantizedModel checks everything at construction, and so at load: the
-float graph's structural and geometry checks, activation params for every
-layer output with per-tensor scales in [2^-160, 2^120], and the QConvSpec of
-every conv and the head, whose weight scales and accumulator scales (m_c,
-or s_in * s_w_c for the head) must be finite and > 0. The first forward
+float graph's structural, shape and geometry checks, activation params for
+every layer output with per-tensor scales in [2^-160, 2^120], the QConvSpec
+of every conv and the head, whose weight scales and accumulator scales (m_c,
+or s_in * s_w_c for the head) must be finite and > 0, the head's scale times
+its accumulator bound, which must not exceed float32's largest value, and
+each CBAM's weights, dequantized there once into finite CbamParams. Loading
+also requires each tensor in the dtype save_quantized writes. The first forward
 pass plans the model once through graph.plan: each layer is bound to its
 accumulator, code map, output params and lookup tables, and to the point
 where its output is released; graph.run executes the plan. Later passes
@@ -88,7 +93,7 @@ from .graph import (
     validate_graph,
 )
 from .profiling import TRACKER
-from .tensor import Tensor, _sigmoid64, max_windows, patches
+from .tensor import Tensor, _sigmoid64, conv_gemm, conv_geometry, max_windows
 
 PER_TENSOR_AFFINE = "per_tensor_affine"
 PER_CHANNEL_SYMMETRIC = "per_channel_symmetric"
@@ -209,6 +214,10 @@ def dequantize_array(q: np.ndarray, params: QuantParams) -> np.ndarray:
     if len(params.scale) == 1:
         x = params.scale[0] * (qi - params.zero_point[0])
     else:
+        if qi.shape[:1] != (len(params.scale),):
+            raise ContractViolation(
+                f"per-channel params are for {len(params.scale)} channels, got shape {qi.shape}"
+            )
         shape = (len(params.scale),) + (1,) * (qi.ndim - 1)
         x = params.scale.reshape(shape) * (qi - params.zero_point.reshape(shape))
     return x.astype(np.float32)
@@ -371,14 +380,29 @@ def fold_batchnorm(model: ModelGraph) -> tuple[ModelGraph, list[str]]:
 _CBAM_WEIGHTS = ("mlp_w1", "mlp_w2", "spatial_weight")
 _CBAM_FLOATS = ("mlp_b1", "mlp_b2", "spatial_bias")
 
+# The dtype save_quantized writes each array of a conv or CBAM slot in; load requires it.
+_CONV_DTYPES = {"q_weight": np.int8, "w_scale": np.float64, "q_bias": np.int32}
+_CBAM_DTYPES = {f"{n}_{p}": t for n in _CBAM_WEIGHTS for p, t in (("q", np.int8), ("scale", np.float64))}
+_CBAM_DTYPES.update(dict.fromkeys(_CBAM_FLOATS, np.float32))
 
-def _float_named(conv_weights, cbam_weights) -> dict[str, dict[str, np.ndarray]]:
-    """Each slot's int8 and float arrays under the float graph's array names,
-    which is all the float graph's checks read (shapes only)."""
+
+def _dequantized_cbam(w: dict[str, np.ndarray]) -> CbamParams:
+    """A CBAM slot's params with its int8 weights dequantized, each finite."""
+    kwargs = {name: w[name] for name in _CBAM_FLOATS}
+    for name in _CBAM_WEIGHTS:
+        scale = w[f"{name}_scale"]
+        params = QuantParams(PER_CHANNEL_SYMMETRIC, scale, np.zeros(len(scale), dtype=np.int64))
+        with np.errstate(over="ignore"):  # an inf weight fails the check below
+            kwargs[name] = dequantize_array(w[f"{name}_q"], params)
+        if not np.all(np.isfinite(kwargs[name])):
+            raise ContractViolation(f"cbam {name} dequantizes to weights beyond float32's range")
+    return CbamParams(**kwargs)
+
+
+def _float_named(conv_weights, cbam_params) -> dict[str, dict[str, np.ndarray]]:
+    """Conv slots' int8 arrays and CBAM slots' dequantized params, as the float graph's checks read them."""
     view = {slot: {"weight": w["q_weight"], "bias": w["q_bias"]} for slot, w in conv_weights.items()}
-    for slot, w in cbam_weights.items():
-        view[slot] = {name: w[f"{name}_q"] for name in _CBAM_WEIGHTS}
-        view[slot].update((name, w[name]) for name in _CBAM_FLOATS)
+    view.update((slot, vars(params)) for slot, params in cbam_params.items())
     return view
 
 
@@ -398,8 +422,9 @@ class QuantizedModel:
         self.conv_weights = conv_weights
         self.cbam_weights = cbam_weights
         self.act_params = act_params
+        self._cbam_params = {slot: _dequantized_cbam(w) for slot, w in cbam_weights.items()}
         self.layer_attrs = validate_graph(
-            SimpleNamespace(layers=layers, meta=meta, weights=_float_named(conv_weights, cbam_weights))
+            SimpleNamespace(layers=layers, meta=meta, weights=_float_named(conv_weights, self._cbam_params))
         )
         needed = {INPUT_SLOT} | {
             slot_key(i) for i, layer in enumerate(layers) if layer.kind != "detect_head"
@@ -416,27 +441,26 @@ class QuantizedModel:
                 continue
             qw = conv_weights[layer.slot]
             spec = QConvSpec(qw["q_weight"], qw["w_scale"], qw["q_bias"], a.stride, a.padding, a.groups)
+            in_params = act_params[slot_key(layer.inputs[0])]
             out_params = act_params[slot_key(idx)] if layer.kind == "conv" else None
-            with np.errstate(over="ignore"):  # an inf product fails the check
-                scale = _acc_scale(act_params[slot_key(layer.inputs[0])], spec, out_params)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the checks
+                scale = _acc_scale(in_params, spec, out_params).reshape(-1)
+                # the float32 head's |output| is at most its scale times its accumulator bound
+                top = 0.0 if out_params else scale * spec.accumulator(int(in_params.zero_point[0]))[1]
             if not np.all((scale > 0) & (scale < np.inf)):
                 raise ContractViolation(
                     f"layer {idx} ({layer.kind}): accumulator scales must be finite and > 0"
                 )
+            if np.any(top > np.finfo(np.float32).max):
+                raise ContractViolation(f"layer {idx} ({layer.kind}): outputs could exceed float32's range")
             self.conv_specs[idx] = spec
         self._plan_cache: tuple[Callable, list[Step]] | None = None  # see _plan()
         slots = (*conv_weights.values(), *cbam_weights.values())
         TRACKER.track(self, *(arr.nbytes for slot in slots for arr in slot.values()))
 
     def cbam_params(self, slot: str) -> CbamParams:
-        """The slot's CBAM params with its int8 weights dequantized."""
-        w = self.cbam_weights[slot]
-        kwargs = {name: w[name] for name in _CBAM_FLOATS}
-        for name in _CBAM_WEIGHTS:
-            scale = w[f"{name}_scale"]
-            params = QuantParams(PER_CHANNEL_SYMMETRIC, scale, np.zeros(len(scale), dtype=np.int64))
-            kwargs[name] = dequantize_array(w[f"{name}_q"], params)
-        return CbamParams(**kwargs)
+        """The slot's CBAM params with its int8 weights dequantized, as load built them."""
+        return self._cbam_params[slot]
 
     def param_count(self) -> int:
         groups = list(self.conv_weights.values()) + list(self.cbam_weights.values())
@@ -491,7 +515,7 @@ def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel
             packed[f"{name}_q"] = quantize_array(slot[name], wp)
             packed[f"{name}_scale"] = wp.scale.copy()
         for name in _CBAM_FLOATS:
-            packed[name] = slot[name].copy()
+            packed[name] = slot[name].astype(np.float32)
         cbam_weights[layer.slot] = packed
 
     return QuantizedModel(folded.layers, folded.meta, conv_weights, cbam_weights, act_params)
@@ -503,29 +527,6 @@ def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel
 # Integers whose magnitudes add up to less than 2^24 sum exactly in float32, in
 # any order: every partial sum is itself such an integer.
 _F32_EXACT = 2**24
-
-
-def _accumulate(
-    q_weight: np.ndarray,
-    bias: np.ndarray,
-    stride: int,
-    padding: int,
-    groups: int,
-    z_in: int,
-    q_in: np.ndarray,
-) -> np.ndarray:
-    """The accumulator QConvSpec.accumulator binds, on bias' already in the
-    accumulator dtype."""
-    n, _, h, w = q_in.shape
-    oc, icg, k, _ = q_weight.shape
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (w + 2 * padding - k) // stride + 1
-    cols = patches(q_in, k, stride, padding, z_in, bias.dtype)
-    cols = cols.reshape(n, groups, icg * k * k, oh * ow)
-    wmat = q_weight.reshape(groups, oc // groups, icg * k * k).astype(bias.dtype)
-    acc = np.matmul(wmat[None], cols).reshape(n, oc, oh, ow)
-    acc += bias.reshape(1, oc, 1, 1)
-    return acc
 
 
 @dataclass
@@ -548,12 +549,13 @@ class QConvSpec:
         self.q_weight = np.ascontiguousarray(self.q_weight, dtype=np.int8)
         self.w_scale = np.asarray(self.w_scale, dtype=np.float64).reshape(-1)
         self.q_bias = np.ascontiguousarray(self.q_bias, dtype=np.int32)
-        oc, icg, k, _ = self.q_weight.shape
-        if self.w_scale.shape != (oc,) or self.q_bias.shape != (oc,):
-            raise ContractViolation("per-channel scale/bias length must equal out_channels")
+        geometry = (self.stride, self.padding, self.groups)
+        ic, oc, k = conv_geometry(self.q_weight.shape, self.q_bias.shape, *geometry)
+        if self.w_scale.shape != (oc,):
+            raise ContractViolation("per-channel scale length must equal out_channels")
         if not np.all((self.w_scale > 0) & (self.w_scale < np.inf)):  # NaN fails both
             raise ContractViolation("weight scales must be finite and > 0")
-        if icg * k * k > 2**38:
+        if ic // self.groups * k * k > 2**38:
             raise ContractViolation("conv fan-in too large for exact float64 accumulation")
         w = self.q_weight.reshape(oc, -1).astype(np.int64)
         self.w_sums = w.sum(axis=1), np.abs(w).sum(axis=1)  # sum(q_w), sum|q_w|
@@ -576,7 +578,7 @@ class QConvSpec:
         bound = 128 * w_abs_sum + np.abs(bias)
         bias = bias.astype(np.float32 if bool(np.all(bound < _F32_EXACT)) else np.float64)
         geometry = (self.stride, self.padding, self.groups)
-        return partial(_accumulate, self.q_weight, bias, *geometry, z_in), bound
+        return partial(conv_gemm, self.q_weight, bias, *geometry, z_in), bound
 
 
 def _requantize(t: np.ndarray, zero_point) -> np.ndarray:
@@ -619,15 +621,10 @@ def _conv_step(
 
 def quantized_conv2d(x: QuantizedTensor, spec: QConvSpec, out_params: QuantParams) -> QuantizedTensor:
     """int8 conv by the exact rule: integer accumulation, then one
-    requantization to out_params."""
-    if len(out_params.scale) != 1:
-        raise ContractViolation("conv output params must be per-tensor")
-    _, c, h, w = x.arr.shape
-    _, icg, k, _ = spec.q_weight.shape
-    if icg * spec.groups != c:
-        raise ContractViolation(f"quantized conv expects {icg * spec.groups} channels, got {c}")
-    if min(h, w) + 2 * spec.padding < k:
-        raise ContractViolation("quantized conv output would be empty")
+    requantization to out_params (per-tensor, as QuantizedTensor requires)."""
+    c, ic = x.arr.shape[1], spec.q_weight.shape[1] * spec.groups
+    if ic != c:
+        raise ContractViolation(f"quantized conv expects {ic} channels, got {c}")
     accumulate, _ = spec.accumulator(int(x.params.zero_point[0]))
     codes = partial(_requantize, zero_point=out_params.zero_point[0])
     return _conv_step(accumulate, _acc_scale(x.params, spec, out_params), codes, out_params, x)
@@ -859,7 +856,7 @@ def forward_quantized(model: QuantizedModel, x: Tensor, hook=None) -> Tensor:
 def save_quantized_bytes(model: QuantizedModel) -> bytes:
     tensors: list[tuple[str, np.ndarray]] = []
     for slot in sorted(model.conv_weights):
-        for name in ("q_weight", "w_scale", "q_bias"):
+        for name in _CONV_DTYPES:
             tensors.append((f"{slot}/{name}", model.conv_weights[slot][name]))
     for slot in sorted(model.cbam_weights):
         for name in sorted(model.cbam_weights[slot]):
@@ -895,14 +892,15 @@ def _quantized_from_container(doc: dict, tensors: dict[str, np.ndarray]) -> Quan
         raise ContainerError(f"expected an int8 container, got {doc.get('container')!r}")
     require = container_io.require
 
-    def arrays(slot: str, names) -> dict[str, np.ndarray]:
-        return {name: require(tensors, f"{slot}/{name}") for name in names}
+    def arrays(slot: str, dtypes: dict) -> dict[str, np.ndarray]:
+        out = {name: require(tensors, f"{slot}/{name}") for name in dtypes}
+        for name, dtype in dtypes.items():
+            if out[name].dtype != dtype:
+                raise ContainerError(f"tensor {slot}/{name} must be {np.dtype(dtype)}, got {out[name].dtype}")
+        return out
 
-    conv_weights = {
-        slot: arrays(slot, ("q_weight", "w_scale", "q_bias")) for slot in require(doc, "conv_slots", list)
-    }
-    cbam_names = [f"{n}_{part}" for n in _CBAM_WEIGHTS for part in ("q", "scale")] + list(_CBAM_FLOATS)
-    cbam_weights = {slot: arrays(slot, cbam_names) for slot in require(doc, "cbam_slots", list)}
+    conv_weights = {slot: arrays(slot, _CONV_DTYPES) for slot in require(doc, "conv_slots", list)}
+    cbam_weights = {slot: arrays(slot, _CBAM_DTYPES) for slot in require(doc, "cbam_slots", list)}
     act_params = {}
     for key, p in require(doc, "act_params", dict).items():
         scale, zp = require(p, "scale", float), require(p, "zero_point")

@@ -7,7 +7,8 @@ pure functions returning fresh tensors, deterministic for identical inputs.
 
 Float semantics: inputs and outputs are float32; convolution, batch norm
 and the activations accumulate in float64 internally (wider accumulation
-is allowed, outputs are rounded once to float32 at the end). Average
+is allowed, outputs are rounded once to float32 at the end). The float and
+int8 convs share one shape check, conv_geometry, and one GEMM, conv_gemm. Average
 pooling sums with math.fsum's correctly rounded result, which is
 independent of element order; this is what makes the attention-gate
 permutation invariances exact rather than approximate. exact_sum gets that
@@ -21,7 +22,7 @@ holding inf or NaN and rows that sum to zero are summed by math.fsum itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,11 +60,27 @@ class Tensor:
     def nbytes_payload(self) -> int:
         return self.arr.size * 4
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.arr.copy())
-
     def __repr__(self) -> str:
         return f"Tensor{self.shape}"
+
+
+def conv_geometry(weight_shape, bias_shape, stride, padding, groups) -> tuple[int, int, int]:
+    """(in_channels, out_channels, k) of a conv, float or int8, whose weight
+    has shape (out_channels, in_channels // groups, k, k), bias shape
+    (out_channels,), stride >= 1, padding >= 0 and groups dividing
+    out_channels; else ContractViolation."""
+    if len(weight_shape) != 4:
+        raise ContractViolation(f"conv weight must be 4-d, got ndim={len(weight_shape)}")
+    oc, icg, kh, kw = weight_shape
+    if kh != kw:
+        raise ContractViolation(f"conv kernels must be square, got {kh}x{kw}")
+    if tuple(bias_shape) != (oc,):
+        raise ContractViolation(f"conv bias must have shape ({oc},), got {tuple(bias_shape)}")
+    if groups < 1 or oc % groups != 0:
+        raise ContractViolation(f"groups must divide out_channels: groups={groups}, out={oc}")
+    if stride < 1 or padding < 0:
+        raise ContractViolation(f"stride must be >= 1 and padding >= 0, got {stride} and {padding}")
+    return icg * groups, oc, kh
 
 
 @dataclass
@@ -71,7 +88,7 @@ class ConvSpec:
     """Weights and geometry of one 2-d convolution.
 
     weight has shape (out_channels, in_channels // groups, k, k) and bias
-    shape (out_channels,); kernels are square.
+    shape (out_channels,); kernels are square (conv_geometry).
     """
 
     weight: np.ndarray
@@ -83,35 +100,9 @@ class ConvSpec:
     def __post_init__(self) -> None:
         self.weight = np.ascontiguousarray(self.weight, dtype=np.float32)
         self.bias = np.ascontiguousarray(self.bias, dtype=np.float32)
-        if self.weight.ndim != 4:
-            raise ContractViolation(f"conv weight must be 4-d, got ndim={self.weight.ndim}")
-        oc, icg, kh, kw = self.weight.shape
-        if kh != kw:
-            raise ContractViolation(f"conv kernels must be square, got {kh}x{kw}")
-        if self.bias.shape != (oc,):
-            raise ContractViolation(
-                f"conv bias must have shape ({oc},), got {self.bias.shape}"
-            )
-        if self.groups < 1 or oc % self.groups != 0:
-            raise ContractViolation(
-                f"groups must divide out_channels: groups={self.groups}, out={oc}"
-            )
-        if self.stride < 1:
-            raise ContractViolation(f"stride must be >= 1, got {self.stride}")
-        if self.padding < 0:
-            raise ContractViolation(f"padding must be >= 0, got {self.padding}")
-
-    @property
-    def out_channels(self) -> int:
-        return int(self.weight.shape[0])
-
-    @property
-    def in_channels(self) -> int:
-        return int(self.weight.shape[1]) * self.groups
-
-    @property
-    def kernel(self) -> int:
-        return int(self.weight.shape[2])
+        self.in_channels, self.out_channels, self.kernel = conv_geometry(
+            self.weight.shape, self.bias.shape, self.stride, self.padding, self.groups
+        )
 
 
 def _out_dim(size: int, k: int, stride: int, padding: int) -> int:
@@ -155,23 +146,31 @@ def patches(arr: np.ndarray, k: int, stride: int, padding: int, fill, dtype) -> 
     return cols.reshape(n, c * k * k, oh * ow)
 
 
+def conv_gemm(
+    weight: np.ndarray, bias: np.ndarray, stride: int, padding: int, groups: int, fill, arr: np.ndarray
+) -> np.ndarray:
+    """Grouped, strided conv of an (n, c, h, w) array as one GEMM in bias's
+    dtype (patches padded with fill, weights cast, one matmul, bias added),
+    freeing its operands on return: conv2d's in float64 with fill 0, the
+    int8 accumulator's in float32 or float64 with fill z_in."""
+    n, _, h, w = arr.shape
+    oc, icg, k, _ = weight.shape
+    oh = _out_dim(h, k, stride, padding)
+    ow = _out_dim(w, k, stride, padding)
+    cols = patches(arr, k, stride, padding, fill, bias.dtype).reshape(n, groups, icg * k * k, oh * ow)
+    wmat = weight.reshape(groups, oc // groups, icg * k * k).astype(bias.dtype)
+    out = np.matmul(wmat[None], cols).reshape(n, oc, oh, ow)
+    out += bias.reshape(1, oc, 1, 1)
+    return out
+
+
 def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     """Grouped, strided, zero-padded cross-correlation."""
-    n, c, h, w = x.shape
+    c = x.shape[1]
     if c != spec.in_channels:
-        raise ContractViolation(
-            f"conv expects {spec.in_channels} input channels, tensor has {c}"
-        )
-    k, s, p, g = spec.kernel, spec.stride, spec.padding, spec.groups
-    oc = spec.out_channels
-    oh = _out_dim(h, k, s, p)
-    ow = _out_dim(w, k, s, p)
-    cols = patches(x.arr, k, s, p, 0, np.float64).reshape(n, g, (c // g) * k * k, oh * ow)
-    wmat = spec.weight.reshape(g, oc // g, (c // g) * k * k).astype(np.float64)
-    out = np.matmul(wmat[None, :, :, :], cols).reshape(n, oc, oh, ow)
-    # the float64 operands go before the float32 output is allocated
-    del cols, wmat
-    out += spec.bias.astype(np.float64).reshape(1, oc, 1, 1)
+        raise ContractViolation(f"conv expects {spec.in_channels} input channels, tensor has {c}")
+    # conv_gemm frees its float64 operands before the float32 output is allocated
+    out = conv_gemm(spec.weight, spec.bias.astype(np.float64), spec.stride, spec.padding, spec.groups, 0, x.arr)
     return Tensor(out.astype(np.float32))
 
 

@@ -385,6 +385,14 @@ def _conv_padding(value):
     return lambda doc, tensors: _first_conv(doc)["attrs"].update(padding=value)
 
 
+def _3d_stem_weight(doc, tensors):
+    tensors["stem.conv/weight"] = tensors["stem.conv/weight"][0].copy()
+
+
+def _huge_head_scale(doc, tensors):
+    tensors["head/w_scale"][0] = 1e300
+
+
 # case -> (container, edit of its document and tensors, the error message it must give)
 BAD_AT_LOAD = {
     "w_scale nan": ("model.q.glw", _w_scale(np.nan), "weight scales must be finite and > 0"),
@@ -395,14 +403,17 @@ BAD_AT_LOAD = {
     "L002 scale 1e-310": ("model.q.glw", _act_scale("L002", 1e-310), "activation scales must lie in"),
     "float padding 64": ("model.glw", _conv_padding(64), "layer 0 (conv): padding must be < kernel 3, got 64"),
     "int8 padding 64": ("model.q.glw", _conv_padding(64), "layer 0 (conv): padding must be < kernel 3, got 64"),
+    "float 3-d stem weight": ("model.glw", _3d_stem_weight, "conv weight must be 4-d, got ndim=3"),
+    "int8 head w_scale 1e300": ("model.q.glw", _huge_head_scale, "(detect_head): outputs could exceed float32's range"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_AT_LOAD))
 def test_detect_on_bad_scales_or_padding_exits_two(cli_env, tmp_path, capsys, case):
     """A weight scale that is not finite and > 0, an activation scale whose
-    reciprocal or 255 steps would not be finite, and a conv padding as wide
-    as its kernel are refused at load: exit 2, no traceback."""
+    reciprocal or 255 steps would not be finite, a conv padding as wide as
+    its kernel, a conv weight that is not 4-d and a head scale whose output
+    could overflow float32 are refused at load: exit 2, no traceback."""
     name, edit, message = BAD_AT_LOAD[case]
     doc, tensors = read_container(str(cli_env / name))
     edit(doc, tensors)

@@ -201,6 +201,28 @@ def _value_mutations(doc, tensors, rng):
             yield f"act_params {key} scale -> {value}", mutated, tensors
 
 
+MUST_REFUSE = ("last element dropped", "stored as float32")
+
+
+def _tensor_mutations(doc, tensors, rng, kind):
+    """(case, document, tensors) triples for one seeded tensor of each array
+    name: its last element along the last axis dropped, a leading axis of
+    length 1 added and, in the int8 container, a tensor that is not float32
+    already stored as float32. Cases ending in MUST_REFUSE must be refused
+    at load; the rest may also load and run (a (1, oc) w_scale keeps its
+    meaning)."""
+    by_name = {}
+    for key in sorted(tensors):
+        by_name.setdefault(key.rpartition("/")[2], []).append(key)
+    for name in sorted(by_name):
+        key = str(rng.choice(by_name[name]))
+        arr = tensors[key]
+        yield f"{key}: last element dropped", doc, {**tensors, key: arr[..., :-1]}
+        yield f"{key}: leading axis added", doc, {**tensors, key: arr[None]}
+        if kind == "int8" and arr.dtype != np.float32:
+            yield f"{key}: stored as float32", doc, {**tensors, key: arr.astype(np.float32)}
+
+
 def _mutated(doc, path, value):
     doc = copy.deepcopy(doc)
     parent = doc
@@ -230,10 +252,11 @@ def test_mutated_container_documents_fail_typed_or_run(fuzz_subjects, tmp_path, 
     """Each top-level key and each field of a seeded sample of layers, their
     attrs, the meta and the act_params entries is deleted or retyped to null,
     true, 1.5, "x", [] or {}; in the int8 container, weight and activation
-    scales are also set out of range (_value_mutations). Loading raises
-    ContainerError or ContractViolation or gives a model whose forward runs
-    (with no RuntimeWarning, which pytest makes an error); `greenlite detect`
-    exits 0 or 2."""
+    scales are also set out of range (_value_mutations). A seeded tensor of
+    each array name is cut, given a leading axis or retyped
+    (_tensor_mutations). Loading raises ContainerError or ContractViolation or
+    gives a model whose forward runs (with no RuntimeWarning, which pytest
+    makes an error); `greenlite detect` exits 0 or 2."""
     doc, tensors = read_container(fuzz_subjects[kind])
     image = tmp_path / "img.ppm"
     write_ppm(str(image), np.random.default_rng(1).integers(0, 256, (48, 80, 3), dtype=np.uint8))
@@ -249,6 +272,7 @@ def test_mutated_container_documents_fail_typed_or_run(fuzz_subjects, tmp_path, 
     ]
     if kind == "int8":
         cases += _value_mutations(doc, tensors, np.random.default_rng(20253))
+    cases += _tensor_mutations(doc, tensors, np.random.default_rng(20254), kind)
     for case, mutated_doc, mutated_tensors in cases:
         blob = write_container(mutated_doc, list(mutated_tensors.items()))
         try:
@@ -259,6 +283,7 @@ def test_mutated_container_documents_fail_typed_or_run(fuzz_subjects, tmp_path, 
                 continue
         else:
             outcomes["loaded"] += 1
+            assert not case.endswith(MUST_REFUSE), case
             run = forward_quantized if isinstance(model, QuantizedModel) else forward
             assert run(model, x).shape[:2] == (1, 6), case
         path.write_bytes(blob)

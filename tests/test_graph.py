@@ -206,6 +206,45 @@ def test_malformed_container_fields_fail_at_load_with_typed_errors(edit, error, 
         load_model(write_container(doc, list(tensors.items())))
 
 
+def replaced(key, make):
+    """An edit of a container's tensors that replaces tensor key by make(it)."""
+    return lambda tensors: tensors.update({key: make(tensors[key])})
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (replaced("stem.conv/bias", lambda a: a[:3].copy()), r"conv bias must have shape \(4,\), got \(3,\)"),
+        (replaced("stem.conv/weight", lambda a: a[..., :1].copy()), "conv kernels must be square, got 3x1"),
+        (replaced("stem.conv/weight", lambda a: a[0].copy()), "conv weight must be 4-d, got ndim=3"),
+        (replaced("cbam/mlp_b1", lambda a: np.zeros(5, np.float32)), "mlp weight/bias shapes are inconsistent"),
+        (replaced("cbam/mlp_b2", lambda a: np.zeros(3, np.float32)), r"mlp_b2 must have shape \(64,\)"),
+        (replaced("cbam/spatial_weight", lambda a: np.zeros((1, 2, 6, 6), np.float32)),
+         "spatial kernel must be square and odd"),
+    ],
+    ids=["conv-bias-length-3", "conv-kernel-3x1", "conv-weight-3-d", "cbam-mlp-b1-length-5",
+         "cbam-mlp-b2-length-3", "cbam-spatial-kernel-6x6"],
+)
+def test_malformed_conv_and_cbam_tensors_fail_at_load(edit, match):
+    """Every conv's and CBAM's tensor shapes are checked when the model is
+    built, by conv_geometry and CbamParams, not in its first forward."""
+    doc, tensors = read_container(save_model_bytes(tiny_model()))
+    edit(tensors)
+    with pytest.raises(ContractViolation, match=match):
+        load_model(write_container(doc, list(tensors.items())))
+
+
+def test_an_extra_tensor_in_a_cbam_slot_is_ignored():
+    """A CBAM layer reads its six named arrays, so an extra tensor in its slot
+    changes nothing."""
+    m = tiny_model()
+    doc, tensors = read_container(save_model_bytes(m))
+    tensors["cbam/extra"] = np.zeros(2, np.float32)
+    x = Tensor(np.random.default_rng(3).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32))
+    back = load_model(write_container(doc, list(tensors.items())))
+    assert np.array_equal(forward(back, x).arr, forward(m, x).arr)
+
+
 def test_param_count_recounts_through_serialization():
     m = build_model(num_classes=7)
     back = load_model(save_model_bytes(m))

@@ -10,6 +10,7 @@ from greenlite import (
     CalibrationCoverageError,
     ContainerError,
     ContractViolation,
+    ConvSpec,
     DegenerateRangeError,
     ModelGraph,
     QuantizedModel,
@@ -271,6 +272,26 @@ def test_integer_accumulator_is_exact_past_the_float32_bound():
     acc = int_conv_acc(q_in, z, q_w, q_b, 1, 1, 1)
     assert np.array_equal(acc, conv2d_int_naive(q_in, z, q_w, q_b, 1, 1, 1))
     assert 128 * int(np.abs(q_w[0].astype(np.int64)).sum()) >= 2**24
+
+
+@pytest.mark.parametrize(
+    "q_w_shape, q_b_len, geometry, match",
+    [
+        ((2, 3, 3), 2, (1, 0, 1), "conv weight must be 4-d, got ndim=3"),
+        ((2, 3, 3, 1), 2, (1, 0, 1), "conv kernels must be square, got 3x1"),
+        ((2, 3, 3, 3), 3, (1, 0, 1), r"conv bias must have shape \(2,\), got \(3,\)"),
+        ((2, 3, 3, 3), 2, (1, 0, 3), "groups must divide out_channels"),
+        ((2, 3, 3, 3), 2, (0, 0, 1), "stride must be >= 1"),
+        ((2, 3, 3, 3), 2, (1, -1, 1), "padding >= 0"),
+    ],
+    ids=["weight-3-d", "kernel-3x1", "bias-length-3", "groups-3", "stride-0", "padding-minus-1"],
+)
+def test_qconv_spec_checks_the_float_conv_geometry(q_w_shape, q_b_len, geometry, match):
+    """QConvSpec and ConvSpec share one shape check, conv_geometry."""
+    with pytest.raises(ContractViolation, match=match):
+        QConvSpec(np.zeros(q_w_shape, np.int8), np.ones(2), np.zeros(q_b_len, np.int32), *geometry)
+    with pytest.raises(ContractViolation, match=match):
+        ConvSpec(np.zeros(q_w_shape, np.float32), np.zeros(q_b_len, np.float32), *geometry)
 
 
 def test_quantized_conv_zero_weights_yield_zero_point():
@@ -825,6 +846,12 @@ def set_act_scale(key, value):
     return lambda doc, tensors: doc["act_params"][key].update(scale=value)
 
 
+def replaced(key, make):
+    """An edit of a container's document and tensors that replaces tensor key
+    by make(it)."""
+    return lambda doc, tensors: tensors.update({key: make(tensors[key])})
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -847,21 +874,53 @@ def set_act_scale(key, value):
         (set_act_scale("L002", 1e308), "activation scales must lie in"),
         (set_act_scale("L002", 5e-324), "activation scales must lie in"),
         (set_act_scale("L002", 1e-310), "activation scales must lie in"),
+        (set_first("head/w_scale", 1e300), r"layer \d+ \(detect_head\): outputs could exceed float32's range"),
+        (set_first("cbam/mlp_w1_scale", np.nan), "quant scales must be finite and > 0"),
+        (set_first("cbam/mlp_w1_scale", 1e300), "cbam mlp_w1 dequantizes to weights beyond float32's range"),
+        (replaced("cbam/mlp_w1_scale", lambda a: a[:3].copy()), "per-channel params are for 3 channels"),
+        (replaced("cbam/mlp_b1", lambda a: np.zeros(5, np.float32)), "mlp weight/bias shapes are inconsistent"),
+        (replaced("cbam/spatial_weight_q", lambda a: np.zeros((1, 2, 6, 6), np.int8)),
+         "spatial kernel must be square and odd"),
+        (replaced("stem.conv/q_weight", lambda a: a[..., :1].copy()), "conv kernels must be square, got 3x1"),
     ],
     ids=["conv-stride-0", "pool-without-kernel", "avg-pool", "upsample", "missing-act-params",
          "act-gelu", "conv-stride-null", "conv-stride-1.5", "w-scale-nan", "w-scale-inf",
          "w-scale-minus-1", "head-w-scale-nan", "head-w-scale-5e-324", "input-scale-1e308",
          "input-scale-5e-324", "input-scale-1e-310", "L002-scale-1e308", "L002-scale-5e-324",
-         "L002-scale-1e-310"],
+         "L002-scale-1e-310", "head-w-scale-1e300", "cbam-scale-nan", "cbam-scale-1e300",
+         "cbam-scale-length-3", "cbam-mlp-b1-length-5", "cbam-spatial-kernel-6x6", "conv-kernel-3x1"],
 )
 def test_int8_graph_errors_fail_at_load(int8_container, edit, match):
     """The float graph's checks run on a loaded int8 graph, so a bad one is a
     ContractViolation from load_quantized, not an error in its first forward.
     So are weight scales that are not finite and > 0, activation scales out
-    of range and a head whose accumulator scale underflows to 0."""
+    of range, a head whose accumulator scale underflows to 0 or whose output
+    could overflow float32, and CBAM weight scales that are not finite, do
+    not match their weights or dequantize beyond float32's range."""
     doc, tensors = int8_container
     edit(doc, tensors)
     with pytest.raises(ContractViolation, match=match):
+        load_quantized(write_container(doc, list(tensors.items())))
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (replaced("stem.conv/q_weight", lambda a: np.full(a.shape, 1000.0, np.float32)),
+         "tensor stem.conv/q_weight must be int8, got float32"),
+        (replaced("stem.conv/q_bias", lambda a: np.full(a.shape, 1e20)),
+         "tensor stem.conv/q_bias must be int32, got float64"),
+        (replaced("cbam/mlp_w1_q", lambda a: a.astype(np.float32) * 1000),
+         "tensor cbam/mlp_w1_q must be int8, got float32"),
+    ],
+    ids=["q-weight-f32", "q-bias-f64", "cbam-weight-f32"],
+)
+def test_int8_tensor_in_another_dtype_is_a_container_error(int8_container, edit, match):
+    """Each tensor must be in the dtype save_quantized writes; a float weight
+    is not wrapped to int8, nor a float bias cast to int32."""
+    doc, tensors = int8_container
+    edit(doc, tensors)
+    with pytest.raises(ContainerError, match=match):
         load_quantized(write_container(doc, list(tensors.items())))
 
 
