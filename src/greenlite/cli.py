@@ -159,16 +159,16 @@ def cmd_quantize(args) -> int:
     picked = ds.images[: args.calib_count]
     if not picked:
         raise ContractViolation("calibration manifest has no images")
-    tensors = [
+    tensors = (
         _image_tensor(_resolve(args.calib_manifest, img.image_path), model.meta.input_size)[0]
         for img in picked
-    ]
-    stats = calibrate(model, tensors)
+    )
+    stats = calibrate(model, tensors)  # a generator: one letterboxed image is live at a time
     qmodel = quantize_model(model, stats)
     out = args.out or (args.model[: -len(".glw")] + ".q.glw" if args.model.endswith(".glw") else args.model + ".q.glw")
     qbytes = save_quantized(qmodel, out)
     fbytes = os.path.getsize(args.model)
-    print(f"calibrated on {len(tensors)} images")
+    print(f"calibrated on {len(picked)} images")
     print(f"size: {fbytes / 1e6:.4f} MB")
     print(f"qsize: {qbytes / 1e6:.4f} MB")
     print(f"reduction: {format_reduction(fbytes, qbytes)}")

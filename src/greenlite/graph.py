@@ -102,9 +102,9 @@ class ModelGraph:
 
 
 def validate_graph(model) -> list[LayerAttrs]:
-    """Structural checks: topology, arity, slot presence, one trailing head
-    with 4 + num_classes channels, attrs (parse_attrs) and geometry.
-    Returns each layer's parsed attrs.
+    """Structural checks: topology, arity, slot presence, one layer per slot,
+    one trailing head with 4 + num_classes channels on an input_size / stride
+    grid, attrs (parse_attrs) and geometry. Returns each layer's parsed attrs.
 
     model is anything with layers, meta and weights (slot -> array name ->
     array, under the names in _SLOT_ARRAYS): a ModelGraph, or the view of
@@ -116,6 +116,7 @@ def validate_graph(model) -> list[LayerAttrs]:
     if len(head_indices) != 1 or head_indices[0] != len(model.layers) - 1:
         raise ContractViolation("graph must end with exactly one detect_head layer")
     parsed = []
+    reader: dict[str, int] = {}  # slot -> the one layer that reads it
     for idx, layer in enumerate(model.layers):
         if layer.kind not in LAYER_KINDS:
             raise ContractViolation(f"layer {idx}: unknown kind {layer.kind!r}")
@@ -133,6 +134,8 @@ def validate_graph(model) -> list[LayerAttrs]:
         if needed is not None:
             if layer.slot is None or layer.slot not in model.weights:
                 raise ContractViolation(f"layer {idx} ({layer.kind}): missing slot {layer.slot!r}")
+            if reader.setdefault(layer.slot, idx) != idx:
+                raise ContractViolation(f"layer {idx}: slot {layer.slot!r} is already layer {reader[layer.slot]}'s")
             have = model.weights[layer.slot]
             for name in needed:
                 if name not in have:
@@ -145,11 +148,14 @@ def validate_graph(model) -> list[LayerAttrs]:
     if producer is None or producer.kind != "cbam":
         raise ContractViolation("detect_head must consume a cbam layer output")
     names, n = len(model.meta.class_names), model.meta.num_classes
-    channels = infer_shapes(model, parsed)[-1][0]
+    channels, gh, gw = infer_shapes(model, parsed)[-1]
     if not names == n == channels - 4 >= 1:
         raise ContractViolation(
             f"got {names} class names and {channels} head channels for {n} classes (want n >= 1, 4 + n)"
         )
+    size, stride = model.meta.input_size, model.meta.stride
+    if not size == stride * gh == stride * gw:
+        raise ContractViolation(f"meta stride {stride} times the {gh}x{gw} head grid is not input size {size}")
     return parsed
 
 
@@ -714,11 +720,13 @@ def load_model(path_or_bytes) -> ModelGraph:
 
 
 def _model_from_container(doc: dict, tensors: dict[str, np.ndarray]) -> ModelGraph:
-    """A float model from a parsed container's document and tensors."""
+    """A float model from a parsed container's document and tensors, each float32."""
     if doc.get("container") != "float":
         raise ContainerError(f"expected a float container, got {doc.get('container')!r}")
     weights: dict[str, dict[str, np.ndarray]] = {}
     for key, arr in tensors.items():
+        if arr.dtype != np.float32:
+            raise ContainerError(f"tensor {key} must be float32, got {arr.dtype}")
         slot, _, name = key.rpartition("/")
         weights.setdefault(slot, {})[name] = arr
     layers = _layers_from_json(container.require(doc, "layers", list))

@@ -63,6 +63,7 @@ first forward.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from types import SimpleNamespace
@@ -88,6 +89,7 @@ from .graph import (
     _meta_from_json,
     _meta_to_json,
     _model_from_container,
+    forward,
     plan,
     run,
     validate_graph,
@@ -275,43 +277,37 @@ class CalibrationStats:
         self.ranges: dict[str, SlotRange] = {}
 
     def observe(self, key: str, arr: np.ndarray) -> None:
-        vmin, vmax = float(arr.min()), float(arr.max())
-        cur = self.ranges.get(key)
-        if cur is None:
-            self.ranges[key] = SlotRange(vmin, vmax, 1)
-        else:
-            cur.vmin = min(cur.vmin, vmin)
-            cur.vmax = max(cur.vmax, vmax)
-            cur.count += 1
+        self._widen(key, float(arr.min()), float(arr.max()), 1)
 
     def merge(self, other: "CalibrationStats") -> "CalibrationStats":
         out = CalibrationStats()
         for src in (self, other):
             for key, r in src.ranges.items():
-                cur = out.ranges.get(key)
-                if cur is None:
-                    out.ranges[key] = SlotRange(r.vmin, r.vmax, r.count)
-                else:
-                    cur.vmin = min(cur.vmin, r.vmin)
-                    cur.vmax = max(cur.vmax, r.vmax)
-                    cur.count += r.count
+                out._widen(key, r.vmin, r.vmax, r.count)
         return out
+
+    def _widen(self, key: str, vmin: float, vmax: float, count: int) -> None:
+        """Widen key's range to cover [vmin, vmax] and add count observations."""
+        cur = self.ranges.get(key)
+        if cur is None:
+            self.ranges[key] = SlotRange(vmin, vmax, count)
+        else:
+            cur.vmin = min(cur.vmin, vmin)
+            cur.vmax = max(cur.vmax, vmax)
+            cur.count += count
 
     def keys(self):
         return self.ranges.keys()
 
 
 def calibrate(model: ModelGraph, images) -> CalibrationStats:
-    """Run the float graph over images, recording every slot's min/max."""
-    from .graph import forward  # local import keeps module load order simple
-
+    """Run the float graph over images (any iterable, read once), recording
+    every slot's min/max."""
     stats = CalibrationStats()
-    count = 0
     for img in images:
-        count += 1
         stats.observe(INPUT_SLOT, img.arr)
         forward(model, img, hook=lambda idx, out: stats.observe(slot_key(idx), out.arr))
-    if count == 0:
+    if not stats.ranges:
         raise ContractViolation("calibration needs at least one image")
     return stats
 
@@ -320,58 +316,36 @@ def calibrate(model: ModelGraph, images) -> CalibrationStats:
 
 
 def fold_batchnorm(model: ModelGraph) -> tuple[ModelGraph, list[str]]:
-    """Fold conv+bn pairs; returns the folded graph and, per new layer, the
-    calibration key of its output in the original model's indexing."""
-    consumers = [0] * len(model.layers)
-    for layer in model.layers:
-        for ref in layer.inputs:
-            if ref >= 0:
-                consumers[ref] += 1
-    foldable: dict[int, int] = {}  # bn index -> conv index
-    for idx, layer in enumerate(model.layers):
-        if layer.kind != "bn":
-            continue
-        src = layer.inputs[0]
-        if src >= 0 and model.layers[src].kind in ("conv", "detect_head") and consumers[src] == 1:
-            foldable[idx] = src
-
-    new_weights = {
-        slot: {name: arr.copy() for name, arr in arrays.items()}
-        for slot, arrays in model.weights.items()
-    }
+    """Fold each bn into the conv it reads when no other layer reads that
+    conv, in one pass; returns the folded graph and, per new layer, the
+    calibration key of its output in the original model's indexing. A folded
+    conv gets new arrays; every other array is shared with model, not copied."""
+    consumers = Counter(ref for layer in model.layers for ref in layer.inputs)
+    new_weights = {slot: dict(arrays) for slot, arrays in model.weights.items()}
     new_layers: list[Layer] = []
     stats_keys: list[str] = []
-    remap: dict[int, int] = {}
-    conv_new_index: dict[int, int] = {}
-
+    remap = {-1: -1}  # old layer index -> new
     for idx, layer in enumerate(model.layers):
-        if idx in foldable:
-            conv_idx = foldable[idx]
-            conv_layer = model.layers[conv_idx]
-            bn = model.weights[layer.slot]
+        src = layer.inputs[0]
+        if layer.kind == "bn" and src >= 0 and model.layers[src].kind == "conv" and consumers[src] == 1:
+            bn = new_weights.pop(layer.slot)
             eps = model.layer_attrs[idx].eps
             k = bn["gamma"].astype(np.float64) / np.sqrt(bn["var"].astype(np.float64) + eps)
-            slot = new_weights[conv_layer.slot]
+            slot = new_weights[model.layers[src].slot]
             w64 = slot["weight"].astype(np.float64) * k[:, None, None, None]
             b64 = (slot["bias"].astype(np.float64) - bn["mean"].astype(np.float64)) * k
             b64 += bn["beta"].astype(np.float64)
             slot["weight"] = w64.astype(np.float32)
             slot["bias"] = b64.astype(np.float32)
-            del new_weights[layer.slot]
-            new_idx = conv_new_index[conv_idx]
-            remap[idx] = new_idx
             # The folded conv now produces what the bn produced.
-            stats_keys[new_idx] = slot_key(idx)
+            remap[idx] = remap[src]
+            stats_keys[remap[src]] = slot_key(idx)
             continue
-        new_inputs = tuple(ref if ref == -1 else remap[ref] for ref in layer.inputs)
+        new_inputs = tuple(remap[ref] for ref in layer.inputs)
         new_layers.append(Layer(layer.kind, new_inputs, layer.slot, dict(layer.attrs)))
         remap[idx] = len(new_layers) - 1
-        if layer.kind in ("conv", "detect_head"):
-            conv_new_index[idx] = len(new_layers) - 1
         stats_keys.append(slot_key(idx))
-
-    folded = ModelGraph(new_layers, new_weights, model.meta)
-    return folded, stats_keys
+    return ModelGraph(new_layers, new_weights, model.meta), stats_keys
 
 
 # --- quantized model ----------------------------------------------------------
@@ -468,10 +442,10 @@ class QuantizedModel:
 
 
 def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel:
-    """Fold bn, check stats coverage, pick activation params, quantize weights."""
+    """Fold bn, check stats coverage, then in one pass over the folded layers
+    pick each layer's activation params and quantize its weights."""
     folded, stats_keys = fold_batchnorm(model)
-    needed = {INPUT_SLOT} | set(stats_keys)
-    missing = needed - set(stats.keys())
+    missing = {INPUT_SLOT, *stats_keys} - stats.keys()
     if missing:
         raise CalibrationCoverageError(sorted(missing))
 
@@ -480,43 +454,33 @@ def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel
         return choose_params(r.vmin, r.vmax, PER_TENSOR_AFFINE)
 
     act_params: dict[str, QuantParams] = {INPUT_SLOT: from_stats(INPUT_SLOT)}
+    conv_weights: dict[str, dict[str, np.ndarray]] = {}
+    cbam_weights: dict[str, dict[str, np.ndarray]] = {}
     for j, layer in enumerate(folded.layers):
-        if layer.kind == "detect_head":
-            continue  # head output stays float
+        # A layer's inputs come before it, so their params are already set.
+        in_params = act_params[slot_key(layer.inputs[0])]
         if layer.kind == "pool":
             # Max pooling is value-preserving: it inherits its input's grid exactly.
-            act_params[slot_key(j)] = act_params[slot_key(layer.inputs[0])]
-        else:
+            act_params[slot_key(j)] = in_params
+        elif layer.kind != "detect_head":  # the head's output stays float
             act_params[slot_key(j)] = from_stats(stats_keys[j])
-
-    conv_weights: dict[str, dict[str, np.ndarray]] = {}
-    for j, layer in enumerate(folded.layers):
-        if layer.kind not in ("conv", "detect_head"):
-            continue
-        slot = folded.weights[layer.slot]
-        wp = weight_params(slot["weight"])
-        in_scale = act_params[slot_key(layer.inputs[0])].scale[0]
-        bias_scale = in_scale * wp.scale
-        q_bias = np.clip(round_half_away(slot["bias"].astype(np.float64) / bias_scale), I32_MIN, I32_MAX)
-        conv_weights[layer.slot] = {
-            "q_weight": quantize_array(slot["weight"], wp),
-            "w_scale": wp.scale.copy(),
-            "q_bias": q_bias.astype(np.int32),
-        }
-
-    cbam_weights: dict[str, dict[str, np.ndarray]] = {}
-    for layer in folded.layers:
-        if layer.kind != "cbam" or layer.slot in cbam_weights:
-            continue
-        slot = folded.weights[layer.slot]
-        packed: dict[str, np.ndarray] = {}
-        for name in _CBAM_WEIGHTS:
-            wp = weight_params(slot[name])
-            packed[f"{name}_q"] = quantize_array(slot[name], wp)
-            packed[f"{name}_scale"] = wp.scale.copy()
-        for name in _CBAM_FLOATS:
-            packed[name] = slot[name].astype(np.float32)
-        cbam_weights[layer.slot] = packed
+        slot = folded.weights.get(layer.slot)
+        if layer.kind in ("conv", "detect_head"):
+            wp = weight_params(slot["weight"])
+            bias_scale = in_params.scale[0] * wp.scale
+            q_bias = np.clip(round_half_away(slot["bias"].astype(np.float64) / bias_scale), I32_MIN, I32_MAX)
+            conv_weights[layer.slot] = {
+                "q_weight": quantize_array(slot["weight"], wp),
+                "w_scale": wp.scale,
+                "q_bias": q_bias.astype(np.int32),
+            }
+        elif layer.kind == "cbam":
+            packed = {name: slot[name].astype(np.float32) for name in _CBAM_FLOATS}
+            for name in _CBAM_WEIGHTS:
+                wp = weight_params(slot[name])
+                packed[f"{name}_q"] = quantize_array(slot[name], wp)
+                packed[f"{name}_scale"] = wp.scale
+            cbam_weights[layer.slot] = packed
 
     return QuantizedModel(folded.layers, folded.meta, conv_weights, cbam_weights, act_params)
 

@@ -201,16 +201,16 @@ def _value_mutations(doc, tensors, rng):
             yield f"act_params {key} scale -> {value}", mutated, tensors
 
 
-MUST_REFUSE = ("last element dropped", "stored as float32")
+MUST_REFUSE = ("last element dropped", "stored as float32", "stored as float64")
 
 
 def _tensor_mutations(doc, tensors, rng, kind):
     """(case, document, tensors) triples for one seeded tensor of each array
     name: its last element along the last axis dropped, a leading axis of
     length 1 added and, in the int8 container, a tensor that is not float32
-    already stored as float32. Cases ending in MUST_REFUSE must be refused
-    at load; the rest may also load and run (a (1, oc) w_scale keeps its
-    meaning)."""
+    already stored as float32 or, in the float container, stored as float64.
+    Cases ending in MUST_REFUSE must be refused at load; the rest may also
+    load and run (a (1, oc) w_scale keeps its meaning)."""
     by_name = {}
     for key in sorted(tensors):
         by_name.setdefault(key.rpartition("/")[2], []).append(key)
@@ -221,6 +221,8 @@ def _tensor_mutations(doc, tensors, rng, kind):
         yield f"{key}: leading axis added", doc, {**tensors, key: arr[None]}
         if kind == "int8" and arr.dtype != np.float32:
             yield f"{key}: stored as float32", doc, {**tensors, key: arr.astype(np.float32)}
+        if kind == "float":
+            yield f"{key}: stored as float64", doc, {**tensors, key: arr.astype(np.float64)}
 
 
 def _mutated(doc, path, value):

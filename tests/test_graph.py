@@ -234,6 +234,50 @@ def test_malformed_conv_and_cbam_tensors_fail_at_load(edit, match):
         load_model(write_container(doc, list(tensors.items())))
 
 
+def slot_layer(doc, slot):
+    return next(layer for layer in doc["layers"] if layer["slot"] == slot)
+
+
+def retyped(key, dtype):
+    return lambda doc, tensors: tensors.update({key: tensors[key].astype(dtype)})
+
+
+@pytest.mark.parametrize(
+    "edit, error, match",
+    [
+        (lambda doc, _: doc["layers"][2].update(inputs=[5]), ContractViolation,
+         r"layer 2 \(act\): input 5 is not a strictly earlier layer"),
+        (lambda _, tensors: tensors.pop("stem.bn/var"), ContractViolation,
+         "slot 'stem.bn' is missing array 'var' for layer 1"),
+        (lambda doc, _: slot_layer(doc, "s1.ds.conv").update(inputs=[-1]), ContractViolation,
+         "layer 3: conv expects 4 input channels, got 3"),
+        (lambda doc, _: first_layer(doc, "cbam").update(inputs=[2]), ContractViolation,
+         "cbam params are for 64 channels, got 4"),
+        (lambda doc, _: slot_layer(doc, "s2.c2f.m1.conv").update(slot="s2.c2f.m0.conv"), ContractViolation,
+         "layer 32: slot 's2.c2f.m0.conv' is already layer 29's"),
+        (lambda doc, _: slot_layer(doc, "s2.c2f.m1.bn").update(slot="s2.c2f.m0.bn"), ContractViolation,
+         "layer 33: slot 's2.c2f.m0.bn' is already layer 30's"),
+        (retyped("stem.conv/weight", np.int32), ContainerError, "tensor stem.conv/weight must be float32, got int32"),
+        (retyped("stem.bn/var", np.float64), ContainerError, "tensor stem.bn/var must be float32, got float64"),
+        (lambda doc, _: doc["meta"].update(stride=7), ContractViolation,
+         "meta stride 7 times the 2x2 head grid is not input size 64"),
+        (lambda doc, _: doc["meta"].update(stride=-3), ContractViolation,
+         "meta stride -3 times the 2x2 head grid is not input size 64"),
+    ],
+    ids=["input-a-later-layer", "slot-missing-an-array", "conv-channel-mismatch", "cbam-channel-mismatch",
+         "two-convs-share-a-slot", "two-bns-share-a-slot", "conv-weight-i32", "bn-var-f64", "meta-stride-7",
+         "meta-stride-minus-3"],
+)
+def test_malformed_float_graphs_fail_at_load(edit, error, match):
+    """Topology, slot and channel checks, one layer per slot (two bn folds
+    into one shared conv weight would be wrong), float32 tensors and a meta
+    stride that scales the head grid to the input size, all at load."""
+    doc, tensors = read_container(save_model_bytes(tiny_model()))
+    edit(doc, tensors)
+    with pytest.raises(error, match=match):
+        load_model(write_container(doc, list(tensors.items())))
+
+
 def test_an_extra_tensor_in_a_cbam_slot_is_ignored():
     """A CBAM layer reads its six named arrays, so an extra tensor in its slot
     changes nothing."""

@@ -269,7 +269,8 @@ def test_parse_stage_report_rejects_malformed_text():
 def test_config_round_trip(tmp_path):
     path = str(tmp_path / "energy.cfg")
     save_config(path, {"power": 12.5, "intensity": 0.475, "note": "bench rig 3"})
-    text = open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     assert "power=12.500000\n" in text
     assert "intensity=0.475000\n" in text
     assert "note=bench rig 3\n" in text

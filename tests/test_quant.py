@@ -725,6 +725,18 @@ def test_folded_layers_keep_their_original_calibration_keys():
         assert key in stats.ranges  # every folded slot can be calibrated
 
 
+def test_folding_shares_every_array_it_does_not_fold():
+    """The folded graph's CBAM and head arrays are the source model's own
+    arrays; a folded conv gets new ones and leaves the source's unchanged."""
+    m = tiny_model()
+    folded, _ = fold_batchnorm(m)
+    for slot in ("cbam", "head"):
+        for name, arr in folded.weights[slot].items():
+            assert arr is m.weights[slot][name], (slot, name)
+    assert folded.weights["stem.conv"]["weight"] is not m.weights["stem.conv"]["weight"]
+    assert np.array_equal(m.weights["stem.conv"]["weight"], tiny_model().weights["stem.conv"]["weight"])
+
+
 # ---- model quantization ----
 
 
@@ -882,13 +894,17 @@ def replaced(key, make):
         (replaced("cbam/spatial_weight_q", lambda a: np.zeros((1, 2, 6, 6), np.int8)),
          "spatial kernel must be square and odd"),
         (replaced("stem.conv/q_weight", lambda a: a[..., :1].copy()), "conv kernels must be square, got 3x1"),
+        (lambda doc, _: next(layer for layer in doc["layers"] if layer["slot"] == "s2.c2f.m1.conv").update(
+            slot="s2.c2f.m0.conv"), r"slot 's2.c2f.m0.conv' is already layer \d+'s"),
+        (lambda doc, _: doc["meta"].update(stride=7), "meta stride 7 times the 2x2 head grid is not input size 64"),
     ],
     ids=["conv-stride-0", "pool-without-kernel", "avg-pool", "upsample", "missing-act-params",
          "act-gelu", "conv-stride-null", "conv-stride-1.5", "w-scale-nan", "w-scale-inf",
          "w-scale-minus-1", "head-w-scale-nan", "head-w-scale-5e-324", "input-scale-1e308",
          "input-scale-5e-324", "input-scale-1e-310", "L002-scale-1e308", "L002-scale-5e-324",
          "L002-scale-1e-310", "head-w-scale-1e300", "cbam-scale-nan", "cbam-scale-1e300",
-         "cbam-scale-length-3", "cbam-mlp-b1-length-5", "cbam-spatial-kernel-6x6", "conv-kernel-3x1"],
+         "cbam-scale-length-3", "cbam-mlp-b1-length-5", "cbam-spatial-kernel-6x6", "conv-kernel-3x1",
+         "two-convs-share-a-slot", "meta-stride-7"],
 )
 def test_int8_graph_errors_fail_at_load(int8_container, edit, match):
     """The float graph's checks run on a loaded int8 graph, so a bad one is a
@@ -896,7 +912,9 @@ def test_int8_graph_errors_fail_at_load(int8_container, edit, match):
     So are weight scales that are not finite and > 0, activation scales out
     of range, a head whose accumulator scale underflows to 0 or whose output
     could overflow float32, and CBAM weight scales that are not finite, do
-    not match their weights or dequantize beyond float32's range."""
+    not match their weights or dequantize beyond float32's range, two convs
+    that share a slot and a meta stride that does not scale the head grid to
+    the input size."""
     doc, tensors = int8_container
     edit(doc, tensors)
     with pytest.raises(ContractViolation, match=match):
