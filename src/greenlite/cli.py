@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import json
 import os
 import sys
@@ -156,9 +155,7 @@ def cmd_build(args) -> int:
 def cmd_quantize(args) -> int:
     model = load_model(args.model)
     ds = load_manifest(args.calib_manifest)
-    picked = ds.images[: args.calib_count]
-    if not picked:
-        raise ContractViolation("calibration manifest has no images")
+    picked = ds.images[: args.calib_count]  # load_manifest refuses an empty manifest
     tensors = (
         _image_tensor(_resolve(args.calib_manifest, img.image_path), model.meta.input_size)[0]
         for img in picked
@@ -237,7 +234,7 @@ class BenchRow:
         return "| " + " | ".join(cells) + " |"
 
 
-def _bench_one(path: str, manifest_path: str, images, gts, args, power, intensity, conf, iou_thr):
+def _bench_one(path: str, image_paths, gts, args, power, intensity, conf, iou_thr):
     """Bench a single model; returns (BenchRow, emission rows, memory row)."""
     records: list[EmissionRecord] = []
 
@@ -247,23 +244,21 @@ def _bench_one(path: str, manifest_path: str, images, gts, args, power, intensit
 
     run = _forward_fn(model)
     target = model.meta.input_size
-    tensors = [_image_tensor(_resolve(manifest_path, p), target) for p in images]
-
-    cycle = itertools.cycle(tensors)
-
-    def step():
-        x, _ = next(cycle)
-        run(model, x)
+    # Latency and memory are measured on the first image alone: a forward does the same work
+    # whatever its pixels, and the peak is the weights, one input and the activation peak.
+    x, _ = _image_tensor(image_paths[0], target)
 
     t0 = time.perf_counter()
-    latency = time_stage(step, warmup=args.warmup, iterations=args.iters)
+    latency = time_stage(lambda: run(model, x), warmup=args.warmup, iterations=args.iters)
     records.append(EmissionRecord.measure("inference", time.perf_counter() - t0, power, intensity))
 
-    mem = track_memory(lambda: run(model, tensors[0][0]))
+    mem = track_memory(lambda: run(model, x))
+    del x
 
     t0 = time.perf_counter()
-    dets_per_image = [
-        nms(decode(run(model, x), meta, conf), iou_thr) for x, meta in tensors
+    dets_per_image = [  # each image is letterboxed when the pass reaches it
+        nms(decode(run(model, x), meta, conf), iou_thr)
+        for x, meta in (_image_tensor(p, target) for p in image_paths)
     ]
     detection = map50(dets_per_image, gts, model.meta.num_classes)
     prf = detection_prf(dets_per_image, gts)
@@ -299,7 +294,7 @@ def _bench_one(path: str, manifest_path: str, images, gts, args, power, intensit
         f"{row.model_name},inference,{mem.peak_live_tensor_bytes},"
         f"{mem.current_live_tensor_bytes},{mem.allocation_count}"
     )
-    del model, tensors, cycle
+    del model
     gc.collect()
     return row, emission_rows, memory_row
 
@@ -311,7 +306,7 @@ def cmd_bench(args) -> int:
     iou_thr = args.iou if args.iou is not None else float(config.get("iou", DEFAULT_IOU))
 
     ds = load_manifest(args.manifest)
-    image_paths = [img.image_path for img in ds.images]
+    image_paths = [_resolve(args.manifest, img.image_path) for img in ds.images]
     gts = [img.ground_truth() for img in ds.images]
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -322,7 +317,7 @@ def cmd_bench(args) -> int:
     for path in args.models:
         try:
             row, emission_rows, memory_row = _bench_one(
-                path, args.manifest, image_paths, gts, args, power, intensity, conf, iou_thr
+                path, image_paths, gts, args, power, intensity, conf, iou_thr
             )
             emissions_lines.extend(emission_rows)
             memory_lines.append(memory_row)
@@ -352,6 +347,18 @@ def cmd_bench(args) -> int:
 
 
 # --- argument parsing ----------------------------------------------------------
+
+
+def _at_least(least: int):
+    """An argparse type: an int that is >= least, else a usage error naming the flag."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -385,7 +392,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("quantize", help="post-training int8 quantization")
     p.add_argument("--model", required=True, help="float .glw container")
     p.add_argument("--calib-manifest", required=True)
-    p.add_argument("--calib-count", type=int, default=32)
+    p.add_argument("--calib-count", type=_at_least(1), default=32)
     p.add_argument("--out", default=None, help="output path (default: <model>.q.glw)")
     p.set_defaults(fn=cmd_quantize)
 
@@ -400,8 +407,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="benchmark models against a manifest")
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--iters", type=int, default=5)
+    p.add_argument("--warmup", type=_at_least(0), default=1)
+    p.add_argument("--iters", type=_at_least(1), default=5)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--conf", type=float, default=None)
     p.add_argument("--iou", type=float, default=None)

@@ -45,19 +45,18 @@ dequantize -> f -> requantize. Max pooling reuses its input's params
 (value-preserving, no requantization error); concat inputs are requantized
 only if their params differ from the output's.
 
-A QuantizedModel checks everything at construction, and so at load: the
-float graph's structural, shape and geometry checks, activation params for
-every layer output with per-tensor scales in [2^-160, 2^120], the QConvSpec
-of every conv and the head, whose weight scales and accumulator scales (m_c,
-or s_in * s_w_c for the head) must be finite and > 0, the head's scale times
-its accumulator bound, which must not exceed float32's largest value, and
-each CBAM's weights, dequantized there once into finite CbamParams. Loading
-also requires each tensor in the dtype save_quantized writes. The first forward
-pass plans the model once through graph.plan: each layer is bound to its
-accumulator, code map, output params and lookup tables, and to the point
-where its output is released; graph.run executes the plan. Later passes
-reuse the plan, so a model's weights and params must not change after its
-first forward.
+A QuantizedModel checks and plans everything at construction, and so at
+load: the float graph's structural, shape and geometry checks, activation
+params for every layer output with per-tensor scales in [2^-160, 2^120], and
+each CBAM's weights, dequantized there once into finite CbamParams. Then
+graph.plan binds each layer once to its accumulator, code map, output params
+and lookup tables, and to the point where its output is released. Binding a
+conv or the head (_bind_conv) checks its QConvSpec, whose weight scales and
+accumulator scales (m_c, or s_in * s_w_c for the head) must be finite and
+> 0, and the head's scale times its accumulator bound, which must not exceed
+float32's largest value. Loading also requires each tensor in the dtype
+save_quantized writes. A forward only runs the plan (graph.run), so a
+model's weights and params must not change after it is built.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ from .graph import (
     Layer,
     ModelGraph,
     ModelMeta,
-    Step,
     _layers_from_json,
     _layers_to_json,
     _meta_from_json,
@@ -381,7 +379,7 @@ def _float_named(conv_weights, cbam_params) -> dict[str, dict[str, np.ndarray]]:
 
 
 class QuantizedModel:
-    """Folded graph with int8 conv weights and per-slot activation params."""
+    """Folded graph with int8 conv weights and per-slot activation params, checked and planned once."""
 
     def __init__(
         self,
@@ -407,28 +405,8 @@ class QuantizedModel:
             raise ContractViolation(
                 f"no activation params for slots {sorted(needed - act_params.keys())}"
             )
-        # Each conv's and the head's spec and accumulator scale are checked
-        # here, at load; the plan only reads the specs.
-        self.conv_specs: dict[int, QConvSpec] = {}
-        for idx, (layer, a) in enumerate(zip(layers, self.layer_attrs)):
-            if layer.kind not in ("conv", "detect_head"):
-                continue
-            qw = conv_weights[layer.slot]
-            spec = QConvSpec(qw["q_weight"], qw["w_scale"], qw["q_bias"], a.stride, a.padding, a.groups)
-            in_params = act_params[slot_key(layer.inputs[0])]
-            out_params = act_params[slot_key(idx)] if layer.kind == "conv" else None
-            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the checks
-                scale = _acc_scale(in_params, spec, out_params).reshape(-1)
-                # the float32 head's |output| is at most its scale times its accumulator bound
-                top = 0.0 if out_params else scale * spec.accumulator(int(in_params.zero_point[0]))[1]
-            if not np.all((scale > 0) & (scale < np.inf)):
-                raise ContractViolation(
-                    f"layer {idx} ({layer.kind}): accumulator scales must be finite and > 0"
-                )
-            if np.any(top > np.finfo(np.float32).max):
-                raise ContractViolation(f"layer {idx} ({layer.kind}): outputs could exceed float32's range")
-            self.conv_specs[idx] = spec
-        self._plan_cache: tuple[Callable, list[Step]] | None = None  # see _plan()
+        self.quantize_input = _bind_quantizer(act_params[INPUT_SLOT])
+        self.steps = plan(layers, partial(_bind, self))
         slots = (*conv_weights.values(), *cbam_weights.values())
         TRACKER.track(self, *(arr.nbytes for slot in slots for arr in slot.values()))
 
@@ -442,9 +420,18 @@ class QuantizedModel:
 
 
 def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel:
-    """Fold bn, check stats coverage, then in one pass over the folded layers
-    pick each layer's activation params and quantize its weights."""
+    """Fold bn, refusing a bn that cannot be folded, check stats coverage,
+    then in one pass over the folded layers pick each layer's activation
+    params and quantize its weights."""
     folded, stats_keys = fold_batchnorm(model)
+    for idx, layer in enumerate(model.layers):
+        if layer.kind == "bn" and layer.slot in folded.weights:  # int8 has no bn step
+            src, cannot = layer.inputs[0], f"layer {idx} (bn) cannot be folded"
+            if src >= 0 and model.layers[src].kind == "conv":
+                other = next(i for i, l in enumerate(model.layers) if src in l.inputs and i != idx)
+                raise ContractViolation(f"{cannot}: conv {src} is also read by layer {other}")
+            read = "the input" if src < 0 else f"layer {src} ({model.layers[src].kind})"
+            raise ContractViolation(f"{cannot}: it reads {read}, not a conv")
     missing = {INPUT_SLOT, *stats_keys} - stats.keys()
     if missing:
         raise CalibrationCoverageError(sorted(missing))
@@ -678,14 +665,23 @@ def _code_map(proven: bool, zp) -> Callable[[np.ndarray], np.ndarray]:
     return partial(_affine_codes, k=zp + 128.5) if proven else partial(_requantize, zero_point=zp)
 
 
-def _bind_conv(
-    spec: QConvSpec, in_params: QuantParams, out_params: QuantParams
-) -> Callable[[QuantizedTensor], QuantizedTensor]:
-    """The conv step: the affine map where it is proven exact on the
-    accumulator's bound for this input grid, the exact rule otherwise."""
-    mult = _acc_scale(in_params, spec, out_params)
-    zp = out_params.zero_point[0]
+def _bind_conv(spec: QConvSpec, in_params: QuantParams, out_params: QuantParams | None) -> Callable:
+    """The conv step for this input grid, checked here: its accumulator
+    scales must be finite and > 0. A conv takes the affine map where it is
+    proven exact on the accumulator's bound, the exact rule otherwise. The
+    head (out_params None) dequantizes its accumulator exactly to float32,
+    and its scale times that bound must not exceed float32's largest value."""
     accumulate, bound = spec.accumulator(int(in_params.zero_point[0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the checks
+        mult = _acc_scale(in_params, spec, out_params)
+        top = mult.reshape(-1) * bound  # bounds the head's |output|
+    if not np.all((mult > 0) & (mult < np.inf)):
+        raise ContractViolation("accumulator scales must be finite and > 0")
+    if out_params is None:
+        if np.any(top > np.finfo(np.float32).max):
+            raise ContractViolation("outputs could exceed float32's range")
+        return lambda q: Tensor((accumulate(q.arr) * mult).astype(np.float32))
+    zp = out_params.zero_point[0]
     codes = _code_map(_proves_conv_affine(mult, zp, bound), zp)
     return partial(_conv_step, accumulate, mult, codes, out_params)
 
@@ -754,20 +750,20 @@ def _maxpool_int8(q: QuantizedTensor, kernel: int, stride: int, padding: int) ->
 
 def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
     """One layer as a function of its input tensors, with every per-model
-    value (accumulator, multiplier, code map, LUT, params) computed here,
-    once; conv specs come from load."""
+    value (accumulator, multiplier, code map, LUT, params) computed and
+    checked here, once, when the model is built."""
     kind = layer.kind
     out_params = model.act_params.get(slot_key(idx))
-    in_params = model.act_params.get(slot_key(layer.inputs[0]))
+    in_params = model.act_params[slot_key(layer.inputs[0])]
     a = model.layer_attrs[idx]
     if kind in ("conv", "detect_head"):
-        spec = model.conv_specs[idx]
-        if kind == "detect_head":
-            # The head's accumulator is dequantized exactly to float32.
-            accumulate, _ = spec.accumulator(int(in_params.zero_point[0]))
-            scale = _acc_scale(in_params, spec)
-            return lambda q: Tensor((accumulate(q.arr) * scale).astype(np.float32))
-        return _bind_conv(spec, in_params, out_params)
+        qw = model.conv_weights[layer.slot]
+        try:
+            spec = QConvSpec(qw["q_weight"], qw["w_scale"], qw["q_bias"], a.stride, a.padding, a.groups)
+            # The head's output stays float, whatever act_params holds for its slot.
+            return _bind_conv(spec, in_params, out_params if kind == "conv" else None)
+        except ContractViolation as exc:
+            raise ContractViolation(f"layer {idx} ({kind}): {exc}") from None
     if kind == "act":
         table = _code_table(_pointwise_lut(in_params, out_params, _ACT_FNS[a.fn]))
         return lambda q: _apply_lut(q, table, out_params)
@@ -792,26 +788,14 @@ def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
     raise ContractViolation(f"unsupported quantized layer kind {layer.kind!r}")
 
 
-def _plan(model: QuantizedModel) -> tuple[Callable[[Tensor], QuantizedTensor], list[Step]]:
-    """The model's input quantizer, bound layers and release points, built on
-    first use."""
-    if model._plan_cache is None:
-        model._plan_cache = (
-            _bind_quantizer(model.act_params[INPUT_SLOT]),
-            plan(model.layers, partial(_bind, model)),
-        )
-    return model._plan_cache
-
-
 def forward_quantized(model: QuantizedModel, x: Tensor, hook=None) -> Tensor:
-    """Run the int8 graph on a float (1, 3, S, S) input; returns the float head.
+    """Run the int8 plan on a float (1, 3, S, S) input; returns the float head.
 
     Each intermediate output, the quantized input included, is dropped right
     after its last consumer runs. hook(idx, out) is called for every layer
     output, as in graph.forward.
     """
-    quantize_input, steps = _plan(model)
-    return run(steps, quantize_input(x), model.meta.input_size, hook)
+    return run(model.steps, model.quantize_input(x), model.meta.input_size, hook)
 
 
 # --- serialization ------------------------------------------------------------

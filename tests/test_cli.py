@@ -18,11 +18,13 @@ import greenlite
 from greenlite import (
     DEFAULT_CLASS_NAMES,
     ContractViolation,
+    Dataset,
     QuantizedModel,
     load_any,
     load_manifest,
     load_model,
     parse_detection,
+    save_manifest,
     write_ppm,
 )
 from greenlite.cli import (
@@ -254,6 +256,24 @@ def test_bench_writes_the_four_reports(cli_env, tmp_path, capsys, monkeypatch):
     assert "(failed)" not in "\n".join(report)
 
 
+def test_bench_memory_does_not_grow_with_the_manifest(cli_env, tmp_path):
+    """Memory is measured on the first image alone, so a 2-row and a 6-row
+    manifest give the same memory rows."""
+    data = cli_env / "data"
+    ds = load_manifest(data / "manifest.tsv")
+    assert len(ds.images) == 6
+    save_manifest(Dataset(ds.class_names, ds.images[:2]), tmp_path / "two.tsv")
+    shutil.copytree(data / "images", tmp_path / "images")
+    rows = []
+    for manifest in (tmp_path / "two.tsv", data / "manifest.tsv"):
+        out_dir = tmp_path / manifest.stem
+        assert main(["bench", "--models", str(cli_env / "model.glw"), str(cli_env / "model.q.glw"),
+                     "--manifest", str(manifest), "--out-dir", str(out_dir),
+                     "--warmup", "0", "--iters", "1"]) == 0
+        rows.append((out_dir / "memory.csv").read_text().splitlines())
+    assert len(rows[0]) == 3 and rows[0] == rows[1]
+
+
 def test_bench_keeps_going_past_a_broken_model(cli_env, tmp_path, capsys):
     bogus = tmp_path / "bogus.glw"
     bogus.write_bytes(b"not a container at all")
@@ -299,6 +319,29 @@ def test_usage_errors_exit_one():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("quantize", "--calib-count", "-3"), ("quantize", "--calib-count", "0"),
+     ("bench", "--iters", "0"), ("bench", "--warmup", "-1")],
+)
+def test_a_count_flag_out_of_range_is_a_usage_error(cli_env, tmp_path, capsys, command, flag, value):
+    """Nothing is loaded or written: the parser refuses the value and names the flag."""
+    out = tmp_path / "out"
+    manifest = str(cli_env / "data" / "manifest.tsv")
+    argv = {
+        "quantize": ["quantize", "--model", str(cli_env / "model.glw"), "--calib-manifest", manifest,
+                     "--out", str(out)],
+        "bench": ["bench", "--models", str(cli_env / "model.glw"), "--manifest", manifest,
+                  "--out-dir", str(out)],
+    }[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_errors_exit_two(cli_env, tmp_path, capsys):

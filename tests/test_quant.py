@@ -1,6 +1,7 @@
 """Quantization tests: grid math fixtures, exact-accumulation oracles, and
 the end-to-end fold/calibrate/quantize pipeline on a small build."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -604,7 +605,7 @@ def test_built_models_take_the_proven_path_and_match_the_exact_plan(seed, per_st
     images = [Tensor(rng.uniform(0, 1, (1, 3, 320, 320)).astype(np.float32)) for _ in range(3)]
     blob = save_quantized_bytes(quantize_model(m, calibrate(m, images[:2])))
     qm = load_quantized(blob)
-    quantize_input, steps = quant._plan(qm)
+    quantize_input, steps = qm.quantize_input, qm.steps
     assert quantize_input.func is _quantize_step and quantize_input.args[2].func is _affine_codes
     convs = [steps[i].run for i, layer in enumerate(qm.layers) if layer.kind == "conv"]
     assert len(convs) >= 25
@@ -616,7 +617,7 @@ def test_built_models_take_the_proven_path_and_match_the_exact_plan(seed, per_st
     monkeypatch.setattr(quant, "_proves_quantizer_affine", lambda *args: False)
     exact = load_quantized(blob)
     assert all(step.run.func is _conv_step and step.run.args[2].func is _requantize
-               for step, layer in zip(quant._plan(exact)[1], exact.layers) if layer.kind == "conv")
+               for step, layer in zip(exact.steps, exact.layers) if layer.kind == "conv")
     assert forward_quantized(exact, images[2]).arr.tobytes() == head
 
 
@@ -790,6 +791,26 @@ def test_missing_calibration_keys_are_reported_sorted():
     assert exc.value.missing == sorted(exc.value.missing)
     for key in removed:
         assert key in exc.value.missing
+
+
+@pytest.mark.parametrize(
+    "at, inputs, match",
+    [
+        (15, (8, 9), r"layer 10 \(bn\) cannot be folded: conv 9 is also read by layer 15"),
+        (10, (8,), r"layer 10 \(bn\) cannot be folded: it reads layer 8 \(act\), not a conv"),
+    ],
+    ids=["conv-read-twice", "bn-after-act"],
+)
+def test_a_bn_that_cannot_be_folded_is_refused_with_its_own_index(at, inputs, match):
+    """The float graph runs; quantize_model names the bn and the reason by
+    the source graph's indices, not the folded graph's."""
+    m = tiny_model()
+    layers = list(m.layers)
+    layers[at] = replace(layers[at], inputs=inputs)
+    edited = ModelGraph(layers, m.weights, m.meta)
+    stats = calibrate(edited, tiny_images(1))
+    with pytest.raises(ContractViolation, match=match):
+        quantize_model(edited, stats)
 
 
 def test_degenerate_input_range_is_rejected():
@@ -975,6 +996,66 @@ def test_int8_container_without_a_named_tensor_is_a_container_error(int8_contain
     del tensors[key]
     with pytest.raises(ContainerError, match=key):
         load_quantized(write_container(doc, list(tensors.items())))
+
+
+def test_an_act_params_entry_for_the_head_leaves_the_head_float(int8_container):
+    """A container may carry params for the head's slot; the head is still
+    dequantized exactly to float32, bit for bit as without the entry."""
+    doc, tensors = int8_container
+    x = tiny_images(1, seed=6)[0]
+    plain = forward_quantized(load_quantized(write_container(doc, list(tensors.items()))), x)
+    doc["act_params"][slot_key(len(doc["layers"]) - 1)] = {"scale": 0.5, "zero_point": 3}
+    edited = load_quantized(write_container(doc, list(tensors.items())))
+    assert forward_quantized(edited, x).arr.tobytes() == plain.arr.tobytes()
+
+
+# ---- the int8 plan is built with the model ----
+
+
+def test_each_conv_and_the_head_bind_their_accumulator_once(monkeypatch):
+    """Building a model binds each conv and the head once, with one
+    accumulator and one accumulator scale each; forwards build nothing."""
+    import greenlite.quant as quant
+
+    m = tiny_model()
+    stats = calibrate(m, tiny_images(2))
+    accumulators, scales = [], []
+    accumulator, acc_scale = QConvSpec.accumulator, quant._acc_scale
+
+    def counted_accumulator(spec, z_in):
+        accumulators.append(id(spec.q_weight))
+        return accumulator(spec, z_in)
+
+    def counted_acc_scale(in_params, spec, out_params=None):
+        scales.append(id(spec.q_weight))
+        return acc_scale(in_params, spec, out_params)
+
+    monkeypatch.setattr(QConvSpec, "accumulator", counted_accumulator)
+    monkeypatch.setattr(quant, "_acc_scale", counted_acc_scale)
+    qm = quantize_model(m, stats)
+    blob = save_quantized_bytes(qm)
+    for build in (lambda: qm, lambda: load_quantized(blob)):
+        model = build()
+        for x in tiny_images(2, seed=3):
+            forward_quantized(model, x)
+        weights = sorted(id(w["q_weight"]) for w in model.conv_weights.values())
+        assert len(weights) == sum(layer.kind in ("conv", "detect_head") for layer in model.layers)
+        assert sorted(accumulators) == sorted(scales) == weights
+        accumulators.clear()
+        scales.clear()
+
+
+def test_the_plan_exists_once_the_model_does_and_a_forward_keeps_it():
+    m = tiny_model()
+    qm = quantize_model(m, calibrate(m, tiny_images(2)))
+    for model in (qm, load_quantized(save_quantized_bytes(qm))):
+        steps, quantize_input = model.steps, model.quantize_input
+        assert len(steps) == len(model.layers)
+        attrs = dict(vars(model))
+        forward_quantized(model, tiny_images(1, seed=4)[0])
+        assert model.steps is steps and model.quantize_input is quantize_input
+        assert vars(model).keys() == attrs.keys()
+        assert all(vars(model)[key] is value for key, value in attrs.items())
 
 
 def test_format_reduction_fixture():
