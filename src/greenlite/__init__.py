@@ -40,7 +40,6 @@ from .graph import (
     letterbox,
     letterbox_point,
     load_model,
-    model_size_bytes,
     nms,
     parse_detection,
     save_model,
@@ -50,7 +49,6 @@ from .graph import (
 from .metrics import (
     ConfusionMatrix,
     GroundTruthBox,
-    PrCurve,
     average_precision,
     class_weights,
     classification_metrics,
@@ -58,7 +56,6 @@ from .metrics import (
     map50,
     match_detections,
     metrics_csv_row,
-    pr_curve,
     undersample,
 )
 from .profiling import (
@@ -76,7 +73,6 @@ from .profiling import (
     load_config,
     parse_stage_report,
     resolve_energy_settings,
-    save_config,
     stage_report,
     time_stage,
     track_memory,

@@ -4,10 +4,11 @@ Exit codes are a fixed contract: 0 success, 1 usage error, 2 data or
 validation error, 3 partial bench failure. Sizes print as decimal MB
 (1 MB = 10^6 bytes) everywhere.
 
-Bench twin discovery: a float model `m.glw` reports the quantized size of
-a sibling `m.q.glw` when that file exists; a quantized model reports its
-own size in both columns. A failed model keeps its row, marked in the
-markdown report, and turns the final exit code into 3.
+Twin rule: quantize writes the int8 twin of `m.glw` to `m.q.glw`, and of any
+other name `m.bin` to `m.bin.q.glw`; bench reports a float model's twin size
+when that file exists, and a quantized model's own size in both columns. A
+failed model keeps its row, marked in the markdown report, and turns the
+final exit code into 3.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .data import (
 )
 from .errors import ContractViolation, ManifestError
 from .graph import (
-    ModelGraph,
     build_model,
     decode,
     format_detection,
@@ -103,6 +103,11 @@ def _resolve(manifest_path: str, image_path: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(manifest_path)), image_path)
 
 
+def _twin_path(path: str) -> str:
+    """Where quantize writes, and bench looks for, the int8 twin of the float model at path."""
+    return (path[: -len(".glw")] if path.endswith(".glw") else path) + ".q.glw"
+
+
 def _forward_fn(model):
     return forward_quantized if isinstance(model, QuantizedModel) else forward
 
@@ -162,7 +167,7 @@ def cmd_quantize(args) -> int:
     )
     stats = calibrate(model, tensors)  # a generator: one letterboxed image is live at a time
     qmodel = quantize_model(model, stats)
-    out = args.out or (args.model[: -len(".glw")] + ".q.glw" if args.model.endswith(".glw") else args.model + ".q.glw")
+    out = args.out or _twin_path(args.model)
     qbytes = save_quantized(qmodel, out)
     fbytes = os.path.getsize(args.model)
     print(f"calibrated on {len(picked)} images")
@@ -265,13 +270,8 @@ def _bench_one(path: str, image_paths, gts, args, power, intensity, conf, iou_th
     records.append(EmissionRecord.measure("evaluate", time.perf_counter() - t0, power, intensity))
 
     size_mb = os.path.getsize(path) / 1e6
-    qsize_mb = None
-    if isinstance(model, QuantizedModel):
-        qsize_mb = size_mb
-    elif path.endswith(".glw"):
-        twin = path[: -len(".glw")] + ".q.glw"
-        if os.path.exists(twin):
-            qsize_mb = os.path.getsize(twin) / 1e6
+    twin = path if isinstance(model, QuantizedModel) else _twin_path(path)
+    qsize_mb = os.path.getsize(twin) / 1e6 if os.path.exists(twin) else None
 
     report = stage_report(records)
     row = BenchRow(
@@ -302,8 +302,11 @@ def _bench_one(path: str, image_paths, gts, args, power, intensity, conf, iou_th
 def cmd_bench(args) -> int:
     config = load_config(args.config) if args.config else {}
     power, intensity = resolve_energy_settings(config)
-    conf = args.conf if args.conf is not None else float(config.get("conf", DEFAULT_CONF))
-    iou_thr = args.iou if args.iou is not None else float(config.get("iou", DEFAULT_IOU))
+    try:  # a flag beats the config file, whose conf and iou are checked as the flags are
+        conf = args.conf if args.conf is not None else _unit_interval(config.get("conf", str(DEFAULT_CONF)))
+        iou_thr = args.iou if args.iou is not None else _unit_interval(config.get("iou", str(DEFAULT_IOU)))
+    except argparse.ArgumentTypeError as exc:
+        raise ContractViolation(f"config conf and iou: each {exc}") from None
 
     ds = load_manifest(args.manifest)
     image_paths = [_resolve(args.manifest, img.image_path) for img in ds.images]
@@ -361,6 +364,16 @@ def _at_least(least: int):
     return count
 
 
+def _unit_interval(text: str) -> float:
+    """An argparse type: a number in [0, 1] (NaN is not), else a usage error naming the flag."""
+    try:
+        if 0.0 <= (value := float(text)) <= 1.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the CLI contract says 1."""
 
@@ -399,8 +412,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("detect", help="run detection on one image")
     p.add_argument("--model", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--conf", type=float, default=DEFAULT_CONF)
-    p.add_argument("--iou", type=float, default=DEFAULT_IOU)
+    p.add_argument("--conf", type=_unit_interval, default=DEFAULT_CONF)
+    p.add_argument("--iou", type=_unit_interval, default=DEFAULT_IOU)
     p.add_argument("--emit", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_detect)
 
@@ -410,8 +423,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--warmup", type=_at_least(0), default=1)
     p.add_argument("--iters", type=_at_least(1), default=5)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--conf", type=float, default=None)
-    p.add_argument("--iou", type=float, default=None)
+    p.add_argument("--conf", type=_unit_interval, default=None)
+    p.add_argument("--iou", type=_unit_interval, default=None)
     p.add_argument("--config", default=None, help="key=value file: power, intensity, conf, iou")
     p.set_defaults(fn=cmd_bench)
 

@@ -731,8 +731,3 @@ def _model_from_container(doc: dict, tensors: dict[str, np.ndarray]) -> ModelGra
         weights.setdefault(slot, {})[name] = arr
     layers = _layers_from_json(container.require(doc, "layers", list))
     return ModelGraph(layers, weights, _meta_from_json(container.require(doc, "meta")))
-
-
-def model_size_bytes(model: ModelGraph) -> int:
-    """Exact serialized container length in bytes."""
-    return len(save_model_bytes(model))

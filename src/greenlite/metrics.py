@@ -122,24 +122,20 @@ def match_detections(
     return results
 
 
-@dataclass(frozen=True)
-class PrCurve:
-    """(recall, precision, score_threshold) per rank; recall is non-decreasing."""
-
-    points: tuple[tuple[float, float, float], ...]
-
-
-def pr_curve(matched: Sequence[tuple[Detection, bool]], num_gt: int) -> PrCurve:
-    if num_gt < 1:
-        raise ContractViolation(f"pr_curve needs num_gt >= 1, got {num_gt}")
-    ordered = sorted(matched, key=lambda pair: _det_order_key(pair[0]))
-    points = []
-    tp = 0
-    for i, (det, is_tp) in enumerate(ordered):
-        if is_tp:
-            tp += 1
-        points.append((tp / num_gt, tp / (i + 1), det.score))
-    return PrCurve(tuple(points))
+def _match_all(
+    dets_per_image: Sequence[Sequence[Detection]],
+    gts_per_image: Sequence[Sequence[GroundTruthBox]],
+    iou_thr: float,
+) -> list[tuple[Detection, bool]]:
+    """match_detections on each image in turn, its pairs concatenated in image order."""
+    if len(dets_per_image) != len(gts_per_image):
+        raise ContractViolation(
+            f"image count mismatch: {len(dets_per_image)} dets vs {len(gts_per_image)} gts"
+        )
+    matched_all: list[tuple[Detection, bool]] = []
+    for dets, gts in zip(dets_per_image, gts_per_image):
+        matched_all.extend(match_detections(dets, gts, iou_thr))
+    return matched_all
 
 
 def average_precision(matched: Sequence[tuple[Detection, bool]], num_gt: int) -> float:
@@ -183,14 +179,7 @@ def map50(
 
     per_class_ap holds None for classes absent from both GT and detections.
     """
-    if len(dets_per_image) != len(gts_per_image):
-        raise ContractViolation(
-            f"image count mismatch: {len(dets_per_image)} dets vs {len(gts_per_image)} gts"
-        )
-    matched_all: list[tuple[Detection, bool]] = []
-    for dets, gts in zip(dets_per_image, gts_per_image):
-        matched_all.extend(match_detections(dets, gts, iou_thr))
-
+    matched_all = _match_all(dets_per_image, gts_per_image, iou_thr)
     per_class_ap: list[float | None] = []
     present_aps: list[float] = []
     for c in range(num_classes):
@@ -218,13 +207,7 @@ def detection_prf(
     ranks match first), so one full matching pass plus a threshold sweep is
     exact. Ties prefer the higher threshold (fewer detections kept).
     """
-    if len(dets_per_image) != len(gts_per_image):
-        raise ContractViolation(
-            f"image count mismatch: {len(dets_per_image)} dets vs {len(gts_per_image)} gts"
-        )
-    matched_all: list[tuple[Detection, bool]] = []
-    for dets, gts in zip(dets_per_image, gts_per_image):
-        matched_all.extend(match_detections(dets, gts, iou_thr))
+    matched_all = _match_all(dets_per_image, gts_per_image, iou_thr)
     total_gt = sum(len(gts) for gts in gts_per_image)
     if not matched_all:
         return {"precision": 0.0, "recall": 0.0, "f1": 0.0, "threshold": 0.0}

@@ -291,16 +291,6 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def save_config(path: str, values: Mapping[str, object]) -> None:
-    """Write key=value lines; floats are fixed to 6 decimals."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in values.items():
-            if isinstance(value, float):
-                fh.write(f"{key}={value:.6f}\n")
-            else:
-                fh.write(f"{key}={value}\n")
-
-
 def resolve_energy_settings(config: Mapping[str, str] | None = None) -> tuple[float, float]:
     """(power_watts, intensity) with env vars > config file > defaults."""
     config = config or {}
@@ -310,6 +300,6 @@ def resolve_energy_settings(config: Mapping[str, str] | None = None) -> tuple[fl
         power = float(os.environ[ENV_POWER])
     if ENV_INTENSITY in os.environ:
         intensity = float(os.environ[ENV_INTENSITY])
-    if power < 0 or intensity < 0:
-        raise ContractViolation("power and intensity must be >= 0")
+    if not (math.isfinite(power) and math.isfinite(intensity) and power >= 0 and intensity >= 0):
+        raise ContractViolation(f"power and intensity must be finite and >= 0, got {power}, {intensity}")
     return power, intensity

@@ -163,28 +163,21 @@ class QuantParams:
         )
 
 
-def choose_params(vmin: float, vmax: float, scheme: str = PER_TENSOR_AFFINE) -> QuantParams:
-    """Pick int8 params for an observed [vmin, vmax] value range.
+def choose_params(vmin: float, vmax: float) -> QuantParams:
+    """Per-tensor affine int8 params for an observed [vmin, vmax] value range.
 
-    Affine widens the range to include 0 (so 0 is exactly representable)
-    and spreads it over 255 steps; symmetric centers max(|vmin|, |vmax|)
-    over +-127. An all-zero/empty range has no usable grid.
+    The range is widened to include 0 (so 0 is exactly representable) and
+    spread over 255 steps. An all-zero/empty range has no usable grid.
+    Weights use the symmetric rule instead (weight_params).
     """
     if not (math.isfinite(vmin) and math.isfinite(vmax)) or vmin > vmax:
         raise ContractViolation(f"bad range [{vmin}, {vmax}]")
-    if scheme == PER_TENSOR_AFFINE:
-        lo, hi = min(vmin, 0.0), max(vmax, 0.0)
-        if lo == 0.0 and hi == 0.0:
-            raise DegenerateRangeError("cannot quantize an all-zero range")
-        scale = (hi - lo) / 255.0
-        zp = int(np.clip(round_half_away(-lo / scale) - 128, -128, 127))
-        return QuantParams(PER_TENSOR_AFFINE, np.array([scale]), np.array([zp]))
-    if scheme == PER_CHANNEL_SYMMETRIC:
-        m = max(abs(vmin), abs(vmax))
-        if m == 0.0:
-            raise DegenerateRangeError("cannot quantize an all-zero range")
-        return QuantParams(PER_CHANNEL_SYMMETRIC, np.array([m / 127.0]), np.array([0]))
-    raise ContractViolation(f"unknown quant scheme {scheme!r}")
+    lo, hi = min(vmin, 0.0), max(vmax, 0.0)
+    if lo == 0.0 and hi == 0.0:
+        raise DegenerateRangeError("cannot quantize an all-zero range")
+    scale = (hi - lo) / 255.0
+    zp = int(np.clip(round_half_away(-lo / scale) - 128, -128, 127))
+    return QuantParams(PER_TENSOR_AFFINE, np.array([scale]), np.array([zp]))
 
 
 def weight_params(weight: np.ndarray) -> QuantParams:
@@ -275,24 +268,15 @@ class CalibrationStats:
         self.ranges: dict[str, SlotRange] = {}
 
     def observe(self, key: str, arr: np.ndarray) -> None:
-        self._widen(key, float(arr.min()), float(arr.max()), 1)
-
-    def merge(self, other: "CalibrationStats") -> "CalibrationStats":
-        out = CalibrationStats()
-        for src in (self, other):
-            for key, r in src.ranges.items():
-                out._widen(key, r.vmin, r.vmax, r.count)
-        return out
-
-    def _widen(self, key: str, vmin: float, vmax: float, count: int) -> None:
-        """Widen key's range to cover [vmin, vmax] and add count observations."""
+        """Widen key's range to cover arr's values and count one observation."""
+        vmin, vmax = float(arr.min()), float(arr.max())
         cur = self.ranges.get(key)
         if cur is None:
-            self.ranges[key] = SlotRange(vmin, vmax, count)
+            self.ranges[key] = SlotRange(vmin, vmax, 1)
         else:
             cur.vmin = min(cur.vmin, vmin)
             cur.vmax = max(cur.vmax, vmax)
-            cur.count += count
+            cur.count += 1
 
     def keys(self):
         return self.ranges.keys()
@@ -438,7 +422,7 @@ def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel
 
     def from_stats(key: str) -> QuantParams:
         r = stats.ranges[key]
-        return choose_params(r.vmin, r.vmax, PER_TENSOR_AFFINE)
+        return choose_params(r.vmin, r.vmax)
 
     act_params: dict[str, QuantParams] = {INPUT_SLOT: from_stats(INPUT_SLOT)}
     conv_weights: dict[str, dict[str, np.ndarray]] = {}
@@ -876,10 +860,6 @@ def load_any(path_or_bytes):
     if kind == "int8":
         return _quantized_from_container(doc, tensors)
     raise ContainerError(f"unknown container kind {kind!r}")
-
-
-def quantized_size_bytes(model: QuantizedModel) -> int:
-    return len(save_quantized_bytes(model))
 
 
 def format_reduction(orig_size: float, quant_size: float) -> str:

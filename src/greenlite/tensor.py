@@ -56,10 +56,6 @@ class Tensor:
     def shape(self) -> tuple[int, int, int, int]:
         return tuple(int(d) for d in self.arr.shape)  # type: ignore[return-value]
 
-    @property
-    def nbytes_payload(self) -> int:
-        return self.arr.size * 4
-
     def __repr__(self) -> str:
         return f"Tensor{self.shape}"
 

@@ -344,6 +344,98 @@ def test_a_count_flag_out_of_range_is_a_usage_error(cli_env, tmp_path, capsys, c
     assert not out.exists()
 
 
+def _record_loads(monkeypatch):
+    """Every model or manifest path that a CLI command goes on to load."""
+    loaded = []
+    for name in ("load_any", "load_manifest"):
+        real = getattr(greenlite.cli, name)
+        monkeypatch.setattr(greenlite.cli, name, lambda path, real=real: loaded.append(path) or real(path))
+    return loaded
+
+
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+@pytest.mark.parametrize("flag", ["--conf", "--iou"])
+@pytest.mark.parametrize("command", ["detect", "bench"])
+def test_a_threshold_flag_outside_the_unit_interval_is_a_usage_error(
+    cli_env, tmp_path, capsys, monkeypatch, command, flag, value
+):
+    """Nothing is loaded or written: the parser refuses the value and names the flag."""
+    loaded = _record_loads(monkeypatch)
+    out = tmp_path / "out"
+    model = str(cli_env / "model.glw")
+    argv = {
+        "detect": ["detect", "--model", model, "--image",
+                   str(cli_env / "data" / "images" / "img_00000.ppm")],
+        "bench": ["bench", "--models", model, "--manifest", str(cli_env / "data" / "manifest.tsv"),
+                  "--out-dir", str(out)],
+    }[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be a number in [0, 1], got '{value}'" in capsys.readouterr().err
+    assert loaded == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["conf=2", "iou=-1"])
+def test_bench_on_a_config_threshold_outside_the_unit_interval_exits_two(
+    cli_env, tmp_path, capsys, monkeypatch, line
+):
+    loaded = _record_loads(monkeypatch)
+    config = tmp_path / "rig.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["bench", "--models", str(cli_env / "model.glw"),
+               "--manifest", str(cli_env / "data" / "manifest.tsv"),
+               "--out-dir", str(out), "--config", str(config)])
+    assert rc == 2
+    value = line.partition("=")[2]
+    assert f"config conf and iou: each must be a number in [0, 1], got '{value}'" in capsys.readouterr().err
+    assert loaded == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "var, value",
+    [("GREENLITE_POWER_W", "inf"), ("GREENLITE_POWER_W", "nan"), ("GREENLITE_INTENSITY", "nan")],
+)
+def test_bench_on_a_non_finite_energy_setting_exits_two(cli_env, tmp_path, capsys, monkeypatch, var, value):
+    monkeypatch.delenv("GREENLITE_POWER_W", raising=False)
+    monkeypatch.delenv("GREENLITE_INTENSITY", raising=False)
+    monkeypatch.setenv(var, value)
+    with pytest.raises(ContractViolation, match="must be finite and >= 0"):
+        greenlite.resolve_energy_settings()
+    loaded = _record_loads(monkeypatch)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["bench", "--models", str(cli_env / "model.glw"),
+               "--manifest", str(cli_env / "data" / "manifest.tsv"), "--out-dir", str(out)])
+    assert rc == 2
+    assert "must be finite and >= 0" in capsys.readouterr().err
+    assert loaded == []
+    assert not out.exists()
+
+
+def test_bench_reports_the_twin_that_quantize_wrote_for_any_name(cli_env, tmp_path, capsys):
+    """m.bin's default twin is m.bin.q.glw, and bench reads its size from there."""
+    model = tmp_path / "m.bin"
+    shutil.copyfile(cli_env / "model.glw", model)
+    manifest = str(cli_env / "data" / "manifest.tsv")
+    assert main(["quantize", "--model", str(model), "--calib-manifest", manifest,
+                 "--calib-count", "2"]) == 0
+    twin = tmp_path / "m.bin.q.glw"
+    assert twin.exists()
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--models", str(model), "--manifest", manifest,
+                 "--out-dir", str(out_dir), "--warmup", "0", "--iters", "1"]) == 0
+    capsys.readouterr()
+    row = (out_dir / "bench.csv").read_text().splitlines()[1].split(",")
+    assert row[0] == "m.bin"
+    assert row[7] == f"{os.path.getsize(twin) / 1e6:.4f}"
+
+
 def test_data_errors_exit_two(cli_env, tmp_path, capsys):
     missing = str(tmp_path / "nope.glw")
     img = str(cli_env / "data" / "images" / "img_00000.ppm")

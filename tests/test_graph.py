@@ -29,7 +29,6 @@ from greenlite import (
     letterbox,
     letterbox_point,
     load_model,
-    model_size_bytes,
     nms,
     parse_detection,
     save_model,
@@ -138,7 +137,7 @@ def test_save_load_round_trip_preserves_everything(tmp_path):
     m = tiny_model()
     path = tmp_path / "m.glw"
     written = save_model(m, path)
-    assert written == path.stat().st_size == model_size_bytes(m)
+    assert written == path.stat().st_size == len(save_model_bytes(m))
     back = load_model(path)
     assert back.layers == m.layers
     assert back.meta == m.meta

