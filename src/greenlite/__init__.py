@@ -55,7 +55,6 @@ from .metrics import (
     detection_prf,
     map50,
     match_detections,
-    metrics_csv_row,
     undersample,
 )
 from .profiling import (

@@ -42,7 +42,7 @@ from .graph import (
     nms,
     save_model,
 )
-from .metrics import detection_prf, map50, metrics_csv_row, METRICS_CSV_HEADER
+from .metrics import detection_prf, map50
 from .profiling import (
     EMISSIONS_CSV_HEADER,
     EmissionRecord,
@@ -66,7 +66,7 @@ DEFAULT_CONF = 0.25
 DEFAULT_IOU = 0.45
 
 BENCH_CSV_HEADER = (
-    METRICS_CSV_HEADER + ",mean_latency_s,peak_mem_bytes,total_carbon_kg"
+    "model,acc,precision,recall,f1,map50,size_mb,qsize_mb,mean_latency_s,peak_mem_bytes,total_carbon_kg"
 )
 MEMORY_CSV_HEADER = (
     "model,stage,peak_live_tensor_bytes,current_live_tensor_bytes,allocation_count"
@@ -77,22 +77,17 @@ MD_HEADER = "| Model | Acc | P | R | F1 | mAP | Size (MB) | Q-Size (MB) |"
 MD_RULE = "|---|---|---|---|---|---|---|---|"
 
 
-def _read_image(path: str) -> np.ndarray:
-    """Load an image file as (h, w, 3) uint8; PPM natively, others via Pillow."""
-    if path.lower().endswith(".ppm"):
-        return read_ppm(path)
-    try:
-        from PIL import Image
-    except ImportError:
-        raise ContractViolation(
-            f"{path}: only PPM is supported without Pillow (pip install Pillow)"
-        ) from None
-    with Image.open(path) as im:
-        return np.asarray(im.convert("RGB"), dtype=np.uint8)
-
-
 def _image_tensor(path: str, target: int):
-    arr = _read_image(path)
+    """Read an image file, PPM natively and others via Pillow, and letterbox it to target."""
+    if path.lower().endswith(".ppm"):
+        arr = read_ppm(path)
+    else:
+        try:
+            from PIL import Image
+        except ImportError:
+            raise ContractViolation(f"{path}: only PPM is supported without Pillow (pip install Pillow)") from None
+        with Image.open(path) as im:
+            arr = np.asarray(im.convert("RGB"), dtype=np.uint8)
     h, w = arr.shape[:2]
     return letterbox(arr.tobytes(), w, h, target)
 
@@ -180,9 +175,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_detect(args) -> int:
     model = load_any(args.model)
-    arr = _read_image(args.image)
-    h, w = arr.shape[:2]
-    x, meta = letterbox(arr.tobytes(), w, h, model.meta.input_size)
+    x, meta = _image_tensor(args.image, model.meta.input_size)
     dets = _run_detector(model, x, meta, args.conf, args.iou)
     if args.emit == "json":
         payload = [
@@ -203,8 +196,10 @@ def cmd_detect(args) -> int:
 
 @dataclass
 class BenchRow:
+    """One model's row of bench.csv and report.md, the one place their formats live.
+    Detector rows have no classification accuracy: acc is empty in CSV, "-" in markdown."""
+
     model_name: str
-    acc: float | None = None
     precision: float | None = None
     recall: float | None = None
     f1: float | None = None
@@ -216,26 +211,22 @@ class BenchRow:
     total_carbon_kg: float | None = None
     failed: bool = False
 
+    def _metrics(self) -> tuple:
+        """The seven report metrics in column order, acc first."""
+        return (None, self.precision, self.recall, self.f1, self.map_50, self.size_mb, self.qsize_mb)
+
     def to_csv(self) -> str:
-        prefix = metrics_csv_row(
-            self.model_name, self.acc, self.precision, self.recall,
-            self.f1, self.map_50, self.size_mb, self.qsize_mb,
-        )
-        lat = "" if self.mean_latency_s is None else f"{self.mean_latency_s:.6f}"
-        mem = "" if self.peak_mem_bytes is None else str(self.peak_mem_bytes)
-        co2 = "" if self.total_carbon_kg is None else f"{self.total_carbon_kg:.6f}"
-        return f"{prefix},{lat},{mem},{co2}"
+        def fmt(v, spec: str) -> str:
+            return "" if v is None else format(v, spec)
+
+        cells = [self.model_name] + [fmt(v, ".4f") for v in self._metrics()] + [
+            fmt(self.mean_latency_s, ".6f"), fmt(self.peak_mem_bytes, "d"), fmt(self.total_carbon_kg, ".6f"),
+        ]
+        return ",".join(cells)
 
     def to_md(self) -> str:
-        def cell(v) -> str:
-            return "-" if v is None else f"{v:.4f}"
-
         name = self.model_name + (" (failed)" if self.failed else "")
-        cells = [name] + [
-            cell(v)
-            for v in (self.acc, self.precision, self.recall, self.f1,
-                      self.map_50, self.size_mb, self.qsize_mb)
-        ]
+        cells = [name] + ["-" if v is None else f"{v:.4f}" for v in self._metrics()]
         return "| " + " | ".join(cells) + " |"
 
 
@@ -262,8 +253,7 @@ def _bench_one(path: str, image_paths, gts, args, power, intensity, conf, iou_th
 
     t0 = time.perf_counter()
     dets_per_image = [  # each image is letterboxed when the pass reaches it
-        nms(decode(run(model, x), meta, conf), iou_thr)
-        for x, meta in (_image_tensor(p, target) for p in image_paths)
+        _run_detector(model, *_image_tensor(p, target), conf, iou_thr) for p in image_paths
     ]
     detection = map50(dets_per_image, gts, model.meta.num_classes)
     prf = detection_prf(dets_per_image, gts)
@@ -276,7 +266,6 @@ def _bench_one(path: str, image_paths, gts, args, power, intensity, conf, iou_th
     report = stage_report(records)
     row = BenchRow(
         model_name=os.path.basename(path),
-        acc=None,  # detector rows have no classification accuracy
         precision=prf["precision"],
         recall=prf["recall"],
         f1=prf["f1"],
@@ -294,13 +283,16 @@ def _bench_one(path: str, image_paths, gts, args, power, intensity, conf, iou_th
         f"{row.model_name},inference,{mem.peak_live_tensor_bytes},"
         f"{mem.current_live_tensor_bytes},{mem.allocation_count}"
     )
-    del model
-    gc.collect()
     return row, emission_rows, memory_row
 
 
 def cmd_bench(args) -> int:
     config = load_config(args.config) if args.config else {}
+    unknown = sorted(config.keys() - {"power", "intensity", "conf", "iou"})
+    if unknown:
+        raise ContractViolation(
+            f"config {args.config}: unknown keys {', '.join(unknown)}; expected power, intensity, conf, iou"
+        )
     power, intensity = resolve_energy_settings(config)
     try:  # a flag beats the config file, whose conf and iou are checked as the flags are
         conf = args.conf if args.conf is not None else _unit_interval(config.get("conf", str(DEFAULT_CONF)))
@@ -331,18 +323,16 @@ def cmd_bench(args) -> int:
         rows.append(row)
         gc.collect()
 
-    bench_csv = os.path.join(args.out_dir, "bench.csv")
-    with open(bench_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(BENCH_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.to_csv() + "\n")
-    with open(os.path.join(args.out_dir, "emissions.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(emissions_lines) + "\n")
-    with open(os.path.join(args.out_dir, "memory.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(memory_lines) + "\n")
     report = [MD_HEADER, MD_RULE] + [row.to_md() for row in rows]
-    with open(os.path.join(args.out_dir, "report.md"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(report) + "\n")
+    files = {
+        "bench.csv": [BENCH_CSV_HEADER] + [row.to_csv() for row in rows],
+        "emissions.csv": emissions_lines,
+        "memory.csv": memory_lines,
+        "report.md": report,
+    }
+    for name, lines in files.items():
+        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
 
     print("\n".join(report))
     print(f"wrote {args.out_dir}/bench.csv, emissions.csv, memory.csv, report.md")

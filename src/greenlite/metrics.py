@@ -269,23 +269,3 @@ def undersample(items: Sequence, labels: Sequence[int], seed: int) -> list:
         keep.update(idxs[j] for j in chosen)
     return [items[i] for i in range(len(items)) if i in keep]
 
-
-METRICS_CSV_HEADER = "model,acc,precision,recall,f1,map50,size_mb,qsize_mb"
-
-
-def metrics_csv_row(
-    model: str,
-    acc: float | None = None,
-    precision: float | None = None,
-    recall: float | None = None,
-    f1: float | None = None,
-    map_50: float | None = None,
-    size_mb: float | None = None,
-    qsize_mb: float | None = None,
-) -> str:
-    """One report row; absent metrics render as empty fields, floats 4-decimal."""
-    def fmt(v: float | None) -> str:
-        return "" if v is None else f"{v:.4f}"
-
-    fields = [model] + [fmt(v) for v in (acc, precision, recall, f1, map_50, size_mb, qsize_mb)]
-    return ",".join(fields)

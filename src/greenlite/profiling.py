@@ -292,14 +292,24 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def resolve_energy_settings(config: Mapping[str, str] | None = None) -> tuple[float, float]:
-    """(power_watts, intensity) with env vars > config file > defaults."""
+    """(power_watts, intensity) with env vars > config file > defaults.
+
+    Every value given, in the config or the environment, must be a finite
+    number >= 0; an error names the config key or variable it came from.
+    """
     config = config or {}
-    power = float(config.get("power", DEFAULT_POWER_WATTS))
-    intensity = float(config.get("intensity", WORLD_AVG_INTENSITY))
-    if ENV_POWER in os.environ:
-        power = float(os.environ[ENV_POWER])
-    if ENV_INTENSITY in os.environ:
-        intensity = float(os.environ[ENV_INTENSITY])
-    if not (math.isfinite(power) and math.isfinite(intensity) and power >= 0 and intensity >= 0):
-        raise ContractViolation(f"power and intensity must be finite and >= 0, got {power}, {intensity}")
-    return power, intensity
+    resolved = []
+    for key, env, value in (
+        ("power", ENV_POWER, DEFAULT_POWER_WATTS), ("intensity", ENV_INTENSITY, WORLD_AVG_INTENSITY)
+    ):
+        for source, text in ((f"config key {key}", config.get(key)), (env, os.environ.get(env))):
+            if text is None:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise ContractViolation(f"{source} must be a number, got {text!r}") from None
+            if not (math.isfinite(value) and value >= 0):
+                raise ContractViolation(f"{source} must be finite and >= 0, got {value}")
+        resolved.append(value)
+    return resolved[0], resolved[1]

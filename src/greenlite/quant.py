@@ -391,8 +391,13 @@ class QuantizedModel:
             )
         self.quantize_input = _bind_quantizer(act_params[INPUT_SLOT])
         self.steps = plan(layers, partial(_bind, self))
+        # Dequantized CBAM weights live beside their int8 codes; the biases are the slot's own arrays.
         slots = (*conv_weights.values(), *cbam_weights.values())
-        TRACKER.track(self, *(arr.nbytes for slot in slots for arr in slot.values()))
+        TRACKER.track(
+            self,
+            *(arr.nbytes for slot in slots for arr in slot.values()),
+            *(getattr(p, name).nbytes for p in self._cbam_params.values() for name in _CBAM_WEIGHTS),
+        )
 
     def cbam_params(self, slot: str) -> CbamParams:
         """The slot's CBAM params with its int8 weights dequantized, as load built them."""

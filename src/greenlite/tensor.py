@@ -318,19 +318,11 @@ def pool(x: Tensor, kind: str, kernel: int, stride: int | None = None, padding: 
     n, c, h, w = x.shape
     oh = _out_dim(h, kernel, s, padding)
     ow = _out_dim(w, kernel, s, padding)
-    out = np.empty((n, c, oh, ow), dtype=np.float32)
-    for b in range(n):
-        for ch in range(c):
-            plane = x.arr[b, ch]
-            for oy in range(oh):
-                y0 = oy * s - padding
-                ys, ye = max(0, y0), min(h, y0 + kernel)
-                for ox in range(ow):
-                    x0 = ox * s - padding
-                    xs, xe = max(0, x0), min(w, x0 + kernel)
-                    window = plane[ys:ye, xs:xe]
-                    out[b, ch, oy, ox] = math.fsum(window.flat) / window.size
-    return Tensor(out)
+    # -0.0 padding leaves every correctly rounded sum, and a zero sum's sign, unchanged.
+    windows = patches(x.arr, kernel, s, padding, np.float32(-0.0), np.float32)
+    sums = exact_sum(windows.reshape(n, c, kernel * kernel, oh * ow), axis=2)
+    cells = patches(np.ones((1, 1, h, w), np.float32), kernel, s, padding, 0, np.float32).sum(axis=1)
+    return Tensor((sums / cells).astype(np.float32).reshape(n, c, oh, ow))
 
 
 def global_pool(x: Tensor, kind: str) -> Tensor:

@@ -30,6 +30,7 @@ from greenlite import (
 from greenlite.cli import (
     BENCH_CSV_HEADER,
     BENCH_EMISSIONS_CSV_HEADER,
+    BenchRow,
     MD_HEADER,
     MD_RULE,
     MEMORY_CSV_HEADER,
@@ -194,6 +195,24 @@ def test_detect_cli_blank_image_at_high_confidence(cli_env, tmp_path, capsys):
 
 
 # ---- bench ----
+
+
+def test_bench_row_formats_csv_and_markdown_cells():
+    """Report metrics print to 4 decimals, latency and carbon to 6, bytes as
+    an int; an absent value is an empty CSV cell and "-" in markdown, and a
+    detector row's acc column is always absent."""
+    header = BENCH_CSV_HEADER.split(",")
+    assert header[0] == "model" and header[1] == "acc" and len(header) == 11
+    row = BenchRow("m.glw", precision=0.5, recall=1 / 3, f1=0.42, map_50=0.12345, size_mb=4.20832,
+                   qsize_mb=None, mean_latency_s=0.0123456789, peak_mem_bytes=1_066_338,
+                   total_carbon_kg=1.5e-7)
+    assert row.to_csv() == "m.glw,,0.5000,0.3333,0.4200,0.1235,4.2083,,0.012346,1066338,0.000000"
+    assert len(row.to_csv().split(",")) == len(header)
+    assert row.to_md() == "| m.glw | - | 0.5000 | 0.3333 | 0.4200 | 0.1235 | 4.2083 | - |"
+    assert len(row.to_md().split(" | ")) == len(MD_HEADER.split(" | "))
+    failed = BenchRow("bogus.glw", failed=True)
+    assert failed.to_csv() == "bogus.glw,,,,,,,,,,"
+    assert failed.to_md() == "| bogus.glw (failed) | - | - | - | - | - | - | - |"
 
 
 def test_bench_writes_the_four_reports(cli_env, tmp_path, capsys, monkeypatch):
@@ -414,6 +433,50 @@ def test_bench_on_a_non_finite_energy_setting_exits_two(cli_env, tmp_path, capsy
                "--manifest", str(cli_env / "data" / "manifest.tsv"), "--out-dir", str(out)])
     assert rc == 2
     assert "must be finite and >= 0" in capsys.readouterr().err
+    assert loaded == []
+    assert not out.exists()
+
+
+def test_bench_refuses_an_unknown_config_key(cli_env, tmp_path, capsys, monkeypatch):
+    """A misspelt key would otherwise bench at the default it meant to override."""
+    loaded = _record_loads(monkeypatch)
+    config = tmp_path / "rig.cfg"
+    config.write_text("powr=65\nfoo=1\niou=0.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["bench", "--models", str(cli_env / "model.glw"),
+               "--manifest", str(cli_env / "data" / "manifest.tsv"),
+               "--out-dir", str(out), "--config", str(config)])
+    assert rc == 2
+    assert "unknown keys foo, powr; expected power, intensity, conf, iou" in capsys.readouterr().err
+    assert loaded == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "var, line, source",
+    [("GREENLITE_POWER_W", None, "GREENLITE_POWER_W"), ("GREENLITE_INTENSITY", None, "GREENLITE_INTENSITY"),
+     (None, "power=abc", "config key power")],
+)
+def test_bench_on_an_energy_setting_that_is_not_a_number_exits_two(
+    cli_env, tmp_path, capsys, monkeypatch, var, line, source
+):
+    monkeypatch.delenv("GREENLITE_POWER_W", raising=False)
+    monkeypatch.delenv("GREENLITE_INTENSITY", raising=False)
+    argv = []
+    if var:
+        monkeypatch.setenv(var, "abc")
+    else:
+        config = tmp_path / "rig.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        argv = ["--config", str(config)]
+    loaded = _record_loads(monkeypatch)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["bench", "--models", str(cli_env / "model.glw"),
+               "--manifest", str(cli_env / "data" / "manifest.tsv"), "--out-dir", str(out)] + argv)
+    assert rc == 2
+    assert f"error: {source} must be a number, got 'abc'" in capsys.readouterr().err
     assert loaded == []
     assert not out.exists()
 

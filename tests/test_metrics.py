@@ -15,10 +15,9 @@ from greenlite import (
     detection_prf,
     map50,
     match_detections,
-    metrics_csv_row,
     undersample,
 )
-from greenlite.metrics import METRICS_CSV_HEADER, ConfusionMatrix
+from greenlite.metrics import ConfusionMatrix
 
 from _oracles import map50_ref
 
@@ -356,17 +355,6 @@ def test_undersample_validates_inputs():
         undersample([1], [0, 1], 0)
     with pytest.raises(ContractViolation):
         undersample([], [], 0)
-
-
-# ---- report rows ----
-
-
-def test_metrics_csv_row_formatting():
-    assert METRICS_CSV_HEADER.split(",")[0] == "model"
-    row = metrics_csv_row("m.glw", acc=None, precision=0.5, recall=1 / 3, f1=0.42,
-                          map_50=0.12345, size_mb=4.20832, qsize_mb=None)
-    assert row == "m.glw,,0.5000,0.3333,0.4200,0.1235,4.2083,"
-    assert len(row.split(",")) == len(METRICS_CSV_HEADER.split(","))
 
 
 def test_ground_truth_box_validation():

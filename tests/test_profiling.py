@@ -14,6 +14,7 @@ from greenlite import (
     EmissionRecord,
     LatencyStats,
     STAGES,
+    TRACKER,
     Tensor,
     build_model,
     calibrate,
@@ -22,6 +23,7 @@ from greenlite import (
     forward,
     forward_quantized,
     load_config,
+    load_quantized,
     parse_stage_report,
     quantize_model,
     resolve_energy_settings,
@@ -29,6 +31,7 @@ from greenlite import (
     time_stage,
     track_memory,
 )
+from greenlite.quant import save_quantized_bytes
 
 
 # ---- memory tracking ----
@@ -71,6 +74,34 @@ def test_tensors_alive_before_the_window_count_toward_the_peak():
     assert stats.current_live_tensor_bytes == 16 * 16 * 4
     assert stats.allocation_count == 0
     del held
+
+
+@pytest.mark.parametrize("per_stage, int8_bytes, dequantized_bytes", [
+    (False, 1_066_338, 33_160),
+    (True, 1_083_778, 78_248),
+])
+def test_a_loaded_int8_model_tracks_its_dequantized_cbam_weights(per_stage, int8_bytes, dequantized_bytes):
+    """An int8 model holds each CBAM's dequantized mlp_w1, mlp_w2 and
+    spatial_weight beside their int8 codes, so the tracker counts both. The
+    CBAM biases are the int8 slot's own float32 arrays and count once."""
+    m = build_model(7, seed=42, input_size=64, cbam_per_stage=per_stage)
+    rng = np.random.default_rng(42)
+    images = [Tensor(rng.uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)) for _ in range(2)]
+    blob = save_quantized_bytes(quantize_model(m, calibrate(m, images)))
+    del m, images
+    assert_tracker_empty()
+    qm = load_quantized(blob)
+    slots = (*qm.conv_weights.values(), *qm.cbam_weights.values())
+    int8 = sum(arr.nbytes for slot in slots for arr in slot.values())
+    dequantized = 0
+    for slot, w in qm.cbam_weights.items():
+        params = qm.cbam_params(slot)
+        assert all(getattr(params, name) is w[name] for name in ("mlp_b1", "mlp_b2", "spatial_bias"))
+        dequantized += sum(getattr(params, name).nbytes for name in ("mlp_w1", "mlp_w2", "spatial_weight"))
+    assert (int8, dequantized) == (int8_bytes, dequantized_bytes)
+    assert TRACKER.current_bytes == int8 + dequantized
+    del qm
+    assert_tracker_empty()
 
 
 def test_quantized_forward_peaks_below_float_forward(synth_manifest):
@@ -295,4 +326,21 @@ def test_energy_settings_precedence(monkeypatch):
     assert resolve_energy_settings() == (30.0, 0.1)
     monkeypatch.setenv("GREENLITE_POWER_W", "-5")
     with pytest.raises(ContractViolation):
+        resolve_energy_settings()
+
+
+def test_energy_settings_name_the_source_of_a_bad_value(monkeypatch):
+    """Each value given is checked, an overridden config value too, and the
+    error names the environment variable or config key it came from."""
+    monkeypatch.delenv("GREENLITE_POWER_W", raising=False)
+    monkeypatch.delenv("GREENLITE_INTENSITY", raising=False)
+    with pytest.raises(ContractViolation, match="config key power must be a number, got 'abc'"):
+        resolve_energy_settings({"power": "abc"})
+    with pytest.raises(ContractViolation, match="config key intensity must be finite and >= 0, got -1.0"):
+        resolve_energy_settings({"intensity": "-1"})
+    monkeypatch.setenv("GREENLITE_POWER_W", "20")
+    with pytest.raises(ContractViolation, match="config key power must be a number"):
+        resolve_energy_settings({"power": "abc"})
+    monkeypatch.setenv("GREENLITE_INTENSITY", "1e999")
+    with pytest.raises(ContractViolation, match="GREENLITE_INTENSITY must be finite and >= 0, got inf"):
         resolve_energy_settings()
