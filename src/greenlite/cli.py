@@ -26,6 +26,7 @@ import numpy as np
 from .data import (
     DEFAULT_CLASS_NAMES,
     class_distribution,
+    default_class_names,
     load_manifest,
     read_ppm,
     save_manifest,
@@ -33,6 +34,8 @@ from .data import (
 )
 from .errors import ContractViolation, ManifestError
 from .graph import (
+    DEFAULT_CONF,
+    DEFAULT_IOU,
     build_model,
     decode,
     format_detection,
@@ -46,6 +49,7 @@ from .metrics import detection_prf, map50
 from .profiling import (
     EMISSIONS_CSV_HEADER,
     EmissionRecord,
+    format_float,
     load_config,
     resolve_energy_settings,
     stage_report,
@@ -61,9 +65,6 @@ from .quant import (
     quantize_model,
     save_quantized,
 )
-
-DEFAULT_CONF = 0.25
-DEFAULT_IOU = 0.45
 
 BENCH_CSV_HEADER = (
     "model,acc,precision,recall,f1,map50,size_mb,qsize_mb,mean_latency_s,peak_mem_bytes,total_carbon_kg"
@@ -136,14 +137,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build(args) -> int:
-    names = None
-    if args.classes <= len(DEFAULT_CLASS_NAMES):
-        names = DEFAULT_CLASS_NAMES[: args.classes]
     model = build_model(
         num_classes=args.classes,
         input_size=args.input_size,
         seed=args.seed,
-        class_names=names,
+        class_names=default_class_names(args.classes),
     )
     nbytes = save_model(model, args.out)
     print(f"parameters: {model.param_count()}")
@@ -219,8 +217,9 @@ class BenchRow:
         def fmt(v, spec: str) -> str:
             return "" if v is None else format(v, spec)
 
+        carbon = "" if self.total_carbon_kg is None else format_float(self.total_carbon_kg)
         cells = [self.model_name] + [fmt(v, ".4f") for v in self._metrics()] + [
-            fmt(self.mean_latency_s, ".6f"), fmt(self.peak_mem_bytes, "d"), fmt(self.total_carbon_kg, ".6f"),
+            fmt(self.mean_latency_s, ".6f"), fmt(self.peak_mem_bytes, "d"), carbon,
         ]
         return ",".join(cells)
 
@@ -237,6 +236,10 @@ def _bench_one(path: str, image_paths, gts, args, power, intensity, conf, iou_th
     t0 = time.perf_counter()
     model = load_any(path)
     records.append(EmissionRecord.measure("load", time.perf_counter() - t0, power, intensity))
+    k = model.meta.num_classes
+    beyond = sorted({box.class_id for boxes in gts for box in boxes if box.class_id >= k})
+    if beyond:  # map50 would skip their boxes while detection_prf counts them
+        raise ContractViolation(f"manifest class ids {beyond} are beyond the model's {k} classes")
 
     run = _forward_fn(model)
     target = model.meta.input_size
@@ -378,16 +381,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", parents=[], help="generate a synthetic shapes dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--images", type=int, default=60)
-    p.add_argument("--classes", type=int, default=len(DEFAULT_CLASS_NAMES))
-    p.add_argument("--max-boxes", type=int, default=3)
-    p.add_argument("--size", type=int, default=320, help="square image size in pixels")
+    p.add_argument("--images", type=_at_least(1), default=60)
+    p.add_argument("--classes", type=_at_least(1), default=len(DEFAULT_CLASS_NAMES))
+    p.add_argument("--max-boxes", type=_at_least(1), default=3)
+    p.add_argument("--size", type=_at_least(32), default=320, help="square image size in pixels")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("build", help="build a randomly initialized detector container")
-    p.add_argument("--classes", type=int, default=len(DEFAULT_CLASS_NAMES))
-    p.add_argument("--input-size", type=int, default=320)
+    p.add_argument("--classes", type=_at_least(1), default=len(DEFAULT_CLASS_NAMES))
+    p.add_argument("--input-size", type=_at_least(32), default=320)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True, help="output .glw path")
     p.set_defaults(fn=cmd_build)

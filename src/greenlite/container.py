@@ -60,6 +60,13 @@ def write_container(doc: dict, tensors: list[tuple[str, np.ndarray]]) -> bytes:
     return bytes(out)
 
 
+def save(blob: bytes, path) -> int:
+    """Write container bytes to a file; returns their count, the model size."""
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return len(blob)
+
+
 def require(mapping: dict, key: str, kind: type = object):
     """mapping[key] from a read container's document or tensors; a missing key,
     a document entry that is not a mapping, or a value not of kind is malformed."""

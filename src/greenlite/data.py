@@ -35,6 +35,11 @@ DEFAULT_CLASS_NAMES = (
 
 _BOUND_SLACK = 1e-6
 
+
+def default_class_names(k: int) -> tuple[str, ...]:
+    """Names for k classes: the seven defaults, then class_7, class_8, ..."""
+    return DEFAULT_CLASS_NAMES[:k] + tuple(f"class_{i}" for i in range(len(DEFAULT_CLASS_NAMES), k))
+
 # One fixed, saturated color per class; index 7+ extends procedurally.
 _BASE_PALETTE = (
     (220, 60, 60),
@@ -145,12 +150,9 @@ def _parse_box(token: str, line_no: int, image_path: str, box_index: int):
     return class_id, cx, cy, w, h
 
 
-def load_manifest(path: str, class_names=None) -> Dataset:
-    """Parse and validate a manifest file.
-
-    When class_names is omitted, the default seven names are used if every
-    class id fits; otherwise generic names cover the observed id range.
-    """
+def load_manifest(path: str) -> Dataset:
+    """Parse and validate a manifest file; its classes are named by
+    default_class_names, seven of them or as many as the largest id needs."""
     images: list[AnnotatedImage] = []
     max_class = -1
     with open(path, "r", encoding="utf-8") as fh:
@@ -179,12 +181,7 @@ def load_manifest(path: str, class_names=None) -> Dataset:
             images.append(img)
     if not images:
         raise ManifestError(None, "empty dataset")
-    if class_names is None:
-        if max_class < len(DEFAULT_CLASS_NAMES):
-            class_names = DEFAULT_CLASS_NAMES
-        else:
-            class_names = tuple(f"class_{i}" for i in range(max_class + 1))
-    return Dataset(tuple(class_names), tuple(images))
+    return Dataset(default_class_names(max(max_class + 1, len(DEFAULT_CLASS_NAMES))), tuple(images))
 
 
 def save_manifest(ds: Dataset, path: str) -> None:
@@ -335,13 +332,6 @@ def synth_dataset(
     if image_size < 32:
         raise ContractViolation(f"image_size must be >= 32, got {image_size}")
 
-    if num_classes <= len(DEFAULT_CLASS_NAMES):
-        class_names = DEFAULT_CLASS_NAMES[:num_classes]
-    else:
-        class_names = tuple(
-            list(DEFAULT_CLASS_NAMES) + [f"class_{i}" for i in range(len(DEFAULT_CLASS_NAMES), num_classes)]
-        )
-
     images_dir = os.path.join(out_dir, "images")
     os.makedirs(images_dir, exist_ok=True)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -399,4 +389,4 @@ def synth_dataset(
         rel_path = os.path.join("images", f"img_{idx:05d}.ppm")
         write_ppm(os.path.join(out_dir, rel_path), canvas)
         images.append(AnnotatedImage(rel_path, s, s, tuple(boxes)))
-    return Dataset(class_names, tuple(images))
+    return Dataset(default_class_names(num_classes), tuple(images))

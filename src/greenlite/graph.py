@@ -49,6 +49,9 @@ LAYER_KINDS = ("conv", "bn", "act", "pool", "concat", "cbam", "detect_head")
 HEAD_SLOT = "head"
 GRID_STRIDE = 32
 PAD_GRAY = 114.0 / 255.0
+# Detection defaults: decode's score threshold and nms's IoU threshold.
+DEFAULT_CONF = 0.25
+DEFAULT_IOU = 0.45
 
 _SLOT_ARRAYS = {
     "conv": ("weight", "bias"),
@@ -529,7 +532,7 @@ _MAX_SIDE_LOG = math.log(4.0)  # dw/dh exponent cap: 4 strides
 
 
 def decode(
-    raw: Tensor, meta: LetterboxMeta, conf_threshold: float = 0.25
+    raw: Tensor, meta: LetterboxMeta, conf_threshold: float = DEFAULT_CONF
 ) -> list[Detection]:
     """Raw (1, 4+K, G, G) head tensor -> detections in original pixel coords.
 
@@ -587,7 +590,7 @@ def _det_order_key(d: Detection):
     return (-d.score, d.class_id, d.box[0], d.box[1])
 
 
-def nms(dets: list[Detection], iou_threshold: float = 0.45) -> list[Detection]:
+def nms(dets: list[Detection], iou_threshold: float = DEFAULT_IOU) -> list[Detection]:
     """Greedy per-class suppression of overlaps with IoU strictly above the
     threshold (IoU exactly equal to the threshold survives).
 
@@ -709,10 +712,7 @@ def save_model_bytes(model: ModelGraph) -> bytes:
 
 
 def save_model(model: ModelGraph, path: str) -> int:
-    blob = save_model_bytes(model)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
+    return container.save(save_model_bytes(model), path)
 
 
 def load_model(path_or_bytes) -> ModelGraph:

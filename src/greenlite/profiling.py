@@ -211,6 +211,11 @@ class EmissionRecord:
 EMISSIONS_CSV_HEADER = "stage,duration_s,energy_kwh,carbon_kg"
 
 
+def format_float(v: float) -> str:
+    """v in Python's shortest round-trip form (repr): float(text) == v, and 1.5e-07 is not 0.000000."""
+    return repr(float(v))
+
+
 @dataclass(frozen=True)
 class StageReport:
     """Per-stage emission totals plus a grand total, in canonical stage order."""
@@ -221,13 +226,9 @@ class StageReport:
     total_carbon_kg: float
 
     def to_csv(self) -> str:
-        lines = [EMISSIONS_CSV_HEADER]
-        for stage, dur, kwh, kg in self.stages:
-            lines.append(f"{stage},{dur:.6f},{kwh:.6f},{kg:.6f}")
-        lines.append(
-            f"total,{self.total_duration_s:.6f},{self.total_energy_kwh:.6f},{self.total_carbon_kg:.6f}"
-        )
-        return "\n".join(lines) + "\n"
+        total = ("total", self.total_duration_s, self.total_energy_kwh, self.total_carbon_kg)
+        rows = [",".join([stage, *map(format_float, values)]) for stage, *values in (*self.stages, total)]
+        return "\n".join([EMISSIONS_CSV_HEADER, *rows]) + "\n"
 
 
 def stage_report(records: Iterable[EmissionRecord]) -> StageReport:
@@ -258,7 +259,7 @@ def stage_report(records: Iterable[EmissionRecord]) -> StageReport:
 
 
 def parse_stage_report(text: str) -> StageReport:
-    """Parse a stage report CSV back into its (6-decimal quantized) values."""
+    """Parse a stage report CSV back into its values, bit for bit (format_float)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != EMISSIONS_CSV_HEADER:
         raise ContractViolation("bad emissions CSV header")
@@ -277,8 +278,10 @@ def parse_stage_report(text: str) -> StageReport:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Read a key=value config file; blank lines and # comments are ignored."""
+    """Read a key=value config file; blank lines and # comments are ignored,
+    and a key given twice is a ContractViolation naming both lines."""
     values: dict[str, str] = {}
+    line_of: dict[str, int] = {}  # key -> the line that set it
     with open(path, "r", encoding="utf-8") as fh:
         for i, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -286,8 +289,10 @@ def load_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ContractViolation(f"config line {i}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if (first := line_of.setdefault(key, i)) != i:
+                raise ContractViolation(f"config line {i}: key {key!r} is already set on line {first}")
+            values[key] = value
     return values
 
 

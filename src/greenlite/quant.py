@@ -35,10 +35,10 @@ kernels (quantize_array, quantize_tensor, quantized_conv2d) take the exact
 rule. A planned forward takes the affine map for a step only after proving,
 once per model, that it equals the exact rule on every possible input of
 that step: both maps are monotone, so they agree everywhere when they step
-to each level at the same input, which a check at two inputs per level
-settles (see _proves_conv_affine). A step whose check fails (a negative tie
-such as m = 0.5 does) keeps the exact rule, so planned and literal outputs
-are bit-identical either way.
+to each level at the same input, which a check at a few adjacent inputs
+per level settles (see _steps_agree). A step whose check fails (a negative
+tie such as m = 0.5 does) keeps the exact rule, so planned and literal
+outputs are bit-identical either way.
 
 Activation functions run as exact 256-entry lookup tables composing
 dequantize -> f -> requantize. Max pooling reuses its input's params
@@ -93,7 +93,7 @@ from .graph import (
     validate_graph,
 )
 from .profiling import TRACKER
-from .tensor import Tensor, _sigmoid64, conv_gemm, conv_geometry, max_windows
+from .tensor import ACTIVATIONS, Tensor, conv_gemm, conv_geometry, max_windows
 
 PER_TENSOR_AFFINE = "per_tensor_affine"
 PER_CHANNEL_SYMMETRIC = "per_channel_symmetric"
@@ -298,10 +298,11 @@ def calibrate(model: ModelGraph, images) -> CalibrationStats:
 
 
 def fold_batchnorm(model: ModelGraph) -> tuple[ModelGraph, list[str]]:
-    """Fold each bn into the conv it reads when no other layer reads that
-    conv, in one pass; returns the folded graph and, per new layer, the
-    calibration key of its output in the original model's indexing. A folded
-    conv gets new arrays; every other array is shared with model, not copied."""
+    """Fold every bn into the conv it reads, in one pass; returns the folded
+    graph and, per new layer, the calibration key of its output in model's
+    indexing. A bn reading no conv, or a conv another layer also reads, is
+    refused by model's indices. A folded conv gets new arrays; every other
+    array is shared with model, not copied."""
     consumers = Counter(ref for layer in model.layers for ref in layer.inputs)
     new_weights = {slot: dict(arrays) for slot, arrays in model.weights.items()}
     new_layers: list[Layer] = []
@@ -309,7 +310,14 @@ def fold_batchnorm(model: ModelGraph) -> tuple[ModelGraph, list[str]]:
     remap = {-1: -1}  # old layer index -> new
     for idx, layer in enumerate(model.layers):
         src = layer.inputs[0]
-        if layer.kind == "bn" and src >= 0 and model.layers[src].kind == "conv" and consumers[src] == 1:
+        if layer.kind == "bn":
+            cannot = f"layer {idx} (bn) cannot be folded"
+            if src < 0 or model.layers[src].kind != "conv":
+                read = "the input" if src < 0 else f"layer {src} ({model.layers[src].kind})"
+                raise ContractViolation(f"{cannot}: it reads {read}, not a conv")
+            if consumers[src] > 1:
+                other = next(i for i, l in enumerate(model.layers) if src in l.inputs and i != idx)
+                raise ContractViolation(f"{cannot}: conv {src} is also read by layer {other}")
             bn = new_weights.pop(layer.slot)
             eps = model.layer_attrs[idx].eps
             k = bn["gamma"].astype(np.float64) / np.sqrt(bn["var"].astype(np.float64) + eps)
@@ -409,18 +417,10 @@ class QuantizedModel:
 
 
 def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel:
-    """Fold bn, refusing a bn that cannot be folded, check stats coverage,
-    then in one pass over the folded layers pick each layer's activation
-    params and quantize its weights."""
+    """Fold bn (fold_batchnorm refuses a bn it cannot fold), check stats
+    coverage, then in one pass over the folded layers pick each layer's
+    activation params and quantize its weights."""
     folded, stats_keys = fold_batchnorm(model)
-    for idx, layer in enumerate(model.layers):
-        if layer.kind == "bn" and layer.slot in folded.weights:  # int8 has no bn step
-            src, cannot = layer.inputs[0], f"layer {idx} (bn) cannot be folded"
-            if src >= 0 and model.layers[src].kind == "conv":
-                other = next(i for i, l in enumerate(model.layers) if src in l.inputs and i != idx)
-                raise ContractViolation(f"{cannot}: conv {src} is also read by layer {other}")
-            read = "the input" if src < 0 else f"layer {src} ({model.layers[src].kind})"
-            raise ContractViolation(f"{cannot}: it reads {read}, not a conv")
     missing = {INPUT_SLOT, *stats_keys} - stats.keys()
     if missing:
         raise CalibrationCoverageError(sorted(missing))
@@ -577,7 +577,7 @@ def quantized_conv2d(x: QuantizedTensor, spec: QConvSpec, out_params: QuantParam
 # two differ on negative ties and where fl64(y + K) rounds across an integer,
 # hence the per-step proof (module docstring).
 
-_LEVELS = np.arange(-127, 128, dtype=np.float64)  # each code whose lower threshold is checked
+_LEVELS = np.arange(-127, 128, dtype=np.float64)[:, None]  # the checked codes, one per row
 
 
 def _affine_codes(t: np.ndarray, k) -> np.ndarray:
@@ -593,60 +593,56 @@ def _affine_codes(t: np.ndarray, k) -> np.ndarray:
     return u.view(np.int8)
 
 
+def _steps_agree(t_exact: np.ndarray, t_fast: np.ndarray, zp) -> bool:
+    """Whether the exact rule _requantize(t_exact, zp) and the affine map
+    _affine_codes(t_fast, zp + 128.5), both monotone in the input, agree on
+    a whole ordered input domain. Row [..., i, :] holds their t at adjacent
+    inputs near where the exact code first reaches level L = _LEVELS[i]. A
+    monotone map is fixed by where it first reaches each level, so the maps
+    agree everywhere when in every row the exact code steps from below L to
+    L or above and the affine codes equal the exact ones. A row that misses
+    its step fails the check; no wrong map passes.
+    """
+    exact = _requantize(np.array(t_exact), zp)
+    if not np.array_equal(_affine_codes(np.array(t_fast), zp + 128.5), exact):
+        return False
+    return bool(np.all(((exact[..., :-1] < _LEVELS) & (_LEVELS <= exact[..., 1:])).any(axis=-1)))
+
+
 def _proves_conv_affine(mult: np.ndarray, zp, bound: np.ndarray) -> bool:
     """Whether _affine_codes(acc * m_c, zp + 128.5) equals the exact rule
     _requantize(acc * m_c, zp) for every channel c and every integer acc with
-    |acc| <= bound[c], both products taken in float64.
-
-    Both maps are monotone non-decreasing in acc, so they are equal on that
-    range when, for each level L in -127..127, the accumulators they send to
-    L or above start at the same place. For the exact map g that start is
-    near est = ceil((L - zp - 0.5) / m_c), clipped to [-bound, bound + 1]
-    (the ends: every acc reaches L, or none does). The check proves that g's
-    start is est, g(est - 1) < L <= g(est) with points beyond the range left
-    out, and that the affine map equals g at est - 1 and est, so its start is
-    est too; it also compares the two at +-bound. A wrong estimate fails the
-    check; it cannot pass a wrong map.
+    |acc| <= bound[c], both products taken in float64 (_steps_agree). Level
+    L's row is est - 1, est with est = ceil((L - zp - 0.5) / m_c) clipped to
+    [-bound, bound + 1]; an acc just outside [-bound, bound] stands for -inf
+    or +inf, below or above the whole range.
     """
-    m = np.asarray(mult, dtype=np.float64).reshape(-1, 1)
-    b = np.asarray(bound, dtype=np.int64).reshape(-1, 1).astype(np.float64)
+    m = np.asarray(mult, dtype=np.float64).reshape(-1, 1, 1)
+    b = np.asarray(bound, dtype=np.int64).reshape(-1, 1, 1).astype(np.float64)
     if not (np.all(np.isfinite(m)) and np.all(m > 0) and np.all(b < 2.0**53)):
         return False
-    with np.errstate(over="ignore"):  # far thresholds of a tiny m; clipped next
+    # Far thresholds of a tiny m are clipped; a t past float64's range is inf, as in the step.
+    with np.errstate(over="ignore"):
         est = np.clip(np.ceil((_LEVELS - zp - 0.5) / m), -b, b + 1)
-    points = np.concatenate([np.maximum(est - 1, -b), np.minimum(est, b), -b, b], axis=1)
-    t = points * m
-    exact = _requantize(t.copy(), zp)
-    if not np.array_equal(_affine_codes(t, zp + 128.5), exact):
-        return False
-    n = len(_LEVELS)
-    below, at = exact[:, :n], exact[:, n : 2 * n]
-    return bool(np.all(((est == -b) | (below < _LEVELS)) & ((est == b + 1) | (at >= _LEVELS))))
+        acc = np.concatenate([est - 1, est], axis=-1)
+        t = acc * m
+    t[acc < -b], t[acc > b] = -np.inf, np.inf
+    return _steps_agree(t, t, zp)
 
 
 def _proves_quantizer_affine(scale, zp) -> bool:
     """Whether _affine_codes(x * (1 / scale), zp + 128.5) equals the exact
     quantize_array rule _requantize(x / scale, zp) for every float32 x, +-inf
-    included, with 1 / scale, the product and the quotient in float64.
-
-    The argument is _proves_conv_affine's over the ordered float32 values.
-    For each level L the candidates are e = fl32((L - zp - 0.5) * scale) and
-    its two float32 neighbours: the check needs the exact code to step from
-    below L to L or above between two adjacent candidates, and the affine
-    map to equal the exact rule at all three. It also compares them at +-inf.
+    included, with 1 / scale, the product and the quotient in float64
+    (_steps_agree). Level L's row is e = fl32((L - zp - 0.5) * scale) between
+    its two float32 neighbours.
     """
     s = np.float64(scale)
     with np.errstate(over="ignore"):  # thresholds past the float32 range become +-inf
         e = ((_LEVELS - zp - 0.5) * s).astype(np.float32)
     inf = np.float32(np.inf)
-    points = np.concatenate([np.nextafter(e, -inf), e, np.nextafter(e, inf), [-inf, inf]])
-    exact = _requantize(points.astype(np.float64) / s, zp)
-    fast = _affine_codes(np.multiply(points, 1.0 / s, dtype=np.float64), zp + 128.5)
-    if not np.array_equal(fast, exact):
-        return False
-    lo, mid, hi = exact[:-2].reshape(3, -1)
-    steps = ((lo < _LEVELS) & (_LEVELS <= mid)) | ((mid < _LEVELS) & (_LEVELS <= hi))
-    return bool(np.all(steps))
+    x = np.concatenate([np.nextafter(e, -inf), e, np.nextafter(e, inf)], axis=-1).astype(np.float64)
+    return _steps_agree(x / s, x * (1.0 / s), zp)
 
 
 def _code_map(proven: bool, zp) -> Callable[[np.ndarray], np.ndarray]:
@@ -710,14 +706,7 @@ def _regrid_table(in_params: QuantParams, out_params: QuantParams) -> bytes | No
     """Code table moving codes between grids; None when the grids are the same."""
     if in_params.same_grid(out_params):
         return None
-    return _code_table(_pointwise_lut(in_params, out_params, lambda x: x))
-
-
-_ACT_FNS = {
-    "silu": lambda x: x * _sigmoid64(x),
-    "sigmoid": _sigmoid64,
-    "identity": lambda x: x,
-}
+    return _code_table(_pointwise_lut(in_params, out_params, ACTIVATIONS["identity"]))
 
 
 def _apply_lut(q: QuantizedTensor, table: bytes | None, out_params: QuantParams) -> QuantizedTensor:
@@ -754,7 +743,7 @@ def _bind(model: QuantizedModel, idx: int, layer: Layer) -> Callable:
         except ContractViolation as exc:
             raise ContractViolation(f"layer {idx} ({kind}): {exc}") from None
     if kind == "act":
-        table = _code_table(_pointwise_lut(in_params, out_params, _ACT_FNS[a.fn]))
+        table = _code_table(_pointwise_lut(in_params, out_params, ACTIVATIONS[a.fn]))
         return lambda q: _apply_lut(q, table, out_params)
     if kind == "concat":
         tables = [
@@ -813,10 +802,7 @@ def save_quantized_bytes(model: QuantizedModel) -> bytes:
 
 
 def save_quantized(model: QuantizedModel, path: str) -> int:
-    blob = save_quantized_bytes(model)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
+    return container_io.save(save_quantized_bytes(model), path)
 
 
 def load_quantized(path_or_bytes) -> QuantizedModel:

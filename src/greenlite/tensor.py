@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ContractViolation
 from .profiling import TRACKER
 
-ACTIVATION_KINDS = ("silu", "sigmoid", "identity")
 POOL_KINDS = ("max", "avg")
 
 # Elements per float64 temporary in the chunked bn and activation kernels:
@@ -230,6 +229,17 @@ def _sigmoid64(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _silu64(z: np.ndarray) -> np.ndarray:
+    y = _sigmoid64(z)
+    y *= z
+    return y
+
+
+# The activation functions on float64 arrays, for the float kernel and the int8 lookup tables alike.
+ACTIVATIONS = {"silu": _silu64, "sigmoid": _sigmoid64, "identity": lambda z: z}
+ACTIVATION_KINDS = tuple(ACTIVATIONS)
+
+
 def activation(x: Tensor, kind: str) -> Tensor:
     """Pointwise silu / sigmoid / identity.
 
@@ -244,11 +254,7 @@ def activation(x: Tensor, kind: str) -> Tensor:
     flat = x.arr.reshape(-1)
     out = np.empty_like(flat)
     for lo in range(0, flat.size, CHUNK):
-        z = flat[lo : lo + CHUNK].astype(np.float64)
-        y = _sigmoid64(z)
-        if kind == "silu":
-            y *= z
-        out[lo : lo + CHUNK] = y
+        out[lo : lo + CHUNK] = ACTIVATIONS[kind](flat[lo : lo + CHUNK].astype(np.float64))
     return Tensor(out.reshape(x.arr.shape))
 
 

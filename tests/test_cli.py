@@ -37,6 +37,7 @@ from greenlite.cli import (
     main,
 )
 from greenlite.container import ALIGN, MAGIC, read_container, write_container
+from greenlite.data import default_class_names
 
 
 def sha(path):
@@ -105,6 +106,12 @@ def test_build_cli_respects_class_count(tmp_path):
     model = load_model(str(out))
     assert model.meta.num_classes == 3
     assert model.meta.class_names == DEFAULT_CLASS_NAMES[:3]
+
+
+def test_build_cli_names_more_than_seven_classes_as_synth_does(tmp_path):
+    out = tmp_path / "ten.glw"
+    assert main(["build", "--out", str(out), "--classes", "10", "--input-size", "64"]) == 0
+    assert load_model(str(out)).meta.class_names == default_class_names(10)
 
 
 # ---- quantize ----
@@ -198,15 +205,15 @@ def test_detect_cli_blank_image_at_high_confidence(cli_env, tmp_path, capsys):
 
 
 def test_bench_row_formats_csv_and_markdown_cells():
-    """Report metrics print to 4 decimals, latency and carbon to 6, bytes as
-    an int; an absent value is an empty CSV cell and "-" in markdown, and a
-    detector row's acc column is always absent."""
+    """Report metrics print to 4 decimals, latency to 6, carbon in shortest
+    round-trip form, bytes as an int; an absent value is an empty CSV cell and
+    "-" in markdown, and a detector row's acc column is always absent."""
     header = BENCH_CSV_HEADER.split(",")
     assert header[0] == "model" and header[1] == "acc" and len(header) == 11
     row = BenchRow("m.glw", precision=0.5, recall=1 / 3, f1=0.42, map_50=0.12345, size_mb=4.20832,
                    qsize_mb=None, mean_latency_s=0.0123456789, peak_mem_bytes=1_066_338,
                    total_carbon_kg=1.5e-7)
-    assert row.to_csv() == "m.glw,,0.5000,0.3333,0.4200,0.1235,4.2083,,0.012346,1066338,0.000000"
+    assert row.to_csv() == "m.glw,,0.5000,0.3333,0.4200,0.1235,4.2083,,0.012346,1066338,1.5e-07"
     assert len(row.to_csv().split(",")) == len(header)
     assert row.to_md() == "| m.glw | - | 0.5000 | 0.3333 | 0.4200 | 0.1235 | 4.2083 | - |"
     assert len(row.to_md().split(" | ")) == len(MD_HEADER.split(" | "))
@@ -343,7 +350,9 @@ def test_usage_errors_exit_one():
 @pytest.mark.parametrize(
     "command, flag, value",
     [("quantize", "--calib-count", "-3"), ("quantize", "--calib-count", "0"),
-     ("bench", "--iters", "0"), ("bench", "--warmup", "-1")],
+     ("bench", "--iters", "0"), ("bench", "--warmup", "-1"),
+     ("synth", "--images", "0"), ("synth", "--classes", "0"), ("synth", "--max-boxes", "0"),
+     ("synth", "--size", "31"), ("build", "--classes", "0"), ("build", "--input-size", "16")],
 )
 def test_a_count_flag_out_of_range_is_a_usage_error(cli_env, tmp_path, capsys, command, flag, value):
     """Nothing is loaded or written: the parser refuses the value and names the flag."""
@@ -354,6 +363,8 @@ def test_a_count_flag_out_of_range_is_a_usage_error(cli_env, tmp_path, capsys, c
                      "--out", str(out)],
         "bench": ["bench", "--models", str(cli_env / "model.glw"), "--manifest", manifest,
                   "--out-dir", str(out)],
+        "synth": ["synth", "--out", str(out)],
+        "build": ["build", "--out", str(out)],
     }[command]
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
@@ -453,6 +464,43 @@ def test_bench_refuses_an_unknown_config_key(cli_env, tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_bench_refuses_a_repeated_config_key(cli_env, tmp_path, capsys, monkeypatch):
+    """The later value would otherwise win without a word."""
+    loaded = _record_loads(monkeypatch)
+    config = tmp_path / "rig.cfg"
+    config.write_text("power=65\n# a comment\nintensity=0.3\npower=5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["bench", "--models", str(cli_env / "model.glw"),
+               "--manifest", str(cli_env / "data" / "manifest.tsv"),
+               "--out-dir", str(out), "--config", str(config)])
+    assert rc == 2
+    assert "config line 4: key 'power' is already set on line 1" in capsys.readouterr().err
+    assert loaded == []
+    assert not out.exists()
+
+
+def test_bench_refuses_a_model_with_fewer_classes_than_the_manifest(cli_env, tmp_path, capsys):
+    """mAP would skip the boxes of classes the model cannot predict while
+    recall counts them; that model fails and the others still bench."""
+    three = tmp_path / "three.glw"
+    assert main(["build", "--out", str(three), "--classes", "3", "--input-size", "64"]) == 0
+    manifest = cli_env / "data" / "manifest.tsv"
+    beyond = sorted({c for img in load_manifest(manifest).images for c, *_ in img.boxes if c >= 3})
+    assert beyond
+    out_dir = tmp_path / "bench"
+    capsys.readouterr()
+    rc = main(["bench", "--models", str(three), str(cli_env / "model.glw"), "--manifest", str(manifest),
+               "--out-dir", str(out_dir), "--warmup", "0", "--iters", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"bench failed for {three}: manifest class ids {beyond} are beyond the model's 3 classes" in err
+    report = (out_dir / "report.md").read_text().splitlines()
+    assert report[2] == "| three.glw (failed) | - | - | - | - | - | - | - |"
+    assert report[3].startswith("| model.glw | - | 0.") and "(failed)" not in report[3]
+    assert len((out_dir / "memory.csv").read_text().splitlines()) == 2  # header and model.glw
+
+
 @pytest.mark.parametrize(
     "var, line, source",
     [("GREENLITE_POWER_W", None, "GREENLITE_POWER_W"), ("GREENLITE_INTENSITY", None, "GREENLITE_INTENSITY"),
@@ -510,7 +558,7 @@ def test_data_errors_exit_two(cli_env, tmp_path, capsys):
     assert main(["detect", "--model", str(junk), "--image", img]) == 2
     assert main(["quantize", "--model", str(cli_env / "model.glw"),
                  "--calib-manifest", str(tmp_path / "nope.tsv")]) == 2
-    assert main(["synth", "--out", str(tmp_path / "d"), "--images", "0"]) == 2
+    assert main(["build", "--out", str(tmp_path / "m.glw"), "--input-size", "48"]) == 2
     assert main(["bench", "--models", str(cli_env / "model.glw"),
                  "--manifest", str(tmp_path / "nope.tsv"),
                  "--out-dir", str(tmp_path / "b")]) == 2

@@ -18,7 +18,7 @@ from greenlite import (
     synth_dataset,
     write_ppm,
 )
-from greenlite.data import CANVAS_GRAY, class_color
+from greenlite.data import CANVAS_GRAY, class_color, default_class_names
 
 
 def img(path, boxes, size=100):
@@ -87,14 +87,21 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
 
 
 def test_manifest_class_name_selection(tmp_path):
+    """default_class_names names a manifest's classes: the seven defaults
+    while every id fits, else as many as the largest id needs."""
     p = tmp_path / "m.tsv"
+    p.write_text("a.ppm\t10\t10\t2:0.500000:0.500000:0.200000:0.200000\n", encoding="utf-8")
+    assert load_manifest(p).class_names == DEFAULT_CLASS_NAMES
     p.write_text("a.ppm\t10\t10\t9:0.500000:0.500000:0.200000:0.200000\n", encoding="utf-8")
-    ds = load_manifest(p)
-    assert ds.class_names == tuple(f"class_{i}" for i in range(10))
-    with pytest.raises(ContractViolation):
-        load_manifest(p, class_names=("only", "two"))
-    named = load_manifest(p, class_names=tuple(f"c{i}" for i in range(12)))
-    assert named.num_classes == 12
+    assert load_manifest(p).class_names == DEFAULT_CLASS_NAMES + ("class_7", "class_8", "class_9")
+
+
+def test_a_ten_class_synth_set_keeps_its_names_through_its_manifest(tmp_path):
+    ds = synth_dataset(tmp_path, num_images=10, num_classes=10, image_size=64, seed=1)
+    assert ds.class_names == default_class_names(10)
+    assert ds.class_names[5:8] == ("plastic", "trash", "class_7")
+    save_manifest(ds, tmp_path / "m.tsv")
+    assert load_manifest(tmp_path / "m.tsv").class_names == ds.class_names
 
 
 def test_dataset_validation():

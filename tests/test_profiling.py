@@ -264,7 +264,7 @@ def test_stage_report_groups_in_canonical_order():
     assert rep.total_carbon_kg == math.fsum(r.carbon_kg for r in recs)
 
 
-def test_stage_report_csv_round_trips_at_six_decimals():
+def test_stage_report_csv_round_trips_exactly():
     recs = [
         EmissionRecord.measure("load", 1.234567891),
         EmissionRecord.measure("quantize", 0.000123456, power_watts=500.0),
@@ -276,14 +276,10 @@ def test_stage_report_csv_round_trips_at_six_decimals():
     assert lines[0] == EMISSIONS_CSV_HEADER
     assert lines[-1].startswith("total,")
     assert text.endswith("\n")
-    parsed = parse_stage_report(text)
-    assert [row[0] for row in parsed.stages] == [row[0] for row in rep.stages]
-    for got, want in zip(parsed.stages, rep.stages):
-        for g, w in zip(got[1:], want[1:]):
-            assert g == float(f"{w:.6f}")
-    assert parsed.total_duration_s == float(f"{rep.total_duration_s:.6f}")
-    assert parsed.total_energy_kwh == float(f"{rep.total_energy_kwh:.6f}")
-    assert parsed.total_carbon_kg == float(f"{rep.total_carbon_kg:.6f}")
+    assert parse_stage_report(text) == rep
+    for line in lines[1:]:  # 6 fixed decimals printed quantize's 1.7e-8 kWh as 0.000000
+        _, _, kwh, kg = line.split(",")
+        assert float(kwh) > 0.0 and float(kg) > 0.0, line
 
 
 def test_parse_stage_report_rejects_malformed_text():

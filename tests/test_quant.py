@@ -41,12 +41,12 @@ from greenlite import (
 )
 from greenlite import container as container_io
 from greenlite.container import read_container, write_container
+from greenlite.tensor import ACTIVATIONS
 from greenlite.quant import (
     INPUT_SLOT,
     PER_CHANNEL_SYMMETRIC,
     PER_TENSOR_AFFINE,
     QConvSpec,
-    _ACT_FNS,
     _affine_codes,
     _apply_lut,
     _bind_conv,
@@ -405,9 +405,7 @@ def test_lut_matches_pointwise_definition_on_all_256_codes():
     in_p = choose_params(-4.0, 4.0)
     out_p = choose_params(-1.0, 1.0)
     for name, fn in (("silu", lambda v: v / (1 + np.exp(-v))), ("identity", lambda v: v)):
-        from greenlite.quant import _ACT_FNS
-
-        lut = _pointwise_lut(in_p, out_p, _ACT_FNS[name])
+        lut = _pointwise_lut(in_p, out_p, ACTIVATIONS[name])
         for code in range(-128, 128):
             x = in_p.scale[0] * (code - in_p.zero_point[0])
             want = int(np.clip(round_half_away(fn(x) / out_p.scale[0]) + out_p.zero_point[0], -128, 127))
@@ -618,7 +616,7 @@ def literal_layer(qm, idx, layer, inputs):
     in_params = inputs[0].params
     attrs = layer.attrs
 
-    def regrid(q, params, fn=_ACT_FNS["identity"]):
+    def regrid(q, params, fn=ACTIVATIONS["identity"]):
         return np.take(_pointwise_lut(q.params, params, fn), q.arr.astype(np.intp) + 128)
 
     if layer.kind in ("conv", "detect_head"):
@@ -631,7 +629,7 @@ def literal_layer(qm, idx, layer, inputs):
         acc = int_conv_acc(inputs[0].arr, z_in, w["q_weight"], w["q_bias"], *geometry)
         return (acc * (in_params.scale[0] * w["w_scale"]).reshape(1, -1, 1, 1)).astype(np.float32)
     if layer.kind == "act":
-        return regrid(inputs[0], out_params, _ACT_FNS[attrs["fn"]])
+        return regrid(inputs[0], out_params, ACTIVATIONS[attrs["fn"]])
     if layer.kind == "concat":
         return np.concatenate([regrid(q, out_params) for q in inputs], axis=1)
     if layer.kind == "pool":
@@ -780,12 +778,14 @@ def test_missing_calibration_keys_are_reported_sorted():
     ids=["conv-read-twice", "bn-after-act"],
 )
 def test_a_bn_that_cannot_be_folded_is_refused_with_its_own_index(at, inputs, match):
-    """The float graph runs; quantize_model names the bn and the reason by
-    the source graph's indices, not the folded graph's."""
+    """The float graph runs; fold_batchnorm, and so quantize_model, names the
+    bn and the reason by the source graph's indices, not the folded graph's."""
     m = tiny_model()
     layers = list(m.layers)
     layers[at] = replace(layers[at], inputs=inputs)
     edited = ModelGraph(layers, m.weights, m.meta)
+    with pytest.raises(ContractViolation, match=match):
+        fold_batchnorm(edited)
     stats = calibrate(edited, tiny_images(1))
     with pytest.raises(ContractViolation, match=match):
         quantize_model(edited, stats)
