@@ -8,7 +8,6 @@ energy/carbon per pipeline stage.
 
 from .cbam import CbamParams, cbam_forward, channel_attention, spatial_attention
 from .data import (
-    DEFAULT_CLASS_NAMES,
     AnnotatedImage,
     Dataset,
     class_distribution,
@@ -27,6 +26,7 @@ from .errors import (
     ManifestError,
 )
 from .graph import (
+    DEFAULT_CLASS_NAMES,
     Detection,
     Layer,
     LetterboxMeta,

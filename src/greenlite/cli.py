@@ -23,17 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    DEFAULT_CLASS_NAMES,
-    class_distribution,
-    default_class_names,
-    load_manifest,
-    read_ppm,
-    save_manifest,
-    synth_dataset,
-)
+from .data import class_distribution, load_manifest, read_ppm, save_manifest, synth_dataset
 from .errors import ContractViolation, ManifestError
 from .graph import (
+    DEFAULT_CLASS_NAMES,
     DEFAULT_CONF,
     DEFAULT_IOU,
     build_model,
@@ -137,12 +130,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build(args) -> int:
-    model = build_model(
-        num_classes=args.classes,
-        input_size=args.input_size,
-        seed=args.seed,
-        class_names=default_class_names(args.classes),
-    )
+    model = build_model(num_classes=args.classes, input_size=args.input_size, seed=args.seed)
     nbytes = save_model(model, args.out)
     print(f"parameters: {model.param_count()}")
     print(f"size: {nbytes / 1e6:.4f} MB")
@@ -151,6 +139,12 @@ def cmd_build(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    out = args.out or _twin_path(args.model)
+    if os.path.exists(out) and os.path.samefile(out, args.model):
+        raise ContractViolation(
+            f"--out {out} is the --model file {args.model}; it would overwrite the float model"
+        )
+    fbytes = os.path.getsize(args.model)
     model = load_model(args.model)
     ds = load_manifest(args.calib_manifest)
     picked = ds.images[: args.calib_count]  # load_manifest refuses an empty manifest
@@ -160,9 +154,7 @@ def cmd_quantize(args) -> int:
     )
     stats = calibrate(model, tensors)  # a generator: one letterboxed image is live at a time
     qmodel = quantize_model(model, stats)
-    out = args.out or _twin_path(args.model)
     qbytes = save_quantized(qmodel, out)
-    fbytes = os.path.getsize(args.model)
     print(f"calibrated on {len(picked)} images")
     print(f"size: {fbytes / 1e6:.4f} MB")
     print(f"qsize: {qbytes / 1e6:.4f} MB")

@@ -16,29 +16,20 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+import re
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, ManifestError
+from .graph import DEFAULT_CLASS_NAMES, default_class_names
 from .metrics import GroundTruthBox
 
-DEFAULT_CLASS_NAMES = (
-    "biological",
-    "cardboard",
-    "glass",
-    "metal",
-    "paper",
-    "plastic",
-    "trash",
-)
-
 _BOUND_SLACK = 1e-6
-
-
-def default_class_names(k: int) -> tuple[str, ...]:
-    """Names for k classes: the seven defaults, then class_7, class_8, ..."""
-    return DEFAULT_CLASS_NAMES[:k] + tuple(f"class_{i}" for i in range(len(DEFAULT_CLASS_NAMES), k))
+# Far above any real label set (LVIS has 1,203 classes); load_manifest names
+# every id up to the largest, so an unbounded id would be unbounded memory.
+MAX_CLASS_ID = 65_535
 
 # One fixed, saturated color per class; index 7+ extends procedurally.
 _BASE_PALETTE = (
@@ -72,25 +63,23 @@ class AnnotatedImage:
         if self.width < 1 or self.height < 1:
             raise ContractViolation(f"image size must be >= 1, got {self.width}x{self.height}")
         for bi, (class_id, cx, cy, w, h) in enumerate(self.boxes):
-            if class_id < 0:
-                raise ContractViolation(f"{self.image_path} box {bi}: class_id {class_id} < 0")
-            if w <= 0 or h <= 0:
-                raise ContractViolation(f"{self.image_path} box {bi}: non-positive size")
+            if not 0 <= class_id <= MAX_CLASS_ID:
+                raise ContractViolation(
+                    f"{self.image_path} box {bi}: class_id {class_id} outside [0, {MAX_CLASS_ID}]"
+                )
+            # Each test is written to hold, so a NaN field fails it.
+            if not (w > 0 and h > 0):
+                raise ContractViolation(f"{self.image_path} box {bi}: size must be > 0, got {w} x {h}")
             for v, extent in ((cx, w), (cy, h)):
-                if v - extent / 2 < -_BOUND_SLACK or v + extent / 2 > 1 + _BOUND_SLACK:
+                if not (v - extent / 2 >= -_BOUND_SLACK and v + extent / 2 <= 1 + _BOUND_SLACK):
                     raise ContractViolation(
-                        f"{self.image_path} box {bi}: extends outside [0, 1]"
+                        f"{self.image_path} box {bi}: ({cx}, {cy}, {w}, {h}) extends outside [0, 1]"
                     )
 
     def majority_class(self) -> int:
         """Most frequent box class; ties go to the lowest id; -1 when boxless."""
-        if not self.boxes:
-            return -1
-        counts: dict[int, int] = {}
-        for class_id, *_ in self.boxes:
-            counts[class_id] = counts.get(class_id, 0) + 1
-        best = max(counts.values())
-        return min(c for c, n in counts.items() if n == best)
+        counts = Counter(class_id for class_id, *_ in self.boxes)
+        return min(counts, key=lambda c: (-counts[c], c), default=-1)
 
     def pixel_boxes(self) -> list[tuple[int, float, float, float, float]]:
         """Boxes as (class_id, x1, y1, x2, y2) in pixel coordinates."""
@@ -267,38 +256,24 @@ def write_ppm(path: str, pixels: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
+# P6, then width, height and maxval as unsigned decimals, each after
+# whitespace or # comments that end at a newline, then one whitespace byte.
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def read_ppm(path: str) -> np.ndarray:
     """Read a binary PPM (P6, maxval 255) into an (h, w, 3) uint8 array."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if not blob.startswith(b"P6"):
-        raise ContractViolation(f"{path}: not a P6 PPM file")
-    # Header: magic, width, height, maxval as whitespace-separated tokens,
-    # with optional # comment lines; pixel data starts after the single
-    # whitespace byte that follows maxval.
-    pos = 2
-    tokens: list[int] = []
-    while len(tokens) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ContractViolation(f"{path}: truncated PPM header")
-        tokens.append(int(blob[start:pos]))
-    pos += 1  # the single whitespace after maxval
-    w, h, maxval = tokens
+    header = _PPM_HEADER.match(blob)
+    if header is None:
+        raise ContractViolation(f"{path}: not a P6 PPM header (P6, width, height, maxval)")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise ContractViolation(f"{path}: only maxval 255 is supported, got {maxval}")
-    data = blob[pos : pos + w * h * 3]
-    if len(data) != w * h * 3:
+    if len(blob) - header.end() < w * h * 3:
         raise ContractViolation(f"{path}: pixel payload truncated")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()
+    return np.frombuffer(blob, np.uint8, w * h * 3, header.end()).reshape(h, w, 3).copy()
 
 
 # --- synthetic dataset --------------------------------------------------------
@@ -331,6 +306,8 @@ def synth_dataset(
             raise ContractViolation(f"{name} must be >= 1, got {v}")
     if image_size < 32:
         raise ContractViolation(f"image_size must be >= 32, got {image_size}")
+    if num_classes > MAX_CLASS_ID + 1:  # else whether a box is refused would depend on the seed
+        raise ContractViolation(f"num_classes must be <= {MAX_CLASS_ID + 1}, got {num_classes}")
 
     images_dir = os.path.join(out_dir, "images")
     os.makedirs(images_dir, exist_ok=True)
@@ -364,17 +341,13 @@ def synth_dataset(
             if placed is None:
                 continue  # overfull image: drop the box, never fail
             cx, cy, hx, hy, x1, y1, x2, y2 = placed
-            color = np.array(class_color(class_id), dtype=np.uint8)
-            if class_id % 2 == 0:
-                canvas[y1 : y2 + 1, x1 : x2 + 1] = color
-                px1, py1, px2, py2 = x1, y1, x2, y2
-            else:
-                ys, xs = np.mgrid[y1 : y2 + 1, x1 : x2 + 1]
-                mask = ((xs - cx) / hx) ** 2 + ((ys - cy) / hy) ** 2 <= 1.0
-                canvas[y1 : y2 + 1, x1 : x2 + 1][mask] = color
-                mys, mxs = np.nonzero(mask)
-                px1, py1 = x1 + int(mxs.min()), y1 + int(mys.min())
-                px2, py2 = x1 + int(mxs.max()), y1 + int(mys.max())
+            ys, xs = np.mgrid[y1 : y2 + 1, x1 : x2 + 1]
+            ellipse = ((xs - cx) / hx) ** 2 + ((ys - cy) / hy) ** 2 <= 1.0
+            mask = ellipse if class_id % 2 else np.ones_like(ellipse)  # even: the rectangle
+            canvas[y1 : y2 + 1, x1 : x2 + 1][mask] = class_color(class_id)
+            mys, mxs = np.nonzero(mask)
+            px1, py1 = x1 + int(mxs.min()), y1 + int(mys.min())
+            px2, py2 = x1 + int(mxs.max()), y1 + int(mys.max())
             occupied.append((x1, y1, x2, y2))
             # The annotation covers the drawn pixels' continuous extent.
             boxes.append(

@@ -259,6 +259,14 @@ def _round_scaled(base: int, mult: float) -> int:
     return max(1, int(round(base * mult)))
 
 
+DEFAULT_CLASS_NAMES = ("biological", "cardboard", "glass", "metal", "paper", "plastic", "trash")
+
+
+def default_class_names(k: int) -> tuple[str, ...]:
+    """Names for k classes: the seven defaults, then class_7, class_8, ..."""
+    return DEFAULT_CLASS_NAMES[:k] + tuple(f"class_{i}" for i in range(len(DEFAULT_CLASS_NAMES), k))
+
+
 STAGE_DEPTHS = (1, 2, 2, 1)  # C2f bottlenecks per stage
 CBAM_REDUCTION = 16
 CBAM_KERNEL = 7
@@ -272,7 +280,8 @@ def build_model(
     cbam_per_stage: bool = False,
     class_names: tuple[str, ...] | None = None,
 ) -> ModelGraph:
-    """Assemble the desk detector with seeded uniform [-0.1, 0.1] weights."""
+    """Assemble the desk detector with seeded uniform [-0.1, 0.1] weights;
+    class_names default to default_class_names(num_classes)."""
     if num_classes < 1:
         raise ContractViolation(f"num_classes must be >= 1, got {num_classes}")
     if input_size < GRID_STRIDE or input_size % GRID_STRIDE != 0:
@@ -282,7 +291,7 @@ def build_model(
     if width_multiple <= 0:
         raise ContractViolation(f"width_multiple must be > 0, got {width_multiple}")
     if class_names is None:
-        class_names = tuple(f"class{i}" for i in range(num_classes))
+        class_names = default_class_names(num_classes)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     layers: list[Layer] = []

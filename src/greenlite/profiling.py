@@ -36,8 +36,9 @@ ENV_INTENSITY = "GREENLITE_INTENSITY"
 
 STAGES = ("load", "calibrate", "quantize", "inference", "evaluate")
 
-_timing_lock = threading.Lock()
-_tracking_lock = threading.Lock()
+# Reentrant, so a measurement window can run inside another.
+_timing_lock = threading.RLock()
+_tracking_lock = threading.RLock()
 
 
 class MemoryTracker:
@@ -72,18 +73,23 @@ class MemoryTracker:
         with self._lock:
             return self._current
 
-    def _begin_window(self) -> int:
+    def _begin_window(self) -> tuple[int, int]:
+        """Start a window; returns what _end_window needs: the allocation
+        count so far and the peak of any window this one runs inside."""
         with self._lock:
-            self._window_peak = self._current
-            return self._total_allocs
+            outer_peak, self._window_peak = self._window_peak, self._current
+            return self._total_allocs, outer_peak
 
-    def _end_window(self, allocs_before: int) -> "MemoryStats":
+    def _end_window(self, allocs_before: int, outer_peak: int) -> "MemoryStats":
         with self._lock:
-            return MemoryStats(
+            stats = MemoryStats(
                 peak_live_tensor_bytes=self._window_peak,
                 current_live_tensor_bytes=self._current,
                 allocation_count=self._total_allocs - allocs_before,
             )
+            # An enclosing window's peak is the larger of its own and this one's.
+            self._window_peak = max(self._window_peak, outer_peak)
+            return stats
 
 
 #: Global allocator instance every tensor payload registers with.
@@ -146,12 +152,16 @@ def track_memory(action: Callable[[], object]) -> MemoryStats:
     Peak is the maximum of the global live tally during the window, so
     tensors allocated before the window (e.g. loaded model weights) count
     toward the peak as long as they stay alive, which is what a VRAM proxy
-    should report.
+    should report. A window may run inside another; the outer peak then
+    includes the inner one.
     """
     with _tracking_lock:
-        allocs_before = TRACKER._begin_window()
-        action()
-        return TRACKER._end_window(allocs_before)
+        window = TRACKER._begin_window()
+        try:
+            action()
+        finally:
+            stats = TRACKER._end_window(*window)
+    return stats
 
 
 def estimate_energy(power_watts: float, duration_s: float) -> float:

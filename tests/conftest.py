@@ -7,6 +7,7 @@ starts every memory assertion from an empty baseline.
 
 import gc
 import math
+import threading
 import types
 
 import pytest
@@ -85,3 +86,23 @@ def _collect_garbage():
 def assert_tracker_empty():
     gc.collect()
     assert TRACKER.current_bytes == 0, "stray live tensors would skew this test"
+
+
+def returns_within(fn, timeout=10.0):
+    """fn()'s result, run in a daemon thread so that a deadlock fails the
+    test after timeout seconds instead of hanging the run."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn()
+        except BaseException as exc:  # noqa: BLE001  (re-raised in the test's thread)
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"did not return within {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]

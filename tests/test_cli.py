@@ -9,12 +9,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import greenlite
+from conftest import returns_within
 from greenlite import (
     DEFAULT_CLASS_NAMES,
     ContractViolation,
@@ -24,7 +26,9 @@ from greenlite import (
     load_manifest,
     load_model,
     parse_detection,
+    read_ppm,
     save_manifest,
+    track_memory,
     write_ppm,
 )
 from greenlite.cli import (
@@ -135,6 +139,20 @@ def test_quantize_cli_reports_consistent_sizes(cli_env, tmp_path, capsys):
     assert isinstance(load_any(str(out)), QuantizedModel)
 
 
+def test_quantize_refuses_an_out_that_is_its_own_model(cli_env, tmp_path, capsys):
+    model = tmp_path / "m.glw"
+    shutil.copy(cli_env / "model.glw", model)
+    before = model.read_bytes()
+    for out in (str(model), f"{tmp_path}/./m.glw"):
+        capsys.readouterr()
+        assert main(["quantize", "--model", str(model), "--out", out,
+                     "--calib-manifest", str(cli_env / "data" / "manifest.tsv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--out {out} is the --model file {model}" in captured.err
+        assert model.read_bytes() == before
+
+
 def test_quantize_cli_default_twin_name(cli_env):
     # built by the fixture without --out
     assert (cli_env / "model.q.glw").exists()
@@ -199,6 +217,41 @@ def test_detect_cli_blank_image_at_high_confidence(cli_env, tmp_path, capsys):
                "--conf", "0.999"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == ""
+
+
+class _StubImage:
+    """Stands in for a Pillow image: convert("RGB") reads the file as PPM."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def convert(self, mode):
+        assert mode == "RGB"
+        return read_ppm(self.path)
+
+
+def test_detect_reads_other_formats_through_pillow(cli_env, tmp_path, capsys, monkeypatch):
+    ppm = cli_env / "data" / "images" / "img_00000.ppm"
+    png = tmp_path / "x.png"
+    shutil.copy(ppm, png)
+    base = ["detect", "--model", str(cli_env / "model.glw"), "--conf", "0.01"]
+    monkeypatch.setitem(sys.modules, "PIL", None)  # as if Pillow were not installed
+    capsys.readouterr()
+    assert main(base + ["--image", str(png)]) == 2
+    assert f"{png}: only PPM is supported without Pillow" in capsys.readouterr().err
+    pil = types.ModuleType("PIL")
+    pil.Image = types.SimpleNamespace(open=_StubImage)
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+    assert main(base + ["--image", str(png)]) == 0
+    via_pillow = capsys.readouterr().out
+    assert main(base + ["--image", str(ppm)]) == 0
+    assert via_pillow == capsys.readouterr().out and via_pillow.strip()
 
 
 # ---- bench ----
@@ -298,6 +351,17 @@ def test_bench_memory_does_not_grow_with_the_manifest(cli_env, tmp_path):
                      "--warmup", "0", "--iters", "1"]) == 0
         rows.append((out_dir / "memory.csv").read_text().splitlines())
     assert len(rows[0]) == 3 and rows[0] == rows[1]
+
+
+def test_bench_runs_inside_a_memory_window(cli_env, tmp_path):
+    out_dir = tmp_path / "bench"
+    argv = ["bench", "--models", str(cli_env / "model.glw"), "--manifest", str(cli_env / "data" / "manifest.tsv"),
+            "--out-dir", str(out_dir), "--warmup", "0", "--iters", "1"]
+    codes = []
+    outer = returns_within(lambda: track_memory(lambda: codes.append(main(argv))))
+    assert codes == [0]
+    inner_peak = int((out_dir / "memory.csv").read_text().splitlines()[1].split(",")[2])
+    assert outer.peak_live_tensor_bytes >= inner_peak > 0
 
 
 def test_bench_keeps_going_past_a_broken_model(cli_env, tmp_path, capsys):

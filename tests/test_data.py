@@ -1,5 +1,8 @@
 """Dataset tests: manifest parsing, stratified split math, raster oracle."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 import scipy.ndimage
@@ -76,6 +79,11 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
         ("a.ppm\t10\t10\t0:x:0.5:0.1:0.1\n", "non-numeric"),
         ("a.ppm\t10\t10\t0:0.95:0.5:0.2:0.1\n", "outside"),
         ("a.ppm\t0\t10\t\n", "size must be >= 1"),
+        ("a.ppm\t10\t10\t65536:0.5:0.5:0.1:0.1\n", "class_id 65536 outside [0, 65535]"),
+        ("a.ppm\t10\t10\t0:nan:0.5:0.1:0.1\n", "(nan, 0.5, 0.1, 0.1) extends outside"),
+        ("a.ppm\t10\t10\t0:0.5:inf:0.1:0.1\n", "(0.5, inf, 0.1, 0.1) extends outside"),
+        ("a.ppm\t10\t10\t0:0.5:0.5:nan:0.1\n", "size must be > 0, got nan x 0.1"),
+        ("a.ppm\t10\t10\t0:0.5:0.5:0.1:inf\n", "extends outside"),
     ]
     for bad, needle in cases:
         p = tmp_path / "m.tsv"
@@ -229,19 +237,24 @@ def test_ppm_header_comments_are_tolerated(tmp_path):
     p = tmp_path / "x.ppm"
     p.write_bytes(b"P6\n# made by hand\n3 2\n# another note\n255\n" + px.tobytes())
     assert np.array_equal(read_ppm(p), px)
+    p.write_bytes(b"P6\n3#c\n2 255\n" + px.tobytes())  # a comment may follow a number at once
+    assert np.array_equal(read_ppm(p), px)
 
 
 def test_ppm_rejects_bad_files(tmp_path):
     p = tmp_path / "x.ppm"
-    p.write_bytes(b"P5\n2 2\n255\n" + bytes(12))
-    with pytest.raises(ContractViolation):
-        read_ppm(p)
-    p.write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
-    with pytest.raises(ContractViolation):
-        read_ppm(p)
-    p.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
-    with pytest.raises(ContractViolation):
-        read_ppm(p)
+    for blob in (
+        b"P5\n2 2\n255\n" + bytes(12),
+        b"P6\n2 2\n65535\n" + bytes(24),
+        b"P6\n2 2\n255\n" + bytes(5),
+        b"P62 2 255\n" + bytes(12),  # no whitespace after the magic
+        b"P6\n+2 2\n255\n" + bytes(12),  # numbers are unsigned decimals
+        b"P6\n1_0 2\n255\n" + bytes(60),
+        b"P6\n-1 -1\n255\n",
+    ):
+        p.write_bytes(blob)
+        with pytest.raises(ContractViolation, match=re.escape(str(p))):
+            read_ppm(p)
     with pytest.raises(ContractViolation):
         write_ppm(p, np.zeros((2, 2), dtype=np.uint8))
 
@@ -259,6 +272,25 @@ def test_synth_is_deterministic(tmp_path):
         assert pa == pb
     ds3 = synth_dataset(tmp_path / "c", num_images=6, num_classes=7, image_size=96, seed=5)
     assert [i.boxes for i in ds3.images] != [i.boxes for i in ds1.images]
+
+
+# sha256 over the sorted relative paths and bytes of every file synth_dataset
+# writes, plus its canonical manifest, per (seed, classes, images, size).
+SYNTH_SHA = {
+    (0, 7, 60, 320): "456ae07cfd8e8a8b60735092885cd3a607e6d9fe78bb2c7d385b0cfc03ee5d2c",
+    (1, 10, 20, 64): "936de909cbd6d473ee89b2733c47aa9d04b883037c51eab848f12da937b73085",
+}
+
+
+@pytest.mark.parametrize("seed, classes, images, size", list(SYNTH_SHA))
+def test_synth_bytes_are_pinned(tmp_path, seed, classes, images, size):
+    ds = synth_dataset(tmp_path, num_images=images, num_classes=classes, image_size=size, seed=seed)
+    save_manifest(ds, tmp_path / "manifest.tsv")
+    h = hashlib.sha256()
+    for p in sorted(tmp_path.rglob("*")):
+        if p.is_file():
+            h.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
+    assert h.hexdigest() == SYNTH_SHA[seed, classes, images, size]
 
 
 def test_synth_covers_every_class_in_the_first_cycle(tmp_path):
@@ -315,6 +347,8 @@ def test_synth_validates_arguments(tmp_path):
         synth_dataset(tmp_path, num_images=0)
     with pytest.raises(ContractViolation):
         synth_dataset(tmp_path, num_images=1, image_size=16)
+    with pytest.raises(ContractViolation, match="num_classes must be <= 65536, got 65537"):
+        synth_dataset(tmp_path, num_images=1, num_classes=65537)
 
 
 def test_class_color_palette_is_distinct():

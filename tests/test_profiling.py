@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_tracker_empty, load_tensors
+from conftest import assert_tracker_empty, load_tensors, returns_within
 from greenlite import (
     ContractViolation,
     EMISSIONS_CSV_HEADER,
@@ -74,6 +74,40 @@ def test_tensors_alive_before_the_window_count_toward_the_peak():
     assert stats.current_live_tensor_bytes == 16 * 16 * 4
     assert stats.allocation_count == 0
     del held
+
+
+@pytest.mark.parametrize("before_inner, in_inner", [(64, 8), (8, 64)])
+def test_memory_windows_nest(before_inner, in_inner):
+    """A window inside another returns, reports its own peak, and leaves the
+    outer peak at the larger of what the outer window saw before it and the
+    inner peak."""
+    assert_tracker_empty()
+    inner = []
+
+    def outer_action():
+        Tensor(np.zeros((1, 1, before_inner, before_inner), dtype=np.float32))
+        inner.append(track_memory(lambda: Tensor(np.zeros((1, 1, in_inner, in_inner), dtype=np.float32))))
+
+    outer = returns_within(lambda: track_memory(outer_action))
+    assert inner[0].peak_live_tensor_bytes == in_inner**2 * 4
+    assert inner[0].allocation_count == 1
+    assert outer.peak_live_tensor_bytes == max(before_inner, in_inner) ** 2 * 4
+    assert outer.peak_live_tensor_bytes >= inner[0].peak_live_tensor_bytes
+    assert outer.allocation_count == 2
+
+
+def test_a_failing_inner_window_keeps_the_outer_peak():
+    assert_tracker_empty()
+
+    def inner_action():
+        raise RuntimeError("inner")
+
+    def outer_action():
+        Tensor(np.zeros((1, 1, 64, 64), dtype=np.float32))
+        with pytest.raises(RuntimeError):
+            track_memory(inner_action)
+
+    assert returns_within(lambda: track_memory(outer_action)).peak_live_tensor_bytes == 64 * 64 * 4
 
 
 @pytest.mark.parametrize("per_stage, int8_bytes, dequantized_bytes", [
@@ -165,6 +199,16 @@ def test_time_stage_measures_a_known_sleep():
     assert 0.009 <= stats.mean_s <= 0.08
     assert 0.009 <= stats.p50_s <= 0.08
     assert stats.min_s >= 0.009
+
+
+def test_timing_windows_nest():
+    inner = []
+    outer = returns_within(
+        lambda: time_stage(lambda: inner.append(time_stage(lambda: None, warmup=0, iterations=2)),
+                           warmup=1, iterations=3)
+    )
+    assert outer.sample_count == 3
+    assert len(inner) == 4 and all(stats.sample_count == 2 for stats in inner)
 
 
 def test_time_stage_validates_arguments():
