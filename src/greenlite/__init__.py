@@ -105,7 +105,6 @@ from .tensor import (
     batchnorm_infer,
     concat_channels,
     conv2d,
-    global_pool,
     pool,
 )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import ConvSpec, Tensor, _sigmoid64, conv2d, exact_sum, global_pool
+from .tensor import ConvSpec, Tensor, _sigmoid64, conv2d, exact_sum
 
 _GATE_LO = np.nextafter(np.float32(0.0), np.float32(1.0))
 _GATE_HI = np.nextafter(np.float32(1.0), np.float32(0.0))
@@ -90,11 +90,12 @@ def _shared_mlp(p: CbamParams, pooled: np.ndarray) -> np.ndarray:
 
 def channel_attention(x: Tensor, p: CbamParams) -> Tensor:
     """Per-channel gate Mc(x) with shape (n, c, 1, 1), values in (0, 1)."""
-    n, c, _, _ = x.shape
+    n, c, h, w = x.shape
     if c != p.channels:
         raise ContractViolation(f"cbam params are for {p.channels} channels, tensor has {c}")
-    avg = global_pool(x, "avg").arr.reshape(n, c).astype(np.float64)
-    mx = global_pool(x, "max").arr.reshape(n, c).astype(np.float64)
+    planes = x.arr.reshape(n, c, h * w)
+    avg = (exact_sum(planes, axis=-1) / (h * w)).astype(np.float32).astype(np.float64)
+    mx = planes.max(axis=-1).astype(np.float64)
     logits = _shared_mlp(p, avg) + _shared_mlp(p, mx)
     return Tensor(_gate32(logits).reshape(n, c, 1, 1))
 

@@ -221,8 +221,9 @@ class BenchRow:
         return "| " + " | ".join(cells) + " |"
 
 
-def _bench_one(path: str, image_paths, gts, args, power, intensity, conf, iou_thr):
-    """Bench a single model; returns (BenchRow, emission rows, memory row)."""
+def _bench_one(path: str, images, gts, args, power, intensity, conf, iou_thr):
+    """Bench a single model on images, each a (path, manifest (width, height))
+    pair; returns (BenchRow, emission rows, memory row)."""
     records: list[EmissionRecord] = []
 
     t0 = time.perf_counter()
@@ -237,7 +238,7 @@ def _bench_one(path: str, image_paths, gts, args, power, intensity, conf, iou_th
     target = model.meta.input_size
     # Latency and memory are measured on the first image alone: a forward does the same work
     # whatever its pixels, and the peak is the weights, one input and the activation peak.
-    x, _ = _image_tensor(image_paths[0], target)
+    x, _ = _image_tensor(images[0][0], target)
 
     t0 = time.perf_counter()
     latency = time_stage(lambda: run(model, x), warmup=args.warmup, iterations=args.iters)
@@ -247,9 +248,12 @@ def _bench_one(path: str, image_paths, gts, args, power, intensity, conf, iou_th
     del x
 
     t0 = time.perf_counter()
-    dets_per_image = [  # each image is letterboxed when the pass reaches it
-        _run_detector(model, *_image_tensor(p, target), conf, iou_thr) for p in image_paths
-    ]
+    dets_per_image = []
+    for p, (w, h) in images:  # each image is letterboxed when the pass reaches it
+        x, meta = _image_tensor(p, target)
+        if (meta.orig_w, meta.orig_h) != (w, h):  # the ground truth was scaled by (w, h)
+            raise ContractViolation(f"{p} is {meta.orig_w}x{meta.orig_h}, but its manifest line says {w}x{h}")
+        dets_per_image.append(_run_detector(model, x, meta, conf, iou_thr))
     detection = map50(dets_per_image, gts, model.meta.num_classes)
     prf = detection_prf(dets_per_image, gts)
     records.append(EmissionRecord.measure("evaluate", time.perf_counter() - t0, power, intensity))
@@ -296,7 +300,7 @@ def cmd_bench(args) -> int:
         raise ContractViolation(f"config conf and iou: each {exc}") from None
 
     ds = load_manifest(args.manifest)
-    image_paths = [_resolve(args.manifest, img.image_path) for img in ds.images]
+    images = [(_resolve(args.manifest, img.image_path), (img.width, img.height)) for img in ds.images]
     gts = [img.ground_truth() for img in ds.images]
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -307,7 +311,7 @@ def cmd_bench(args) -> int:
     for path in args.models:
         try:
             row, emission_rows, memory_row = _bench_one(
-                path, image_paths, gts, args, power, intensity, conf, iou_thr
+                path, images, gts, args, power, intensity, conf, iou_thr
             )
             emissions_lines.extend(emission_rows)
             memory_lines.append(memory_row)

@@ -729,13 +729,15 @@ def load_model(path_or_bytes) -> ModelGraph:
 
 
 def _model_from_container(doc: dict, tensors: dict[str, np.ndarray]) -> ModelGraph:
-    """A float model from a parsed container's document and tensors, each float32."""
+    """A float model from a parsed container's document and tensors, each finite float32."""
     if doc.get("container") != "float":
         raise ContainerError(f"expected a float container, got {doc.get('container')!r}")
     weights: dict[str, dict[str, np.ndarray]] = {}
     for key, arr in tensors.items():
         if arr.dtype != np.float32:
             raise ContainerError(f"tensor {key} must be float32, got {arr.dtype}")
+        if not np.isfinite(arr).all():
+            raise ContainerError(f"tensor {key} holds NaN or inf")
         slot, _, name = key.rpartition("/")
         weights.setdefault(slot, {})[name] = arr
     layers = _layers_from_json(container.require(doc, "layers", list))

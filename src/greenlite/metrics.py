@@ -16,6 +16,7 @@ are reproducible bit for bit by a naive reference implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -217,15 +218,10 @@ def detection_prf(
     best_f1 = -1.0
     tp = 0
     kept = 0
-    i = 0
-    n = len(matched_all)
-    while i < n:
-        threshold = matched_all[i][0].score
-        while i < n and matched_all[i][0].score == threshold:
+    for threshold, group in groupby(matched_all, key=lambda pair: pair[0].score):
+        for _, is_tp in group:
             kept += 1
-            if matched_all[i][1]:
-                tp += 1
-            i += 1
+            tp += is_tp
         p = tp / kept
         r = tp / total_gt if total_gt > 0 else 0.0
         f1 = 2.0 * p * r / (p + r) if p + r > 0 else 0.0

@@ -164,21 +164,23 @@ def track_memory(action: Callable[[], object]) -> MemoryStats:
     return stats
 
 
+def _check_amount(name: str, value: float) -> None:
+    """ContractViolation naming value unless it is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ContractViolation(f"{name} must be finite and >= 0, got {value}")
+
+
 def estimate_energy(power_watts: float, duration_s: float) -> float:
     """kWh consumed by a constant power draw over a duration."""
-    if not (math.isfinite(power_watts) and power_watts >= 0.0):
-        raise ContractViolation(f"power must be finite and >= 0, got {power_watts}")
-    if not (math.isfinite(duration_s) and duration_s >= 0.0):
-        raise ContractViolation(f"duration must be finite and >= 0, got {duration_s}")
+    _check_amount("power", power_watts)
+    _check_amount("duration", duration_s)
     return power_watts * duration_s / JOULES_PER_KWH
 
 
 def emissions(energy_kwh: float, intensity_kg_per_kwh: float) -> float:
     """kg CO2e for the given energy at the given grid intensity."""
-    if not (math.isfinite(energy_kwh) and energy_kwh >= 0.0):
-        raise ContractViolation(f"energy must be finite and >= 0, got {energy_kwh}")
-    if not (math.isfinite(intensity_kg_per_kwh) and intensity_kg_per_kwh >= 0.0):
-        raise ContractViolation(f"intensity must be finite and >= 0, got {intensity_kg_per_kwh}")
+    _check_amount("energy", energy_kwh)
+    _check_amount("intensity", intensity_kg_per_kwh)
     return energy_kwh * intensity_kg_per_kwh
 
 
@@ -195,9 +197,7 @@ class EmissionRecord:
         if self.stage not in STAGES:
             raise ContractViolation(f"unknown stage {self.stage!r}, expected one of {STAGES}")
         for name in ("duration_s", "energy_kwh", "carbon_kg", "power_watts_assumed", "intensity_kg_per_kwh"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ContractViolation(f"{name} must be finite and >= 0, got {v}")
+            _check_amount(name, getattr(self, name))
         # The record must be arithmetically self-consistent, bit for bit.
         if self.energy_kwh != estimate_energy(self.power_watts_assumed, self.duration_s):
             raise ContractViolation("energy_kwh does not equal watts * seconds / 3.6e6")
@@ -324,7 +324,6 @@ def resolve_energy_settings(config: Mapping[str, str] | None = None) -> tuple[fl
                 value = float(text)
             except ValueError:
                 raise ContractViolation(f"{source} must be a number, got {text!r}") from None
-            if not (math.isfinite(value) and value >= 0):
-                raise ContractViolation(f"{source} must be finite and >= 0, got {value}")
+            _check_amount(source, value)
         resolved.append(value)
     return resolved[0], resolved[1]

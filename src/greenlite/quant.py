@@ -190,30 +190,28 @@ def weight_params(weight: np.ndarray) -> QuantParams:
     return QuantParams(PER_CHANNEL_SYMMETRIC, scales, np.zeros(len(scales), dtype=np.int64))
 
 
+def _grid(params: QuantParams, shape: tuple[int, ...]) -> tuple:
+    """params' scale and zero point broadcast over an array of this shape:
+    scalars for one-entry params, else (C, 1, ...) with C the leading dim."""
+    k = len(params.scale)
+    if k == 1:
+        return params.scale[0], params.zero_point[0]
+    if shape[:1] != (k,):
+        raise ContractViolation(f"per-channel params are for {k} channels, got shape {shape}")
+    grid = (k,) + (1,) * (len(shape) - 1)
+    return params.scale.reshape(grid), params.zero_point.reshape(grid)
+
+
 def quantize_array(arr: np.ndarray, params: QuantParams) -> np.ndarray:
     x = np.asarray(arr, dtype=np.float64)
-    if len(params.scale) == 1:
-        return _requantize(x / params.scale[0], params.zero_point[0])
-    if x.shape[0] != len(params.scale):
-        raise ContractViolation(
-            f"per-channel params are for {len(params.scale)} channels, got {x.shape[0]}"
-        )
-    shape = (len(params.scale),) + (1,) * (x.ndim - 1)
-    return _requantize(x / params.scale.reshape(shape), params.zero_point.reshape(shape))
+    scale, zero_point = _grid(params, x.shape)
+    return _requantize(x / scale, zero_point)
 
 
 def dequantize_array(q: np.ndarray, params: QuantParams) -> np.ndarray:
     qi = np.asarray(q, dtype=np.float64)
-    if len(params.scale) == 1:
-        x = params.scale[0] * (qi - params.zero_point[0])
-    else:
-        if qi.shape[:1] != (len(params.scale),):
-            raise ContractViolation(
-                f"per-channel params are for {len(params.scale)} channels, got shape {qi.shape}"
-            )
-        shape = (len(params.scale),) + (1,) * (qi.ndim - 1)
-        x = params.scale.reshape(shape) * (qi - params.zero_point.reshape(shape))
-    return x.astype(np.float32)
+    scale, zero_point = _grid(params, qi.shape)
+    return (scale * (qi - zero_point)).astype(np.float32)
 
 
 class QuantizedTensor:
@@ -350,9 +348,12 @@ _CBAM_DTYPES = {f"{n}_{p}": t for n in _CBAM_WEIGHTS for p, t in (("q", np.int8)
 _CBAM_DTYPES.update(dict.fromkeys(_CBAM_FLOATS, np.float32))
 
 
-def _dequantized_cbam(w: dict[str, np.ndarray]) -> CbamParams:
+def _dequantized_cbam(slot: str, w: dict[str, np.ndarray]) -> CbamParams:
     """A CBAM slot's params with its int8 weights dequantized, each finite."""
     kwargs = {name: w[name] for name in _CBAM_FLOATS}
+    for name, arr in kwargs.items():
+        if not np.isfinite(arr).all():
+            raise ContractViolation(f"tensor {slot}/{name} holds NaN or inf")
     for name in _CBAM_WEIGHTS:
         scale = w[f"{name}_scale"]
         params = QuantParams(PER_CHANNEL_SYMMETRIC, scale, np.zeros(len(scale), dtype=np.int64))
@@ -386,7 +387,7 @@ class QuantizedModel:
         self.conv_weights = conv_weights
         self.cbam_weights = cbam_weights
         self.act_params = act_params
-        self._cbam_params = {slot: _dequantized_cbam(w) for slot, w in cbam_weights.items()}
+        self._cbam_params = {slot: _dequantized_cbam(slot, w) for slot, w in cbam_weights.items()}
         self.layer_attrs = validate_graph(
             SimpleNamespace(layers=layers, meta=meta, weights=_float_named(conv_weights, self._cbam_params))
         )
@@ -495,7 +496,7 @@ class QConvSpec:
             raise ContractViolation("per-channel scale length must equal out_channels")
         if not np.all((self.w_scale > 0) & (self.w_scale < np.inf)):  # NaN fails both
             raise ContractViolation("weight scales must be finite and > 0")
-        if ic // self.groups * k * k > 2**38:
+        if ic // self.groups * k * k > 2**37:
             raise ContractViolation("conv fan-in too large for exact float64 accumulation")
         w = self.q_weight.reshape(oc, -1).astype(np.int64)
         self.w_sums = w.sum(axis=1), np.abs(w).sum(axis=1)  # sum(q_w), sum|q_w|
@@ -510,7 +511,7 @@ class QConvSpec:
         with z_in keeps the fold exact. When every channel's bound is below
         2^24, no partial sum leaves the integers float32 holds exactly, so
         the patch matrix and the matmul are float32. Otherwise they are
-        float64, exact for fan-in up to 2^38. Either way BLAS does the matmul
+        float64, exact for fan-in up to 2^37. Either way BLAS does the matmul
         and the result is integer-valued bit for bit.
         """
         w_sum, w_abs_sum = self.w_sums
@@ -618,9 +619,10 @@ def _proves_conv_affine(mult: np.ndarray, zp, bound: np.ndarray) -> bool:
     or +inf, below or above the whole range.
     """
     m = np.asarray(mult, dtype=np.float64).reshape(-1, 1, 1)
+    # No re-check: _bind_conv has refused every m that is not finite and > 0, and
+    # with |q_w|, |z_in| <= 128 and QConvSpec's fan-in limit F <= 2**37 every bound
+    # is at most 128 * 128 * F + 2**31 + 128 * 128 * F <= 2**52 + 2**31 < 2**53.
     b = np.asarray(bound, dtype=np.int64).reshape(-1, 1, 1).astype(np.float64)
-    if not (np.all(np.isfinite(m)) and np.all(m > 0) and np.all(b < 2.0**53)):
-        return False
     # Far thresholds of a tiny m are clipped; a t past float64's range is inf, as in the step.
     with np.errstate(over="ignore"):
         est = np.clip(np.ceil((_LEVELS - zp - 0.5) / m), -b, b + 1)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .profiling import TRACKER
 
 POOL_KINDS = ("max", "avg")
 
-# Elements per float64 temporary in the chunked bn and activation kernels:
+# Elements per float64 block in _float64_blocks, for bn and the activations:
 # 256 KB each, so a chunk's chain of temporaries stays inside one core's L2.
 CHUNK = 32_768
 
@@ -169,6 +170,21 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     return Tensor(out.astype(np.float32))
 
 
+def _float64_blocks(x: Tensor, fn: Callable[..., np.ndarray], *per_row: np.ndarray) -> Tensor:
+    """fn(block, *rows of per_row) on float64 copies of blocks of x's whole
+    (n * c) rows, about CHUNK elements each (one row when a row is longer),
+    each rounded once to float32 into a fresh tensor; fn may work in place.
+    """
+    n, c, h, w = x.arr.shape
+    rows = x.arr.reshape(n * c, h * w)
+    out = np.empty_like(rows)
+    step = max(1, CHUNK // (h * w))
+    for lo in range(0, n * c, step):
+        block = slice(lo, lo + step)
+        out[block] = fn(rows[block].astype(np.float64), *[a[block] for a in per_row])
+    return Tensor(out.reshape(n, c, h, w))
+
+
 def batchnorm_infer(
     x: Tensor,
     gamma: np.ndarray,
@@ -179,12 +195,10 @@ def batchnorm_infer(
 ) -> Tensor:
     """Inference-mode batch norm: gamma * (x - mean) / sqrt(var + eps) + beta.
 
-    Each element is x * scale + shift in float64, rounded once to float32.
-    The arithmetic runs over blocks of whole channel rows of about CHUNK
-    elements (one row when a row is longer), so the float64 scratch stays
-    one block however large the tensor is.
+    Each element is x * scale + shift in float64, rounded once to float32,
+    one block of whole channel rows at a time (_float64_blocks).
     """
-    n, c, h, w = x.shape
+    n, c, _, _ = x.shape
     if eps <= 0.0:
         raise ContractViolation(f"bn eps must be > 0, got {eps}")
     params = {}
@@ -197,17 +211,13 @@ def batchnorm_infer(
         raise ContractViolation("bn variance must be >= 0")
     scale = params["gamma"] / np.sqrt(params["var"] + eps)
     shift = params["beta"] - params["mean"] * scale
-    rows = x.arr.reshape(n * c, h * w)
-    scale = np.tile(scale, n)[:, None]
-    shift = np.tile(shift, n)[:, None]
-    out = np.empty_like(rows)
-    step = max(1, CHUNK // (h * w))
-    for lo in range(0, n * c, step):
-        block = rows[lo : lo + step].astype(np.float64)
-        block *= scale[lo : lo + step]
-        block += shift[lo : lo + step]
-        out[lo : lo + step] = block
-    return Tensor(out.reshape(n, c, h, w))
+
+    def affine(block: np.ndarray, row_scale: np.ndarray, row_shift: np.ndarray) -> np.ndarray:
+        block *= row_scale
+        block += row_shift
+        return block
+
+    return _float64_blocks(x, affine, np.tile(scale, n)[:, None], np.tile(shift, n)[:, None])
 
 
 def _sigmoid64(z: np.ndarray) -> np.ndarray:
@@ -241,21 +251,12 @@ ACTIVATION_KINDS = tuple(ACTIVATIONS)
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
-    """Pointwise silu / sigmoid / identity.
-
-    silu and sigmoid run in float64 over CHUNK-element slices of the
-    flattened input, each rounded once to float32 into the output, so the
-    float64 scratch stays a few chunks however large the tensor is.
+    """Pointwise silu / sigmoid / identity, in float64 and rounded once to
+    float32, one block of whole channel rows at a time (_float64_blocks).
     """
     if kind not in ACTIVATION_KINDS:
         raise ContractViolation(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
-    if kind == "identity":
-        return Tensor(x.arr.copy())
-    flat = x.arr.reshape(-1)
-    out = np.empty_like(flat)
-    for lo in range(0, flat.size, CHUNK):
-        out[lo : lo + CHUNK] = ACTIVATIONS[kind](flat[lo : lo + CHUNK].astype(np.float64))
-    return Tensor(out.reshape(x.arr.shape))
+    return _float64_blocks(x, ACTIVATIONS[kind])
 
 
 def exact_sum(a: np.ndarray, axis: int) -> np.ndarray:
@@ -329,23 +330,6 @@ def pool(x: Tensor, kind: str, kernel: int, stride: int | None = None, padding: 
     sums = exact_sum(windows.reshape(n, c, kernel * kernel, oh * ow), axis=2)
     cells = patches(np.ones((1, 1, h, w), np.float32), kernel, s, padding, 0, np.float32).sum(axis=1)
     return Tensor((sums / cells).astype(np.float32).reshape(n, c, oh, ow))
-
-
-def global_pool(x: Tensor, kind: str) -> Tensor:
-    """Collapse the spatial extent to 1x1 by mean or max.
-
-    The mean divides math.fsum's correctly rounded sum, taken by exact_sum
-    (a float64 sum while sum|x| < 2**52 * ulp_min, math.fsum itself
-    otherwise), so it is bit-identical under any spatial permutation of the
-    input and equal to pool(avg) at full extent.
-    """
-    if kind not in POOL_KINDS:
-        raise ContractViolation(f"unknown pool kind {kind!r}, expected one of {POOL_KINDS}")
-    n, c, h, w = x.shape
-    if kind == "max":
-        return Tensor(x.arr.max(axis=(2, 3), keepdims=True))
-    mean = exact_sum(x.arr.reshape(n, c, h * w), axis=-1) / (h * w)
-    return Tensor(mean.astype(np.float32).reshape(n, c, 1, 1))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

@@ -565,6 +565,29 @@ def test_bench_refuses_a_model_with_fewer_classes_than_the_manifest(cli_env, tmp
     assert len((out_dir / "memory.csv").read_text().splitlines()) == 2  # header and model.glw
 
 
+def test_bench_refuses_images_whose_manifest_size_is_wrong(cli_env, tmp_path, capsys):
+    """Ground truth is scaled by the manifest's width and height, so an image
+    whose decoded size differs fails its model's row: exit 3, and the error
+    names the image and both sizes. The true sizes bench cleanly."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--images", "4", "--classes", "7",
+                 "--size", "64", "--seed", "5"]) == 0
+    manifest = data / "manifest.tsv"
+    wrong = tmp_path / "wrong.tsv"
+    lines = [line.split("\t") for line in manifest.read_text().splitlines()]
+    wrong.write_text("".join(
+        "\t".join([str(data / path), "640", "480", *rest]) + "\n" for path, _, _, *rest in lines
+    ))
+    argv = ["bench", "--models", str(cli_env / "model.glw"), "--warmup", "0", "--iters", "1"]
+    capsys.readouterr()
+    assert main(argv + ["--manifest", str(wrong), "--out-dir", str(tmp_path / "a")]) == 3
+    err = capsys.readouterr().err
+    first = str(data / lines[0][0])
+    assert f"bench failed for {cli_env / 'model.glw'}: {first} is 64x64" in err
+    assert "640x480" in err
+    assert main(argv + ["--manifest", str(manifest), "--out-dir", str(tmp_path / "b")]) == 0
+
+
 @pytest.mark.parametrize(
     "var, line, source",
     [("GREENLITE_POWER_W", None, "GREENLITE_POWER_W"), ("GREENLITE_INTENSITY", None, "GREENLITE_INTENSITY"),
@@ -734,6 +757,21 @@ def test_detect_on_bad_scales_or_padding_exits_two(cli_env, tmp_path, capsys, ca
     assert main(["detect", "--model", str(bad), "--image", img]) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_detect_on_a_nan_float_weight_exits_two_naming_the_tensor(cli_env, tmp_path, capsys):
+    """A float tensor holding NaN is refused at load, by name, instead of
+    failing later on a score or a range that names nothing."""
+    doc, tensors = read_container(str(cli_env / "model.glw"))
+    tensors["stem.conv/weight"].flat[0] = np.nan
+    bad = tmp_path / "bad.glw"
+    bad.write_bytes(write_container(doc, list(tensors.items())))
+    img = str(cli_env / "data" / "images" / "img_00000.ppm")
+    capsys.readouterr()
+    assert main(["detect", "--model", str(bad), "--image", img]) == 2
+    err = capsys.readouterr().err
+    assert "tensor stem.conv/weight holds NaN or inf" in err
     assert "Traceback" not in err
 
 

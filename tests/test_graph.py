@@ -241,6 +241,13 @@ def retyped(key, dtype):
     return lambda doc, tensors: tensors.update({key: tensors[key].astype(dtype)})
 
 
+def poisoned(key, value):
+    """An edit that sets the first element of tensor key to value."""
+    def edit(doc, tensors):
+        tensors[key].flat[0] = value
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, error, match",
     [
@@ -258,14 +265,16 @@ def retyped(key, dtype):
          "layer 33: slot 's2.c2f.m0.bn' is already layer 30's"),
         (retyped("stem.conv/weight", np.int32), ContainerError, "tensor stem.conv/weight must be float32, got int32"),
         (retyped("stem.bn/var", np.float64), ContainerError, "tensor stem.bn/var must be float32, got float64"),
+        (poisoned("stem.conv/weight", np.nan), ContainerError, "tensor stem.conv/weight holds NaN or inf"),
+        (poisoned("stem.conv/weight", np.inf), ContainerError, "tensor stem.conv/weight holds NaN or inf"),
         (lambda doc, _: doc["meta"].update(stride=7), ContractViolation,
          "meta stride 7 times the 2x2 head grid is not input size 64"),
         (lambda doc, _: doc["meta"].update(stride=-3), ContractViolation,
          "meta stride -3 times the 2x2 head grid is not input size 64"),
     ],
     ids=["input-a-later-layer", "slot-missing-an-array", "conv-channel-mismatch", "cbam-channel-mismatch",
-         "two-convs-share-a-slot", "two-bns-share-a-slot", "conv-weight-i32", "bn-var-f64", "meta-stride-7",
-         "meta-stride-minus-3"],
+         "two-convs-share-a-slot", "two-bns-share-a-slot", "conv-weight-i32", "bn-var-f64", "conv-weight-nan",
+         "conv-weight-inf", "meta-stride-7", "meta-stride-minus-3"],
 )
 def test_malformed_float_graphs_fail_at_load(edit, error, match):
     """Topology, slot and channel checks, one layer per slot (two bn folds

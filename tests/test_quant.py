@@ -890,6 +890,7 @@ def replaced(key, make):
         (set_first("cbam/mlp_w1_scale", 1e300), "cbam mlp_w1 dequantizes to weights beyond float32's range"),
         (replaced("cbam/mlp_w1_scale", lambda a: a[:3].copy()), "per-channel params are for 3 channels"),
         (replaced("cbam/mlp_b1", lambda a: np.zeros(5, np.float32)), "mlp weight/bias shapes are inconsistent"),
+        (set_first("cbam/mlp_b1", np.nan), "tensor cbam/mlp_b1 holds NaN or inf"),
         (replaced("cbam/spatial_weight_q", lambda a: np.zeros((1, 2, 6, 6), np.int8)),
          "spatial kernel must be square and odd"),
         (replaced("stem.conv/q_weight", lambda a: a[..., :1].copy()), "conv kernels must be square, got 3x1"),
@@ -902,8 +903,8 @@ def replaced(key, make):
          "w-scale-minus-1", "head-w-scale-nan", "head-w-scale-5e-324", "input-scale-1e308",
          "input-scale-5e-324", "input-scale-1e-310", "L002-scale-1e308", "L002-scale-5e-324",
          "L002-scale-1e-310", "head-w-scale-1e300", "cbam-scale-nan", "cbam-scale-1e300",
-         "cbam-scale-length-3", "cbam-mlp-b1-length-5", "cbam-spatial-kernel-6x6", "conv-kernel-3x1",
-         "two-convs-share-a-slot", "meta-stride-7"],
+         "cbam-scale-length-3", "cbam-mlp-b1-length-5", "cbam-mlp-b1-nan", "cbam-spatial-kernel-6x6",
+         "conv-kernel-3x1", "two-convs-share-a-slot", "meta-stride-7"],
 )
 def test_int8_graph_errors_fail_at_load(int8_container, edit, match):
     """The float graph's checks run on a loaded int8 graph, so a bad one is a

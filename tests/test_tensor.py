@@ -14,7 +14,6 @@ from greenlite import (
     batchnorm_infer,
     concat_channels,
     conv2d,
-    global_pool,
     pool,
 )
 from greenlite import tensor as gl_tensor
@@ -396,31 +395,6 @@ def test_pool_validates_arguments():
         pool(x, "median", 2)
     with pytest.raises(ContractViolation):
         pool(x, "max", 5)
-
-
-def test_global_pool_constants_and_fixture():
-    x = Tensor(np.full((1, 2, 4, 4), 3.25, dtype=np.float32))
-    assert np.all(global_pool(x, "avg").arr == 3.25)
-    assert np.all(global_pool(x, "max").arr == 3.25)
-    mix = np.full((1, 1, 1, 2), -1.0, dtype=np.float32)
-    mix[0, 0, 0, 1] = 5.0
-    t = Tensor(mix)
-    assert global_pool(t, "max").arr.ravel()[0] == 5.0
-    assert global_pool(t, "avg").arr.ravel()[0] == 2.0
-
-
-def test_global_pool_is_permutation_invariant_bitwise():
-    """Correctly rounded sums make the spatial mean order-independent."""
-    rng = np.random.default_rng(51)
-    for _ in range(10):
-        x = rand_tensor(rng, 1, 3, 6, 6, lo=-100, hi=100)
-        base_avg = global_pool(x, "avg").arr
-        base_max = global_pool(x, "max").arr
-        flat = x.arr.reshape(1, 3, -1)
-        perm = rng.permutation(36)
-        shuffled = Tensor(flat[:, :, perm].reshape(1, 3, 6, 6))
-        assert np.array_equal(global_pool(shuffled, "avg").arr, base_avg)
-        assert np.array_equal(global_pool(shuffled, "max").arr, base_max)
 
 
 # ---- exact sums ----
