@@ -69,7 +69,6 @@ from .profiling import (
     StageReport,
     emissions,
     estimate_energy,
-    load_config,
     parse_stage_report,
     resolve_energy_settings,
     stage_report,

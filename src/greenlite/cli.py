@@ -43,7 +43,6 @@ from .profiling import (
     EMISSIONS_CSV_HEADER,
     EmissionRecord,
     format_float,
-    load_config,
     resolve_energy_settings,
     stage_report,
     time_stage,
@@ -221,7 +220,7 @@ class BenchRow:
         return "| " + " | ".join(cells) + " |"
 
 
-def _bench_one(path: str, images, gts, args, power, intensity, conf, iou_thr):
+def _bench_one(path: str, images, gts, args, power, intensity):
     """Bench a single model on images, each a (path, manifest (width, height))
     pair; returns (BenchRow, emission rows, memory row)."""
     records: list[EmissionRecord] = []
@@ -253,7 +252,7 @@ def _bench_one(path: str, images, gts, args, power, intensity, conf, iou_thr):
         x, meta = _image_tensor(p, target)
         if (meta.orig_w, meta.orig_h) != (w, h):  # the ground truth was scaled by (w, h)
             raise ContractViolation(f"{p} is {meta.orig_w}x{meta.orig_h}, but its manifest line says {w}x{h}")
-        dets_per_image.append(_run_detector(model, x, meta, conf, iou_thr))
+        dets_per_image.append(_run_detector(model, x, meta, args.conf, args.iou))
     detection = map50(dets_per_image, gts, model.meta.num_classes)
     prf = detection_prf(dets_per_image, gts)
     records.append(EmissionRecord.measure("evaluate", time.perf_counter() - t0, power, intensity))
@@ -286,19 +285,7 @@ def _bench_one(path: str, images, gts, args, power, intensity, conf, iou_thr):
 
 
 def cmd_bench(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    unknown = sorted(config.keys() - {"power", "intensity", "conf", "iou"})
-    if unknown:
-        raise ContractViolation(
-            f"config {args.config}: unknown keys {', '.join(unknown)}; expected power, intensity, conf, iou"
-        )
-    power, intensity = resolve_energy_settings(config)
-    try:  # a flag beats the config file, whose conf and iou are checked as the flags are
-        conf = args.conf if args.conf is not None else _unit_interval(config.get("conf", str(DEFAULT_CONF)))
-        iou_thr = args.iou if args.iou is not None else _unit_interval(config.get("iou", str(DEFAULT_IOU)))
-    except argparse.ArgumentTypeError as exc:
-        raise ContractViolation(f"config conf and iou: each {exc}") from None
-
+    power, intensity = resolve_energy_settings()
     ds = load_manifest(args.manifest)
     images = [(_resolve(args.manifest, img.image_path), (img.width, img.height)) for img in ds.images]
     gts = [img.ground_truth() for img in ds.images]
@@ -310,9 +297,7 @@ def cmd_bench(args) -> int:
     any_failed = False
     for path in args.models:
         try:
-            row, emission_rows, memory_row = _bench_one(
-                path, images, gts, args, power, intensity, conf, iou_thr
-            )
+            row, emission_rows, memory_row = _bench_one(path, images, gts, args, power, intensity)
             emissions_lines.extend(emission_rows)
             memory_lines.append(memory_row)
         except Exception as exc:  # noqa: BLE001  (a bad model must not kill the run)
@@ -412,9 +397,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--warmup", type=_at_least(0), default=1)
     p.add_argument("--iters", type=_at_least(1), default=5)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--conf", type=_unit_interval, default=None)
-    p.add_argument("--iou", type=_unit_interval, default=None)
-    p.add_argument("--config", default=None, help="key=value file: power, intensity, conf, iou")
+    p.add_argument("--conf", type=_unit_interval, default=DEFAULT_CONF)
+    p.add_argument("--iou", type=_unit_interval, default=DEFAULT_IOU)
     p.set_defaults(fn=cmd_bench)
 
     return parser

@@ -96,9 +96,9 @@ def read_container(path_or_bytes) -> tuple[dict, dict[str, np.ndarray]]:
     (meta_len,) = struct.unpack("<I", blob[4:8])
     if 8 + meta_len > len(blob):
         raise ContainerError("container truncated inside metadata")
-    try:
+    try:  # json recurses once per nesting level, so deep nesting raises RecursionError
         meta = json.loads(blob[8 : 8 + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ContainerError(f"container metadata is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict) or "tensors" not in meta:
         raise ContainerError("container metadata is missing the tensor manifest")

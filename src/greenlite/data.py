@@ -144,9 +144,14 @@ def load_manifest(path: str) -> Dataset:
     default_class_names, seven of them or as many as the largest id needs."""
     images: list[AnnotatedImage] = []
     max_class = -1
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape decodes a bad byte to a lone surrogate, so the error can name its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ManifestError(line_no, "not valid UTF-8") from None
             if not line.strip():
                 continue
             fields = line.split("\t")

@@ -48,6 +48,9 @@ LAYER_KINDS = ("conv", "bn", "act", "pool", "concat", "cbam", "detect_head")
 
 HEAD_SLOT = "head"
 GRID_STRIDE = 32
+# 3.2x the paper's 640-px inputs. A larger size would load and then fail in the
+# first forward's allocation (2^21 px a side is 48 TiB of activations).
+MAX_INPUT_SIZE = 2048
 PAD_GRAY = 114.0 / 255.0
 # Detection defaults: decode's score threshold and nms's IoU threshold.
 DEFAULT_CONF = 0.25
@@ -150,13 +153,15 @@ def validate_graph(model) -> list[LayerAttrs]:
     producer = model.layers[head.inputs[0]] if head.inputs[0] >= 0 else None
     if producer is None or producer.kind != "cbam":
         raise ContractViolation("detect_head must consume a cbam layer output")
+    size, stride = model.meta.input_size, model.meta.stride
+    if size > MAX_INPUT_SIZE:
+        raise ContractViolation(f"input size {size} is above the bound {MAX_INPUT_SIZE}")
     names, n = len(model.meta.class_names), model.meta.num_classes
     channels, gh, gw = infer_shapes(model, parsed)[-1]
     if not names == n == channels - 4 >= 1:
         raise ContractViolation(
             f"got {names} class names and {channels} head channels for {n} classes (want n >= 1, 4 + n)"
         )
-    size, stride = model.meta.input_size, model.meta.stride
     if not size == stride * gh == stride * gw:
         raise ContractViolation(f"meta stride {stride} times the {gh}x{gw} head grid is not input size {size}")
     return parsed

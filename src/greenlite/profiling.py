@@ -10,9 +10,8 @@ runs exclusively.
 
 Energy follows the usual meter model: kWh = watts * seconds / 3.6e6, and
 carbon is kWh times grid intensity. The defaults (15 W device draw, 0.475
-kg CO2e per kWh world-average grid mix) can be overridden by a config file
-or by the GREENLITE_POWER_W / GREENLITE_INTENSITY environment variables,
-with the environment taking precedence.
+kg CO2e per kWh world-average grid mix) can be overridden by the
+GREENLITE_POWER_W / GREENLITE_INTENSITY environment variables.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .errors import ContractViolation
 
@@ -287,43 +286,18 @@ def parse_stage_report(text: str) -> StageReport:
     return StageReport(tuple(rows), *total)
 
 
-def load_config(path: str) -> dict[str, str]:
-    """Read a key=value config file; blank lines and # comments are ignored,
-    and a key given twice is a ContractViolation naming both lines."""
-    values: dict[str, str] = {}
-    line_of: dict[str, int] = {}  # key -> the line that set it
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ContractViolation(f"config line {i}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if (first := line_of.setdefault(key, i)) != i:
-                raise ContractViolation(f"config line {i}: key {key!r} is already set on line {first}")
-            values[key] = value
-    return values
+def resolve_energy_settings() -> tuple[float, float]:
+    """(power_watts, intensity) from the environment, else the defaults.
 
-
-def resolve_energy_settings(config: Mapping[str, str] | None = None) -> tuple[float, float]:
-    """(power_watts, intensity) with env vars > config file > defaults.
-
-    Every value given, in the config or the environment, must be a finite
-    number >= 0; an error names the config key or variable it came from.
+    A value given must be a finite number >= 0; an error names the variable.
     """
-    config = config or {}
     resolved = []
-    for key, env, value in (
-        ("power", ENV_POWER, DEFAULT_POWER_WATTS), ("intensity", ENV_INTENSITY, WORLD_AVG_INTENSITY)
-    ):
-        for source, text in ((f"config key {key}", config.get(key)), (env, os.environ.get(env))):
-            if text is None:
-                continue
+    for env, value in ((ENV_POWER, DEFAULT_POWER_WATTS), (ENV_INTENSITY, WORLD_AVG_INTENSITY)):
+        if (text := os.environ.get(env)) is not None:
             try:
                 value = float(text)
             except ValueError:
-                raise ContractViolation(f"{source} must be a number, got {text!r}") from None
-            _check_amount(source, value)
+                raise ContractViolation(f"{env} must be a number, got {text!r}") from None
+            _check_amount(env, value)
         resolved.append(value)
     return resolved[0], resolved[1]

@@ -10,19 +10,24 @@ import math
 import threading
 import types
 
+import numpy as np
 import pytest
 
 from greenlite import (
     TRACKER,
+    Tensor,
     build_model,
     calibrate,
     letterbox,
     load_manifest,
+    quantize_model,
     read_ppm,
     save_manifest,
+    save_model_bytes,
     synth_dataset,
 )
 from greenlite import tensor as gl_tensor
+from greenlite.quant import save_quantized_bytes
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +66,18 @@ def calib_stats(synth_manifest):
     del model
     gc.collect()
     return stats
+
+
+@pytest.fixture(scope="session")
+def fuzz_subjects():
+    """The bytes of a tiny float container and of its int8 twin."""
+    model = build_model(2, width_multiple=0.0625, input_size=64)
+    rng = np.random.default_rng(0)
+    images = [Tensor(rng.uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)) for _ in range(2)]
+    return {
+        "float": save_model_bytes(model),
+        "int8": save_quantized_bytes(quantize_model(model, calibrate(model, images))),
+    }
 
 
 @pytest.fixture

@@ -383,20 +383,17 @@ def test_bench_keeps_going_past_a_broken_model(cli_env, tmp_path, capsys):
 
 
 def test_bench_energy_settings_flow_through(cli_env, tmp_path, capsys, monkeypatch):
-    config = tmp_path / "rig.cfg"
-    config.write_text("power=3600000000\nintensity=2.0\n", encoding="utf-8")
     monkeypatch.setenv("GREENLITE_POWER_W", "7200000000")
-    monkeypatch.delenv("GREENLITE_INTENSITY", raising=False)
+    monkeypatch.setenv("GREENLITE_INTENSITY", "2.0")
     out_dir = tmp_path / "bench"
     rc = main(["bench", "--models", str(cli_env / "model.q.glw"),
                "--manifest", str(cli_env / "data" / "manifest.tsv"),
-               "--out-dir", str(out_dir), "--warmup", "0", "--iters", "1",
-               "--config", str(config)])
+               "--out-dir", str(out_dir), "--warmup", "0", "--iters", "1"])
     assert rc == 0
     capsys.readouterr()
     for ln in (out_dir / "emissions.csv").read_text().splitlines()[1:]:
         _, _, dur, kwh, kg = ln.split(",")
-        # env power (2000x kWh/s) beats the config value; config intensity still applies
+        # 7.2e9 W is 2000 kWh per second
         assert abs(float(kwh) - 2000.0 * float(dur)) <= 0.01
         assert abs(float(kg) - 2.0 * float(kwh)) <= 0.01
 
@@ -472,25 +469,6 @@ def test_a_threshold_flag_outside_the_unit_interval_is_a_usage_error(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["conf=2", "iou=-1"])
-def test_bench_on_a_config_threshold_outside_the_unit_interval_exits_two(
-    cli_env, tmp_path, capsys, monkeypatch, line
-):
-    loaded = _record_loads(monkeypatch)
-    config = tmp_path / "rig.cfg"
-    config.write_text(line + "\n", encoding="utf-8")
-    out = tmp_path / "out"
-    capsys.readouterr()
-    rc = main(["bench", "--models", str(cli_env / "model.glw"),
-               "--manifest", str(cli_env / "data" / "manifest.tsv"),
-               "--out-dir", str(out), "--config", str(config)])
-    assert rc == 2
-    value = line.partition("=")[2]
-    assert f"config conf and iou: each must be a number in [0, 1], got '{value}'" in capsys.readouterr().err
-    assert loaded == []
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "var, value",
     [("GREENLITE_POWER_W", "inf"), ("GREENLITE_POWER_W", "nan"), ("GREENLITE_INTENSITY", "nan")],
@@ -508,38 +486,6 @@ def test_bench_on_a_non_finite_energy_setting_exits_two(cli_env, tmp_path, capsy
                "--manifest", str(cli_env / "data" / "manifest.tsv"), "--out-dir", str(out)])
     assert rc == 2
     assert "must be finite and >= 0" in capsys.readouterr().err
-    assert loaded == []
-    assert not out.exists()
-
-
-def test_bench_refuses_an_unknown_config_key(cli_env, tmp_path, capsys, monkeypatch):
-    """A misspelt key would otherwise bench at the default it meant to override."""
-    loaded = _record_loads(monkeypatch)
-    config = tmp_path / "rig.cfg"
-    config.write_text("powr=65\nfoo=1\niou=0.5\n", encoding="utf-8")
-    out = tmp_path / "out"
-    capsys.readouterr()
-    rc = main(["bench", "--models", str(cli_env / "model.glw"),
-               "--manifest", str(cli_env / "data" / "manifest.tsv"),
-               "--out-dir", str(out), "--config", str(config)])
-    assert rc == 2
-    assert "unknown keys foo, powr; expected power, intensity, conf, iou" in capsys.readouterr().err
-    assert loaded == []
-    assert not out.exists()
-
-
-def test_bench_refuses_a_repeated_config_key(cli_env, tmp_path, capsys, monkeypatch):
-    """The later value would otherwise win without a word."""
-    loaded = _record_loads(monkeypatch)
-    config = tmp_path / "rig.cfg"
-    config.write_text("power=65\n# a comment\nintensity=0.3\npower=5\n", encoding="utf-8")
-    out = tmp_path / "out"
-    capsys.readouterr()
-    rc = main(["bench", "--models", str(cli_env / "model.glw"),
-               "--manifest", str(cli_env / "data" / "manifest.tsv"),
-               "--out-dir", str(out), "--config", str(config)])
-    assert rc == 2
-    assert "config line 4: key 'power' is already set on line 1" in capsys.readouterr().err
     assert loaded == []
     assert not out.exists()
 
@@ -589,29 +535,21 @@ def test_bench_refuses_images_whose_manifest_size_is_wrong(cli_env, tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "var, line, source",
-    [("GREENLITE_POWER_W", None, "GREENLITE_POWER_W"), ("GREENLITE_INTENSITY", None, "GREENLITE_INTENSITY"),
-     (None, "power=abc", "config key power")],
+    "var", ["GREENLITE_POWER_W", "GREENLITE_INTENSITY"], ids=lambda var: f"{var}-None-{var}"
 )
 def test_bench_on_an_energy_setting_that_is_not_a_number_exits_two(
-    cli_env, tmp_path, capsys, monkeypatch, var, line, source
+    cli_env, tmp_path, capsys, monkeypatch, var
 ):
     monkeypatch.delenv("GREENLITE_POWER_W", raising=False)
     monkeypatch.delenv("GREENLITE_INTENSITY", raising=False)
-    argv = []
-    if var:
-        monkeypatch.setenv(var, "abc")
-    else:
-        config = tmp_path / "rig.cfg"
-        config.write_text(line + "\n", encoding="utf-8")
-        argv = ["--config", str(config)]
+    monkeypatch.setenv(var, "abc")
     loaded = _record_loads(monkeypatch)
     out = tmp_path / "out"
     capsys.readouterr()
     rc = main(["bench", "--models", str(cli_env / "model.glw"),
-               "--manifest", str(cli_env / "data" / "manifest.tsv"), "--out-dir", str(out)] + argv)
+               "--manifest", str(cli_env / "data" / "manifest.tsv"), "--out-dir", str(out)])
     assert rc == 2
-    assert f"error: {source} must be a number, got 'abc'" in capsys.readouterr().err
+    assert f"error: {var} must be a number, got 'abc'" in capsys.readouterr().err
     assert loaded == []
     assert not out.exists()
 
@@ -651,6 +589,13 @@ def test_data_errors_exit_two(cli_env, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "b")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_build_refuses_an_input_size_above_the_bound(tmp_path, capsys):
+    out = tmp_path / "m.glw"
+    assert main(["build", "--out", str(out), "--input-size", "4096"]) == 2
+    assert "input size 4096 is above the bound 2048" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # (stride, the error message it must give); the id of the stride-0 case is the container's name

@@ -16,19 +16,16 @@ from greenlite import (
     QuantizedModel,
     Tensor,
     build_model,
-    calibrate,
     forward,
     forward_quantized,
     load_any,
     load_model,
-    quantize_model,
     save_model,
     save_model_bytes,
     write_ppm,
 )
 from greenlite.cli import main
 from greenlite.container import ALIGN, MAGIC, read_container, write_container
-from greenlite.quant import save_quantized_bytes
 
 
 def sample_tensors(rng):
@@ -112,6 +109,19 @@ def test_corrupt_containers_are_rejected():
     broken = blob[:8] + b"{" * meta_len + blob[8 + meta_len :]
     with pytest.raises(ContainerError):
         read_container(broken)
+
+
+def test_deeply_nested_metadata_is_a_container_error(tmp_path, capsys):
+    """json recurses once per level, so this nesting would otherwise escape as a RecursionError."""
+    meta = b"[" * 10_000 + b"]" * 10_000
+    path = tmp_path / "nested.glw"
+    path.write_bytes(MAGIC + struct.pack("<I", len(meta)) + meta)
+    with pytest.raises(ContainerError, match="not valid JSON"):
+        load_any(path.read_bytes())
+    image = tmp_path / "img.ppm"
+    write_ppm(str(image), np.zeros((8, 8, 3), dtype=np.uint8))
+    assert main(["detect", "--model", str(path), "--image", str(image)]) == 2
+    assert "container metadata is not valid JSON" in capsys.readouterr().err
 
 
 def test_empty_tensor_list_is_allowed():
@@ -235,18 +245,6 @@ def _mutated(doc, path, value):
     else:
         parent[path[-1]] = value
     return doc
-
-
-@pytest.fixture(scope="module")
-def fuzz_subjects():
-    """The bytes of a tiny float container and of its int8 twin."""
-    model = build_model(2, width_multiple=0.0625, input_size=64)
-    rng = np.random.default_rng(0)
-    images = [Tensor(rng.uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)) for _ in range(2)]
-    return {
-        "float": save_model_bytes(model),
-        "int8": save_quantized_bytes(quantize_model(model, calibrate(model, images))),
-    }
 
 
 @pytest.mark.parametrize("kind", ["float", "int8"])

@@ -62,6 +62,13 @@ def test_manifest_blank_lines_are_skipped(tmp_path):
     assert len(load_manifest(p).images) == 3
 
 
+def test_a_crlf_manifest_parses_as_its_lf_form(tmp_path):
+    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+    lf.write_bytes(FIXTURE.encode())
+    crlf.write_bytes(FIXTURE.replace("\n", "\r\n").encode())
+    assert load_manifest(crlf) == load_manifest(lf)
+
+
 def test_empty_manifest_is_an_error(tmp_path):
     p = tmp_path / "m.tsv"
     p.write_text("", encoding="utf-8")
@@ -84,10 +91,11 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
         ("a.ppm\t10\t10\t0:0.5:inf:0.1:0.1\n", "(0.5, inf, 0.1, 0.1) extends outside"),
         ("a.ppm\t10\t10\t0:0.5:0.5:nan:0.1\n", "size must be > 0, got nan x 0.1"),
         ("a.ppm\t10\t10\t0:0.5:0.5:0.1:inf\n", "extends outside"),
+        ("a\udcff.ppm\t10\t10\t\n", "not valid UTF-8"),  # written as one 0xff byte
     ]
     for bad, needle in cases:
         p = tmp_path / "m.tsv"
-        p.write_text(FIXTURE.splitlines(keepends=True)[0] + bad, encoding="utf-8")
+        p.write_text(FIXTURE.splitlines(keepends=True)[0] + bad, encoding="utf-8", errors="surrogateescape")
         with pytest.raises(ManifestError) as exc:
             load_manifest(p)
         assert "manifest line 2:" in str(exc.value), bad

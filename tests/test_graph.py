@@ -28,6 +28,7 @@ from greenlite import (
     iou,
     letterbox,
     letterbox_point,
+    load_any,
     load_model,
     nms,
     parse_detection,
@@ -36,7 +37,14 @@ from greenlite import (
     unletterbox_point,
 )
 from greenlite.container import read_container, write_container
-from greenlite.graph import LetterboxMeta, _bind, _pairwise_iou, default_class_names, infer_shapes
+from greenlite.graph import (
+    MAX_INPUT_SIZE,
+    LetterboxMeta,
+    _bind,
+    _pairwise_iou,
+    default_class_names,
+    infer_shapes,
+)
 
 from _oracles import iou_ref, letterbox_hwc, nms_ref
 
@@ -203,6 +211,15 @@ def test_malformed_container_fields_fail_at_load_with_typed_errors(edit, error, 
     edit(doc)
     with pytest.raises(error, match=match):
         load_model(write_container(doc, list(tensors.items())))
+
+
+@pytest.mark.parametrize("kind", ["float", "int8"])
+def test_an_input_size_above_the_bound_fails_at_load(fuzz_subjects, kind):
+    """A larger input would load and then fail allocating the first forward's activations."""
+    doc, tensors = read_container(fuzz_subjects[kind])
+    doc["meta"]["input_size"] = 4096
+    with pytest.raises(ContractViolation, match=f"input size 4096 is above the bound {MAX_INPUT_SIZE}"):
+        load_any(write_container(doc, list(tensors.items())))
 
 
 def replaced(key, make):

@@ -22,7 +22,6 @@ from greenlite import (
     estimate_energy,
     forward,
     forward_quantized,
-    load_config,
     load_quantized,
     parse_stage_report,
     quantize_model,
@@ -333,54 +332,34 @@ def test_parse_stage_report_rejects_malformed_text():
         parse_stage_report(EMISSIONS_CSV_HEADER + "\nload,1.0,2.0\n")
 
 
-# ---- config and setting resolution ----
-
-
-def test_config_round_trip(tmp_path):
-    path = str(tmp_path / "energy.cfg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("power=12.500000\nintensity=0.475000\nnote=bench rig 3\n")
-    values = load_config(path)
-    assert values == {"power": "12.500000", "intensity": "0.475000", "note": "bench rig 3"}
-
-
-def test_config_ignores_comments_and_blanks(tmp_path):
-    path = tmp_path / "c.cfg"
-    path.write_text("# header\n\npower = 9\n  # indented comment\nintensity=0.3\n", encoding="utf-8")
-    assert load_config(str(path)) == {"power": "9", "intensity": "0.3"}
-    path.write_text("no separator here\n", encoding="utf-8")
-    with pytest.raises(ContractViolation):
-        load_config(str(path))
+# ---- energy settings ----
 
 
 def test_energy_settings_precedence(monkeypatch):
     monkeypatch.delenv("GREENLITE_POWER_W", raising=False)
     monkeypatch.delenv("GREENLITE_INTENSITY", raising=False)
     assert resolve_energy_settings() == (15.0, 0.475)
-    config = {"power": "20", "intensity": "0.2"}
-    assert resolve_energy_settings(config) == (20.0, 0.2)
     monkeypatch.setenv("GREENLITE_POWER_W", "30")
-    assert resolve_energy_settings(config) == (30.0, 0.2)
+    assert resolve_energy_settings() == (30.0, 0.475)
     monkeypatch.setenv("GREENLITE_INTENSITY", "0.1")
-    assert resolve_energy_settings(config) == (30.0, 0.1)
     assert resolve_energy_settings() == (30.0, 0.1)
+    monkeypatch.delenv("GREENLITE_POWER_W")
+    assert resolve_energy_settings() == (15.0, 0.1)
     monkeypatch.setenv("GREENLITE_POWER_W", "-5")
     with pytest.raises(ContractViolation):
         resolve_energy_settings()
 
 
 def test_energy_settings_name_the_source_of_a_bad_value(monkeypatch):
-    """Each value given is checked, an overridden config value too, and the
-    error names the environment variable or config key it came from."""
-    monkeypatch.delenv("GREENLITE_POWER_W", raising=False)
+    """Each value given is checked, and the error names the variable it came from."""
     monkeypatch.delenv("GREENLITE_INTENSITY", raising=False)
-    with pytest.raises(ContractViolation, match="config key power must be a number, got 'abc'"):
-        resolve_energy_settings({"power": "abc"})
-    with pytest.raises(ContractViolation, match="config key intensity must be finite and >= 0, got -1.0"):
-        resolve_energy_settings({"intensity": "-1"})
+    monkeypatch.setenv("GREENLITE_POWER_W", "abc")
+    with pytest.raises(ContractViolation, match="GREENLITE_POWER_W must be a number, got 'abc'"):
+        resolve_energy_settings()
     monkeypatch.setenv("GREENLITE_POWER_W", "20")
-    with pytest.raises(ContractViolation, match="config key power must be a number"):
-        resolve_energy_settings({"power": "abc"})
+    monkeypatch.setenv("GREENLITE_INTENSITY", "-1")
+    with pytest.raises(ContractViolation, match="GREENLITE_INTENSITY must be finite and >= 0, got -1.0"):
+        resolve_energy_settings()
     monkeypatch.setenv("GREENLITE_INTENSITY", "1e999")
     with pytest.raises(ContractViolation, match="GREENLITE_INTENSITY must be finite and >= 0, got inf"):
         resolve_energy_settings()

@@ -1,17 +1,24 @@
-"""README's code examples run against the checkout, so a documented call
-to a name the package no longer has fails the suite."""
+"""README's code examples and flags are checked against the checkout, so a
+documented call to a name or a flag the package no longer has fails the suite."""
 
 import re
 from pathlib import Path
 
+from greenlite.cli import _build_parser
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def section(text: str, heading: str) -> str:
+    """The text from heading up to the next `## ` heading."""
+    start = text.index(f"\n{heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end >= 0 else None]
 
 
 def section_python_block(text: str, heading: str) -> str:
     """The first ```python block between heading and the next `## ` heading."""
-    start = text.index(f"\n{heading}\n")
-    end = text.find("\n## ", start + 1)
-    found = re.search(r"^```python\n(.*?)^```$", text[start : end if end >= 0 else None], re.M | re.S)
+    found = re.search(r"^```python\n(.*?)^```$", section(text, heading), re.M | re.S)
     assert found, f"README has no python block under {heading!r}"
     return found.group(1)
 
@@ -21,3 +28,13 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, f"{README}:Library use", "exec"), {"__name__": "readme_example"})
     assert "detections, peak" in capsys.readouterr().out
+
+
+def test_every_flag_readme_names_exists_in_the_parser():
+    """Install's flags are pip's; every other --flag is a greenlite command's."""
+    text = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"--[a-z][a-z-]*", text.replace(section(text, "## Install"), "")))
+    commands = _build_parser()._subparsers._group_actions[0].choices.values()
+    known = {flag for command in commands for flag in command._option_string_actions}
+    assert named, "README names no flags"
+    assert named <= known, sorted(named - known)
