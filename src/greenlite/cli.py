@@ -349,7 +349,15 @@ def _unit_interval(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the CLI contract says 1."""
+    """argparse exits 2 on usage errors; the CLI contract says 1. Leftover
+    arguments are an error of the parser left with them, so a subcommand's
+    unknown flag prints that subcommand's usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)

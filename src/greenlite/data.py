@@ -23,13 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ManifestError
-from .graph import DEFAULT_CLASS_NAMES, default_class_names
+from .graph import DEFAULT_CLASS_NAMES, MAX_CLASS_ID, MAX_INPUT_SIZE, default_class_names
 from .metrics import GroundTruthBox
 
 _BOUND_SLACK = 1e-6
-# Far above any real label set (LVIS has 1,203 classes); load_manifest names
-# every id up to the largest, so an unbounded id would be unbounded memory.
-MAX_CLASS_ID = 65_535
 
 # One fixed, saturated color per class; index 7+ extends procedurally.
 _BASE_PALETTE = (
@@ -123,6 +120,17 @@ class Dataset:
         return len(self.class_names)
 
 
+# The number forms save_manifest writes. int() and float() alone also take '_'
+# between digits, surrounding whitespace and non-ASCII digits: '0_1' reads as 1.0.
+_INT_FIELD, _FLOAT_FIELD = re.compile(r"[0-9]+"), re.compile(r"[0-9A-Za-z.+-]+")
+
+
+def _number(text: str, pattern: re.Pattern, kind: type):
+    if not pattern.fullmatch(text):
+        raise ValueError(text)
+    return kind(text)
+
+
 def _parse_box(token: str, line_no: int, image_path: str, box_index: int):
     parts = token.split(":")
     if len(parts) != 5:
@@ -130,8 +138,8 @@ def _parse_box(token: str, line_no: int, image_path: str, box_index: int):
             line_no, f"image {image_path!r} box {box_index}: expected class:cx:cy:w:h, got {token!r}"
         )
     try:
-        class_id = int(parts[0])
-        cx, cy, w, h = (float(p) for p in parts[1:])
+        class_id = _number(parts[0], _INT_FIELD, int)
+        cx, cy, w, h = (_number(p, _FLOAT_FIELD, float) for p in parts[1:])
     except ValueError:
         raise ManifestError(
             line_no, f"image {image_path!r} box {box_index}: non-numeric field in {token!r}"
@@ -159,7 +167,7 @@ def load_manifest(path: str) -> Dataset:
                 raise ManifestError(line_no, f"expected 4 tab-separated fields, got {len(fields)}")
             image_path = fields[0]
             try:
-                width, height = int(fields[1]), int(fields[2])
+                width, height = (_number(f, _INT_FIELD, int) for f in fields[1:3])
             except ValueError:
                 raise ManifestError(line_no, f"bad width/height {fields[1]!r}/{fields[2]!r}") from None
             boxes = []
@@ -309,8 +317,8 @@ def synth_dataset(
     ):
         if v < 1:
             raise ContractViolation(f"{name} must be >= 1, got {v}")
-    if image_size < 32:
-        raise ContractViolation(f"image_size must be >= 32, got {image_size}")
+    if not 32 <= image_size <= MAX_INPUT_SIZE:
+        raise ContractViolation(f"image_size must lie in [32, {MAX_INPUT_SIZE}], got {image_size}")
     if num_classes > MAX_CLASS_ID + 1:  # else whether a box is refused would depend on the seed
         raise ContractViolation(f"num_classes must be <= {MAX_CLASS_ID + 1}, got {num_classes}")
 

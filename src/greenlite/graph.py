@@ -51,6 +51,9 @@ GRID_STRIDE = 32
 # 3.2x the paper's 640-px inputs. A larger size would load and then fail in the
 # first forward's allocation (2^21 px a side is 48 TiB of activations).
 MAX_INPUT_SIZE = 2048
+# Far above any real label set (LVIS has 1,203 classes); class names are made
+# for every id up to the largest, so an unbounded id would be unbounded memory.
+MAX_CLASS_ID = 65_535
 PAD_GRAY = 114.0 / 255.0
 # Detection defaults: decode's score threshold and nms's IoU threshold.
 DEFAULT_CONF = 0.25
@@ -287,8 +290,8 @@ def build_model(
 ) -> ModelGraph:
     """Assemble the desk detector with seeded uniform [-0.1, 0.1] weights;
     class_names default to default_class_names(num_classes)."""
-    if num_classes < 1:
-        raise ContractViolation(f"num_classes must be >= 1, got {num_classes}")
+    if not 1 <= num_classes <= MAX_CLASS_ID + 1:
+        raise ContractViolation(f"num_classes must lie in [1, {MAX_CLASS_ID + 1}], got {num_classes}")
     if input_size < GRID_STRIDE or input_size % GRID_STRIDE != 0:
         raise ContractViolation(
             f"input_size must be a positive multiple of {GRID_STRIDE}, got {input_size}"

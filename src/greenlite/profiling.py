@@ -44,7 +44,8 @@ class MemoryTracker:
     """Shared atomic tally of live tensor payload bytes."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # Reentrant: gc run under the lock can finalize a tensor, whose unregister takes it again.
+        self._lock = threading.RLock()
         self._current = 0
         self._total_allocs = 0
         self._window_peak = 0

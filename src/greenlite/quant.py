@@ -95,9 +95,6 @@ from .graph import (
 from .profiling import TRACKER
 from .tensor import ACTIVATIONS, Tensor, conv_gemm, conv_geometry, max_windows
 
-PER_TENSOR_AFFINE = "per_tensor_affine"
-PER_CHANNEL_SYMMETRIC = "per_channel_symmetric"
-
 I32_MIN, I32_MAX = -(2**31), 2**31 - 1
 
 # Bounds on a per-tensor (activation) scale s. Up to 2^120 every dequantized
@@ -128,39 +125,24 @@ def round_half_away(x, out=None):
 
 @dataclass(frozen=True)
 class QuantParams:
-    """int8 grid: x ~ scale * (q - zero_point); arrays are length 1 or C."""
+    """int8 grid x ~ scale * (q - zero_point): an activation's is a float
+    scale and an int zero point, a weight's a 1-d array of per-channel scales
+    with zero point 0."""
 
-    scheme: str
-    scale: np.ndarray
-    zero_point: np.ndarray
+    scale: float | np.ndarray
+    zero_point: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", np.atleast_1d(np.asarray(self.scale, dtype=np.float64)))
-        object.__setattr__(
-            self, "zero_point", np.atleast_1d(np.asarray(self.zero_point, dtype=np.int64))
-        )
-        if self.scheme not in (PER_TENSOR_AFFINE, PER_CHANNEL_SYMMETRIC):
-            raise ContractViolation(f"unknown quant scheme {self.scheme!r}")
-        if self.scale.shape != self.zero_point.shape:
-            raise ContractViolation("scale and zero_point must have matching lengths")
-        if not np.all(np.isfinite(self.scale)) or np.any(self.scale <= 0):
+        s = np.asarray(self.scale, dtype=np.float64)
+        if not np.all(np.isfinite(s)) or np.any(s <= 0):
             raise ContractViolation("quant scales must be finite and > 0")
-        in_range = (_ACT_SCALE_MIN <= self.scale) & (self.scale <= _ACT_SCALE_MAX)
-        if self.scheme == PER_TENSOR_AFFINE and not np.all(in_range):
-            raise ContractViolation(
-                f"activation scales must lie in [2**-160, 2**120], got {self.scale.tolist()}"
-            )
-        if np.any(self.zero_point < -128) or np.any(self.zero_point > 127):
+        if isinstance(self.scale, np.ndarray):
+            if self.zero_point != 0:
+                raise ContractViolation("symmetric params must have zero_point 0")
+        elif not _ACT_SCALE_MIN <= self.scale <= _ACT_SCALE_MAX:
+            raise ContractViolation(f"activation scales must lie in [2**-160, 2**120], got [{self.scale}]")
+        if not -128 <= self.zero_point <= 127:
             raise ContractViolation("zero points must lie in [-128, 127]")
-        if self.scheme == PER_CHANNEL_SYMMETRIC and np.any(self.zero_point != 0):
-            raise ContractViolation("symmetric params must have zero_point 0")
-
-    def same_grid(self, other: "QuantParams") -> bool:
-        return (
-            self.scheme == other.scheme
-            and np.array_equal(self.scale, other.scale)
-            and np.array_equal(self.zero_point, other.zero_point)
-        )
 
 
 def choose_params(vmin: float, vmax: float) -> QuantParams:
@@ -177,7 +159,7 @@ def choose_params(vmin: float, vmax: float) -> QuantParams:
         raise DegenerateRangeError("cannot quantize an all-zero range")
     scale = (hi - lo) / 255.0
     zp = int(np.clip(round_half_away(-lo / scale) - 128, -128, 127))
-    return QuantParams(PER_TENSOR_AFFINE, np.array([scale]), np.array([zp]))
+    return QuantParams(scale, zp)
 
 
 def weight_params(weight: np.ndarray) -> QuantParams:
@@ -187,19 +169,19 @@ def weight_params(weight: np.ndarray) -> QuantParams:
     """
     flat = np.abs(weight.reshape(weight.shape[0], -1)).max(axis=1).astype(np.float64)
     scales = np.where(flat > 0, flat / 127.0, 1.0)
-    return QuantParams(PER_CHANNEL_SYMMETRIC, scales, np.zeros(len(scales), dtype=np.int64))
+    return QuantParams(scales, 0)
 
 
 def _grid(params: QuantParams, shape: tuple[int, ...]) -> tuple:
     """params' scale and zero point broadcast over an array of this shape:
-    scalars for one-entry params, else (C, 1, ...) with C the leading dim."""
-    k = len(params.scale)
+    scalars for a float or one-entry scale, else (C, 1, ...) with C the leading dim."""
+    scale = np.reshape(params.scale, -1)
+    k = len(scale)
     if k == 1:
-        return params.scale[0], params.zero_point[0]
+        return scale.item(), params.zero_point
     if shape[:1] != (k,):
         raise ContractViolation(f"per-channel params are for {k} channels, got shape {shape}")
-    grid = (k,) + (1,) * (len(shape) - 1)
-    return params.scale.reshape(grid), params.zero_point.reshape(grid)
+    return scale.reshape((k,) + (1,) * (len(shape) - 1)), params.zero_point
 
 
 def quantize_array(arr: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -223,7 +205,7 @@ class QuantizedTensor:
         arr = np.ascontiguousarray(arr, dtype=np.int8)
         if arr.ndim != 4:
             raise ContractViolation(f"quantized tensor must be 4-d, got ndim={arr.ndim}")
-        if len(params.scale) != 1:
+        if isinstance(params.scale, np.ndarray):
             raise ContractViolation("activation tensors use per-tensor params")
         self.arr = arr
         self.params = params
@@ -355,10 +337,8 @@ def _dequantized_cbam(slot: str, w: dict[str, np.ndarray]) -> CbamParams:
         if not np.isfinite(arr).all():
             raise ContractViolation(f"tensor {slot}/{name} holds NaN or inf")
     for name in _CBAM_WEIGHTS:
-        scale = w[f"{name}_scale"]
-        params = QuantParams(PER_CHANNEL_SYMMETRIC, scale, np.zeros(len(scale), dtype=np.int64))
         with np.errstate(over="ignore"):  # an inf weight fails the check below
-            kwargs[name] = dequantize_array(w[f"{name}_q"], params)
+            kwargs[name] = dequantize_array(w[f"{name}_q"], QuantParams(w[f"{name}_scale"], 0))
         if not np.all(np.isfinite(kwargs[name])):
             raise ContractViolation(f"cbam {name} dequantizes to weights beyond float32's range")
     return CbamParams(**kwargs)
@@ -444,7 +424,7 @@ def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel
         slot = folded.weights.get(layer.slot)
         if layer.kind in ("conv", "detect_head"):
             wp = weight_params(slot["weight"])
-            bias_scale = in_params.scale[0] * wp.scale
+            bias_scale = in_params.scale * wp.scale
             q_bias = np.clip(round_half_away(slot["bias"].astype(np.float64) / bias_scale), I32_MIN, I32_MAX)
             conv_weights[layer.slot] = {
                 "q_weight": quantize_array(slot["weight"], wp),
@@ -540,9 +520,9 @@ def _acc_scale(
     """The float64 per-channel factor on a conv's accumulator, shaped to
     broadcast: m_c = s_in * s_w_c / s_out, or s_in * s_w_c for the head,
     whose accumulator is dequantized to float32 (no out_params)."""
-    scale = in_params.scale[0] * spec.w_scale
+    scale = in_params.scale * spec.w_scale
     if out_params is not None:
-        scale = scale / out_params.scale[0]
+        scale = scale / out_params.scale
     return scale.reshape(1, -1, 1, 1)
 
 
@@ -566,8 +546,8 @@ def quantized_conv2d(x: QuantizedTensor, spec: QConvSpec, out_params: QuantParam
     c, ic = x.arr.shape[1], spec.q_weight.shape[1] * spec.groups
     if ic != c:
         raise ContractViolation(f"quantized conv expects {ic} channels, got {c}")
-    accumulate, _ = spec.accumulator(int(x.params.zero_point[0]))
-    codes = partial(_requantize, zero_point=out_params.zero_point[0])
+    accumulate, _ = spec.accumulator(x.params.zero_point)
+    codes = partial(_requantize, zero_point=out_params.zero_point)
     return _conv_step(accumulate, _acc_scale(x.params, spec, out_params), codes, out_params, x)
 
 
@@ -658,7 +638,7 @@ def _bind_conv(spec: QConvSpec, in_params: QuantParams, out_params: QuantParams 
     proven exact on the accumulator's bound, the exact rule otherwise. The
     head (out_params None) dequantizes its accumulator exactly to float32,
     and its scale times that bound must not exceed float32's largest value."""
-    accumulate, bound = spec.accumulator(int(in_params.zero_point[0]))
+    accumulate, bound = spec.accumulator(in_params.zero_point)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the checks
         mult = _acc_scale(in_params, spec, out_params)
         top = mult.reshape(-1) * bound  # bounds the head's |output|
@@ -668,7 +648,7 @@ def _bind_conv(spec: QConvSpec, in_params: QuantParams, out_params: QuantParams 
         if np.any(top > np.finfo(np.float32).max):
             raise ContractViolation("outputs could exceed float32's range")
         return lambda q: Tensor((accumulate(q.arr) * mult).astype(np.float32))
-    zp = out_params.zero_point[0]
+    zp = out_params.zero_point
     codes = _code_map(_proves_conv_affine(mult, zp, bound), zp)
     return partial(_conv_step, accumulate, mult, codes, out_params)
 
@@ -685,7 +665,7 @@ def _quantize_step(op, operand, codes: Callable, params: QuantParams, x: Tensor)
 def _bind_quantizer(params: QuantParams) -> Callable[[Tensor], QuantizedTensor]:
     """float32 -> int8 onto params: the affine map where it is proven exact,
     the exact rule otherwise."""
-    scale, zp = params.scale[0], params.zero_point[0]
+    scale, zp = params.scale, params.zero_point
     proven = _proves_quantizer_affine(scale, zp)
     op, operand = (np.multiply, 1.0 / scale) if proven else (np.divide, scale)
     return partial(_quantize_step, op, operand, _code_map(proven, zp), params)
@@ -694,8 +674,8 @@ def _bind_quantizer(params: QuantParams) -> Callable[[Tensor], QuantizedTensor]:
 def _pointwise_lut(in_params: QuantParams, out_params: QuantParams, fn) -> np.ndarray:
     """256-entry int8 -> int8 table for quant(fn(dequant(v))), indexed by v + 128."""
     v = np.arange(-128, 128, dtype=np.float64)
-    x = in_params.scale[0] * (v - in_params.zero_point[0])
-    return _requantize(fn(x) / out_params.scale[0], out_params.zero_point[0])
+    x = in_params.scale * (v - in_params.zero_point)
+    return _requantize(fn(x) / out_params.scale, out_params.zero_point)
 
 
 def _code_table(lut: np.ndarray) -> bytes:
@@ -706,7 +686,7 @@ def _code_table(lut: np.ndarray) -> bytes:
 
 def _regrid_table(in_params: QuantParams, out_params: QuantParams) -> bytes | None:
     """Code table moving codes between grids; None when the grids are the same."""
-    if in_params.same_grid(out_params):
+    if in_params == out_params:
         return None
     return _code_table(_pointwise_lut(in_params, out_params, ACTIVATIONS["identity"]))
 
@@ -794,7 +774,7 @@ def save_quantized_bytes(model: QuantizedModel) -> bytes:
         "layers": _layers_to_json(model.layers),
         "meta": _meta_to_json(model.meta),
         "act_params": {
-            key: {"scale": float(p.scale[0]), "zero_point": int(p.zero_point[0])}
+            key: {"scale": float(p.scale), "zero_point": int(p.zero_point)}
             for key, p in sorted(model.act_params.items())
         },
         "conv_slots": sorted(model.conv_weights),
@@ -831,7 +811,7 @@ def _quantized_from_container(doc: dict, tensors: dict[str, np.ndarray]) -> Quan
         scale, zp = require(p, "scale", float), require(p, "zero_point")
         if type(zp) is not int or not -128 <= zp <= 127:  # not a bool, and fits an int64
             raise ContainerError(f"act_params {key!r}: zero_point must be an int in [-128, 127], got {zp!r}")
-        act_params[key] = QuantParams(PER_TENSOR_AFFINE, np.array([scale]), np.array([zp]))
+        act_params[key] = QuantParams(scale, zp)
     return QuantizedModel(
         _layers_from_json(require(doc, "layers", list)),
         _meta_from_json(require(doc, "meta")),

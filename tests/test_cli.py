@@ -408,6 +408,16 @@ def test_usage_errors_exit_one():
         assert exc.value.code == 1, argv
 
 
+def test_an_unknown_flag_prints_the_subcommand_usage(capsys):
+    """The user is shown the flags of the command they ran, not the command list."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--models", "a", "--manifest", "b", "--out-dir", "c", "--config", "x.cfg"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: greenlite bench")
+    assert "greenlite bench: error: unrecognized arguments: --config x.cfg" in err
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [("quantize", "--calib-count", "-3"), ("quantize", "--calib-count", "0"),
@@ -595,6 +605,21 @@ def test_build_refuses_an_input_size_above_the_bound(tmp_path, capsys):
     out = tmp_path / "m.glw"
     assert main(["build", "--out", str(out), "--input-size", "4096"]) == 2
     assert "input size 4096 is above the bound 2048" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_refuses_more_classes_than_ids(tmp_path, capsys):
+    """Class names are made for every class, so the count is bounded before any is named."""
+    out = tmp_path / "m.glw"
+    assert main(["build", "--out", str(out), "--classes", "65537"]) == 2
+    assert "num_classes must lie in [1, 65536], got 65537" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_refuses_an_image_size_above_the_bound(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["synth", "--out", str(out), "--size", "2049"]) == 2
+    assert "image_size must lie in [32, 2048], got 2049" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -92,6 +92,15 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
         ("a.ppm\t10\t10\t0:0.5:0.5:nan:0.1\n", "size must be > 0, got nan x 0.1"),
         ("a.ppm\t10\t10\t0:0.5:0.5:0.1:inf\n", "extends outside"),
         ("a\udcff.ppm\t10\t10\t\n", "not valid UTF-8"),  # written as one 0xff byte
+        ("a.ppm\t1_0\t10\t\n", "bad width/height"),
+        ("a.ppm\t 10\t10\t\n", "bad width/height"),
+        ("a.ppm\t10\t\u0661\u0660\t\n", "bad width/height"),  # Arabic-Indic 10
+        ("a.ppm\t+10\t10\t\n", "bad width/height"),
+        ("a.ppm\t10\t10\t1_0:0.5:0.5:0.1:0.1\n", "non-numeric"),
+        ("a.ppm\t10\t10\t\u0661:0.5:0.5:0.1:0.1\n", "non-numeric"),
+        ("a.ppm\t10\t10\t0:0.5:0.5:0_1:0.1\n", "non-numeric"),  # float() reads 1.0
+        ("a.ppm\t10\t10\t0:0.5: 0.5:0.1:0.1\n", "non-numeric"),
+        ("a.ppm\t10\t10\t0:0.5:0.5:0.1:0.\u0661\n", "non-numeric"),
     ]
     for bad, needle in cases:
         p = tmp_path / "m.tsv"

@@ -2,11 +2,16 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import greenlite
 from conftest import assert_tracker_empty, load_tensors, returns_within
 from greenlite import (
     ContractViolation,
@@ -107,6 +112,46 @@ def test_a_failing_inner_window_keeps_the_outer_peak():
             track_memory(inner_action)
 
     assert returns_within(lambda: track_memory(outer_action)).peak_live_tensor_bytes == 64 * 64 * 4
+
+
+GC_IN_A_WINDOW = """
+import gc
+import numpy as np
+import greenlite as gl
+
+
+def leave_cycle():
+    t = gl.Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
+    try:
+        raise ValueError
+    except ValueError as exc:
+        kept = exc  # exc -> traceback -> this frame -> exc: a cycle holding t
+
+
+for threshold in range(1, 41):
+    gc.collect()
+    gc.set_threshold(threshold)
+    leave_cycle()
+    gl.track_memory(lambda: None)
+print("returned")
+"""
+
+
+def test_a_collection_inside_the_tracker_lock_does_not_hang():
+    """A collection started while the tracker holds its lock can finalize a
+    tensor, whose unregister then takes the lock on the same thread. Every
+    gc threshold from 1 to 40 moves where that collection starts; the script
+    runs in a subprocess because a hang here would block every later tensor."""
+    env = dict(os.environ)
+    src = str(Path(greenlite.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", GC_IN_A_WINDOW], capture_output=True, text=True, timeout=30, env=env
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("track_memory did not return: unregister waited on the lock its own thread held")
+    assert proc.returncode == 0 and proc.stdout.strip() == "returned", proc.stderr
 
 
 @pytest.mark.parametrize("per_stage, int8_bytes, dequantized_bytes", [

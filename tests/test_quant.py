@@ -44,8 +44,6 @@ from greenlite.container import read_container, write_container
 from greenlite.tensor import ACTIVATIONS
 from greenlite.quant import (
     INPUT_SLOT,
-    PER_CHANNEL_SYMMETRIC,
-    PER_TENSOR_AFFINE,
     QConvSpec,
     _affine_codes,
     _apply_lut,
@@ -103,19 +101,19 @@ def test_round_half_away_matches_rational_oracle():
 
 def test_choose_params_affine_fixture():
     p = choose_params(0.0, 2.55)
-    assert abs(p.scale[0] - 0.01) <= 1e-15
-    assert p.zero_point[0] == -128
+    assert abs(p.scale - 0.01) <= 1e-15
+    assert p.zero_point == -128
     # real zero sits exactly on the grid
     assert dequantize_array(np.array([-128], dtype=np.int8), p)[0] == 0.0
 
 
 def test_choose_params_widens_one_sided_ranges_to_zero():
     p = choose_params(1.0, 2.0)
-    assert p.scale[0] == 2.0 / 255.0
-    assert p.zero_point[0] == -128
+    assert p.scale == 2.0 / 255.0
+    assert p.zero_point == -128
     n = choose_params(-3.0, -1.0)
-    assert n.scale[0] == 3.0 / 255.0
-    assert n.zero_point[0] == 127
+    assert n.scale == 3.0 / 255.0
+    assert n.zero_point == 127
 
 
 def test_choose_params_zero_is_always_on_the_grid():
@@ -138,20 +136,28 @@ def test_choose_params_degenerate_range_raises():
 
 def test_quant_params_validation():
     with pytest.raises(ContractViolation):
-        QuantParams(PER_TENSOR_AFFINE, np.array([0.0]), np.array([0]))
+        QuantParams(0.0, 0)
     with pytest.raises(ContractViolation):
-        QuantParams(PER_TENSOR_AFFINE, np.array([0.1]), np.array([300]))
+        QuantParams(0.1, 300)
     with pytest.raises(ContractViolation):
-        QuantParams(PER_CHANNEL_SYMMETRIC, np.array([0.1, 0.2]), np.array([0, 1]))
+        QuantParams(np.array([0.1, 0.2]), 1)
     with pytest.raises(ContractViolation):
-        QuantParams("per_block", np.array([0.1]), np.array([0]))
+        QuantParams(2.0**130, 0)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_a_quantized_tensor_refuses_per_channel_params(channels):
+    """Weight params are per channel even with one channel; an activation's grid is one scale."""
+    wp = weight_params(np.ones((channels, 1, 1, 1), dtype=np.float32))
+    with pytest.raises(ContractViolation, match="activation tensors use per-tensor params"):
+        QuantizedTensor(np.zeros((1, channels, 1, 1), dtype=np.int8), wp)
 
 
 # ---- quantize / dequantize ----
 
 
 def unit_params(scale=0.1, zp=0):
-    return QuantParams(PER_TENSOR_AFFINE, np.array([scale]), np.array([zp]))
+    return QuantParams(scale, zp)
 
 
 def test_quantize_fixtures():
@@ -169,7 +175,7 @@ def test_round_trip_error_is_at_most_half_a_step():
     p = choose_params(-3.0, 5.0)
     xs = np.linspace(-3.0, 5.0, 4001)
     err = np.abs(xs - dequantize_array(quantize_array(xs, p), p).astype(np.float64))
-    assert np.max(err) <= p.scale[0] / 2 + 1e-6
+    assert np.max(err) <= p.scale / 2 + 1e-6
 
 
 def test_grid_points_survive_the_round_trip_exactly():
@@ -192,7 +198,7 @@ def test_weight_params_per_channel():
     w = rng.uniform(-1, 1, (5, 3, 3, 3)).astype(np.float32)
     w[2] = 0.0  # an all-zero output channel must not break the scale
     p = weight_params(w)
-    assert p.scheme == PER_CHANNEL_SYMMETRIC
+    assert isinstance(p.scale, np.ndarray) and p.zero_point == 0
     for c in range(5):
         m = float(np.max(np.abs(w[c].astype(np.float64))))
         assert p.scale[c] == (m / 127.0 if m > 0 else 1.0)
@@ -217,7 +223,7 @@ def test_tensor_round_trip_wrappers():
     x = Tensor(rng.uniform(-2, 2, (1, 3, 5, 5)).astype(np.float32))
     p = choose_params(-2.0, 2.0)
     back = dequantize(quantize_tensor(x, p))
-    assert np.max(np.abs(back.arr - x.arr)) <= p.scale[0] / 2 + 1e-6
+    assert np.max(np.abs(back.arr - x.arr)) <= p.scale / 2 + 1e-6
 
 
 # ---- integer convolution ----
@@ -294,7 +300,7 @@ def test_quantized_conv_zero_weights_yield_zero_point():
     )
     out_params = choose_params(-1.0, 1.0)
     y = quantized_conv2d(x, spec, out_params)
-    assert np.all(y.arr == out_params.zero_point[0])
+    assert np.all(y.arr == out_params.zero_point)
 
 
 def test_quantized_conv_within_one_step_of_float_oracle():
@@ -309,7 +315,7 @@ def test_quantized_conv_within_one_step_of_float_oracle():
         w_params = weight_params(w)
         q_in = quantize_array(x, in_params)
         q_w = quantize_array(w, w_params)
-        s_bias = in_params.scale[0] * w_params.scale
+        s_bias = in_params.scale * w_params.scale
         q_b = round_half_away(b / s_bias).astype(np.int32)
         # the float oracle sees exactly what the integer path sees
         dq_in = dequantize_array(q_in, in_params).astype(np.float64)
@@ -322,7 +328,7 @@ def test_quantized_conv_within_one_step_of_float_oracle():
             out_params,
         )
         err = np.abs(dequantize_array(got.arr, out_params).astype(np.float64) - acc)
-        assert np.max(err) <= out_params.scale[0] * 0.5 + 1e-9, f"case {case}"
+        assert np.max(err) <= out_params.scale * 0.5 + 1e-9, f"case {case}"
 
 
 def test_quantized_conv_requant_matches_exact_integer_oracle():
@@ -347,15 +353,15 @@ def test_quantized_conv_requant_matches_exact_integer_oracle():
         acc = conv2d_int_naive(q_in, z_in, q_w, q_b, stride, padding, groups)
         # Each channel's largest |acc| lands at 75..300 steps: both ends saturate.
         w_scale = rng.uniform(0.5, 2.0, oc) / np.maximum(1, np.abs(acc).max(axis=(0, 2, 3)))
-        in_params = QuantParams(PER_TENSOR_AFFINE, np.array([0.05]), np.array([z_in]))
+        in_params = QuantParams(0.05, z_in)
         z_out = int(rng.integers(-20, 21))
-        out_params = QuantParams(PER_TENSOR_AFFINE, np.array([0.05 / 150]), np.array([z_out]))
+        out_params = QuantParams(0.05 / 150, z_out)
         got = quantized_conv2d(
             QuantizedTensor(q_in, in_params),
             QConvSpec(q_w, w_scale, q_b, stride, padding, groups),
             out_params,
         )
-        m = (in_params.scale[0] * w_scale / out_params.scale[0]).reshape(1, -1, 1, 1)
+        m = (in_params.scale * w_scale / out_params.scale).reshape(1, -1, 1, 1)
         want = np.clip(round_half_away(acc.astype(np.float64) * m) + z_out, -128, 127)
         assert np.array_equal(got.arr, want.astype(np.int8)), f"case {case}"
 
@@ -407,15 +413,15 @@ def test_lut_matches_pointwise_definition_on_all_256_codes():
     for name, fn in (("silu", lambda v: v / (1 + np.exp(-v))), ("identity", lambda v: v)):
         lut = _pointwise_lut(in_p, out_p, ACTIVATIONS[name])
         for code in range(-128, 128):
-            x = in_p.scale[0] * (code - in_p.zero_point[0])
-            want = int(np.clip(round_half_away(fn(x) / out_p.scale[0]) + out_p.zero_point[0], -128, 127))
+            x = in_p.scale * (code - in_p.zero_point)
+            want = int(np.clip(round_half_away(fn(x) / out_p.scale) + out_p.zero_point, -128, 127))
             assert lut[code + 128] == want, (name, code)
 
 
 def test_requant_same_grid_is_a_passthrough():
     p = choose_params(-1.0, 1.0)
     q = QuantizedTensor(np.zeros((1, 1, 2, 2), dtype=np.int8), p)
-    same = QuantParams(p.scheme, p.scale.copy(), p.zero_point.copy())
+    same = QuantParams(p.scale, p.zero_point)
     assert _apply_lut(q, _regrid_table(q.params, same), same) is q
 
 
@@ -424,8 +430,8 @@ def test_requant_between_grids_is_exact_per_code():
     b = choose_params(-1.0, 3.0)
     codes = np.arange(-128, 128, dtype=np.int8).reshape(1, 1, 16, 16)
     out = _apply_lut(QuantizedTensor(codes, a), _regrid_table(a, b), b)
-    x = a.scale[0] * (codes.astype(np.float64) - a.zero_point[0])
-    want = np.clip(round_half_away(x / b.scale[0]) + b.zero_point[0], -128, 127)
+    x = a.scale * (codes.astype(np.float64) - a.zero_point)
+    want = np.clip(round_half_away(x / b.scale) + b.zero_point, -128, 127)
     assert np.array_equal(out.arr, want.astype(np.int8))
 
 
@@ -544,7 +550,7 @@ def test_ties_fail_the_check_and_keep_the_exact_rule():
     """m = 0.5 puts acc = -1, -3, ... on negative ties, which the affine map
     rounds towards zero: the check fails, the plan binds the exact kernel and
     the codes match the integer oracle."""
-    one = QuantParams(PER_TENSOR_AFFINE, np.array([1.0]), np.array([0]))
+    one = QuantParams(1.0, 0)
     k = np.float64(128.5)
     assert _affine_codes(np.array([-0.5]), k)[0] != exact_codes(np.array([-0.5]), 0)[0]
     assert not _proves_conv_affine(np.array([0.5]), 0, np.array([1000]))
@@ -564,7 +570,7 @@ def test_ties_fail_the_check_and_keep_the_exact_rule():
     assert quantize.func is _quantize_step and quantize.args[2].func is _requantize
 
 
-@pytest.mark.parametrize("params", [choose_params(-1.0, 3.0), QuantParams(PER_TENSOR_AFFINE, [1.0], [0])])
+@pytest.mark.parametrize("params", [choose_params(-1.0, 3.0), QuantParams(1.0, 0)])
 def test_quantizing_nan_is_a_contract_violation(params):
     """Both bound quantizers (proven, and the exact fallback) refuse NaN."""
     x = Tensor(np.array([0.5, np.nan, 1.0], dtype=np.float32).reshape(1, 1, 1, 3))
@@ -625,9 +631,9 @@ def literal_layer(qm, idx, layer, inputs):
         if layer.kind == "conv":
             spec = QConvSpec(w["q_weight"], w["w_scale"], w["q_bias"], *geometry)
             return quantized_conv2d(inputs[0], spec, out_params).arr
-        z_in = int(in_params.zero_point[0])
+        z_in = in_params.zero_point
         acc = int_conv_acc(inputs[0].arr, z_in, w["q_weight"], w["q_bias"], *geometry)
-        return (acc * (in_params.scale[0] * w["w_scale"]).reshape(1, -1, 1, 1)).astype(np.float32)
+        return (acc * (in_params.scale * w["w_scale"]).reshape(1, -1, 1, 1)).astype(np.float32)
     if layer.kind == "act":
         return regrid(inputs[0], out_params, ACTIVATIONS[attrs["fn"]])
     if layer.kind == "concat":

@@ -4,6 +4,8 @@ documented call to a name or a flag the package no longer has fails the suite.""
 import re
 from pathlib import Path
 
+import pytest
+
 from greenlite.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,3 +40,24 @@ def test_every_flag_readme_names_exists_in_the_parser():
     known = {flag for command in commands for flag in command._option_string_actions}
     assert named, "README names no flags"
     assert named <= known, sorted(named - known)
+
+
+def test_the_count_flag_table_matches_the_parser(capsys):
+    """Each flag in README's count-flag table takes its least value and is a
+    usage error (exit 1) one below it. Required flags get dummy values; only
+    the arguments are parsed, no command runs."""
+    walkthrough = section(README.read_text(encoding="utf-8"), "## CLI walkthrough")
+    rows = re.findall(r"^\| `(\w+)` \| (.+?) \| (-?\d+) \|$", walkthrough, re.M)
+    assert len(rows) >= 7, rows
+    parser = _build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    for command, flags, least in rows:
+        required = [a.option_strings[0] for a in commands[command]._actions if a.required]
+        base = [command] + [arg for flag in required for arg in (flag, "x")]
+        for flag in re.findall(r"`(--[a-z-]+)`", flags):
+            args = parser.parse_args(base + [flag, least])
+            assert getattr(args, flag[2:].replace("-", "_")) == int(least), (command, flag)
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(base + [flag, str(int(least) - 1)])
+            assert exc.value.code == 1, (command, flag)
+            assert f"argument {flag}: must be >= {least}" in capsys.readouterr().err
