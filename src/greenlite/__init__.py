@@ -72,7 +72,6 @@ from .profiling import (
     parse_stage_report,
     resolve_energy_settings,
     stage_report,
-    time_stage,
     track_memory,
 )
 from .quant import (

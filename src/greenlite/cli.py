@@ -42,10 +42,10 @@ from .metrics import detection_prf, map50
 from .profiling import (
     EMISSIONS_CSV_HEADER,
     EmissionRecord,
+    LatencyStats,
     format_float,
     resolve_energy_settings,
     stage_report,
-    time_stage,
     track_memory,
 )
 from .quant import (
@@ -101,8 +101,11 @@ def _forward_fn(model):
 
 
 def _run_detector(model, x, meta, conf: float, iou_thr: float):
+    """The detections on x, and the nanoseconds its forward alone took."""
+    t0 = time.perf_counter_ns()
     raw = _forward_fn(model)(model, x)
-    return nms(decode(raw, meta, conf), iou_thr)
+    forward_ns = time.perf_counter_ns() - t0
+    return nms(decode(raw, meta, conf), iou_thr), forward_ns
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -165,7 +168,7 @@ def cmd_quantize(args) -> int:
 def cmd_detect(args) -> int:
     model = load_any(args.model)
     x, meta = _image_tensor(args.image, model.meta.input_size)
-    dets = _run_detector(model, x, meta, args.conf, args.iou)
+    dets, _ = _run_detector(model, x, meta, args.conf, args.iou)
     if args.emit == "json":
         payload = [
             {
@@ -233,29 +236,34 @@ def _bench_one(path: str, images, gts, args, power, intensity):
     if beyond:  # map50 would skip their boxes while detection_prf counts them
         raise ContractViolation(f"manifest class ids {beyond} are beyond the model's {k} classes")
 
-    run = _forward_fn(model)
     target = model.meta.input_size
-    # Latency and memory are measured on the first image alone: a forward does the same work
-    # whatever its pixels, and the peak is the weights, one input and the activation peak.
+    # One untimed forward of the first image is both the warm-up and the memory window: a
+    # forward does the same work whatever its pixels, and the peak is the weights, one input
+    # and the activation peak.
     x, _ = _image_tensor(images[0][0], target)
-
-    t0 = time.perf_counter()
-    latency = time_stage(lambda: run(model, x), warmup=args.warmup, iterations=args.iters)
-    records.append(EmissionRecord.measure("inference", time.perf_counter() - t0, power, intensity))
-
-    mem = track_memory(lambda: run(model, x))
+    t0 = time.perf_counter_ns()
+    mem = track_memory(lambda: _forward_fn(model)(model, x))
+    warmup_ns = time.perf_counter_ns() - t0
     del x
 
-    t0 = time.perf_counter()
-    dets_per_image = []
+    # One pass: the forwards' times are the latency samples and the inference stage; the rest
+    # of the pass (reading, letterboxing, decode, NMS, metrics) is the evaluate stage.
+    t0 = time.perf_counter_ns()
+    dets_per_image, forward_ns = [], []
     for p, (w, h) in images:  # each image is letterboxed when the pass reaches it
         x, meta = _image_tensor(p, target)
         if (meta.orig_w, meta.orig_h) != (w, h):  # the ground truth was scaled by (w, h)
             raise ContractViolation(f"{p} is {meta.orig_w}x{meta.orig_h}, but its manifest line says {w}x{h}")
-        dets_per_image.append(_run_detector(model, x, meta, args.conf, args.iou))
+        dets, ns = _run_detector(model, x, meta, args.conf, args.iou)
+        dets_per_image.append(dets)
+        forward_ns.append(ns)
     detection = map50(dets_per_image, gts, model.meta.num_classes)
     prf = detection_prf(dets_per_image, gts)
-    records.append(EmissionRecord.measure("evaluate", time.perf_counter() - t0, power, intensity))
+    # Integer nanoseconds: the forwards lie inside the pass, so the difference is never negative.
+    evaluate_ns = time.perf_counter_ns() - t0 - sum(forward_ns)
+    latency = LatencyStats.from_samples((ns / 1e9 for ns in forward_ns), warmup_count=1)
+    records.append(EmissionRecord.measure("inference", (warmup_ns + sum(forward_ns)) / 1e9, power, intensity))
+    records.append(EmissionRecord.measure("evaluate", evaluate_ns / 1e9, power, intensity))
 
     size_mb = os.path.getsize(path) / 1e6
     twin = path if isinstance(model, QuantizedModel) else _twin_path(path)
@@ -402,8 +410,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="benchmark models against a manifest")
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--warmup", type=_at_least(0), default=1)
-    p.add_argument("--iters", type=_at_least(1), default=5)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--conf", type=_unit_interval, default=DEFAULT_CONF)
     p.add_argument("--iou", type=_unit_interval, default=DEFAULT_IOU)

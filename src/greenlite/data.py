@@ -321,13 +321,20 @@ def synth_dataset(
         raise ContractViolation(f"image_size must lie in [32, {MAX_INPUT_SIZE}], got {image_size}")
     if num_classes > MAX_CLASS_ID + 1:  # else whether a box is refused would depend on the seed
         raise ContractViolation(f"num_classes must be <= {MAX_CLASS_ID + 1}, got {num_classes}")
+    s = image_size
+    min_half = max(3, s // 32)
+    max_half = max(min_half + 1, s // 6)
+    # Each placed box, grown by 1 px per side, is disjoint from the others and inside the
+    # canvas, so no more than this many fit; more would only spend 100 failed tries each.
+    most_boxes = s * s // (2 * min_half + 3) ** 2
+    if max_boxes_per_image > most_boxes:
+        raise ContractViolation(
+            f"max_boxes_per_image must be <= {most_boxes} at image_size {s}, got {max_boxes_per_image}"
+        )
 
     images_dir = os.path.join(out_dir, "images")
     os.makedirs(images_dir, exist_ok=True)
     rng = np.random.Generator(np.random.PCG64(seed))
-    s = image_size
-    min_half = max(3, s // 32)
-    max_half = max(min_half + 1, s // 6)
 
     images: list[AnnotatedImage] = []
     for idx in range(num_images):

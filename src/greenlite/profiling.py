@@ -1,12 +1,12 @@
 """Latency, peak tensor memory, and energy/carbon accounting.
 
-Timing uses the monotonic wall clock. Memory is tracked by an instrumented
-allocator: every tensor payload registers its byte size on creation and
-deregisters when the tensor is garbage collected, so the tracker's tally is
-a VRAM proxy counting tensor payload bytes only (kernel scratch buffers are
-not tensors and do not count). Timed and tracked sections are serialized by
-module-level locks; results are only meaningful when the measured action
-runs exclusively.
+Latency stats summarize samples that the caller times. Memory is tracked by
+an instrumented allocator: every tensor payload registers its byte size on
+creation and deregisters when the tensor is garbage collected, so the
+tracker's tally is a VRAM proxy counting tensor payload bytes only (kernel
+scratch buffers are not tensors and do not count). Tracked sections are
+serialized by a module-level lock; results are only meaningful when the
+measured action runs exclusively.
 
 Energy follows the usual meter model: kWh = watts * seconds / 3.6e6, and
 carbon is kWh times grid intensity. The defaults (15 W device draw, 0.475
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -36,7 +35,6 @@ ENV_INTENSITY = "GREENLITE_INTENSITY"
 STAGES = ("load", "calibrate", "quantize", "inference", "evaluate")
 
 # Reentrant, so a measurement window can run inside another.
-_timing_lock = threading.RLock()
 _tracking_lock = threading.RLock()
 
 
@@ -123,27 +121,6 @@ class LatencyStats:
         p50 = xs[math.ceil(0.50 * n) - 1]
         p95 = xs[math.ceil(0.95 * n) - 1]
         return cls(warmup_count, n, math.fsum(xs) / n, p50, p95, xs[0], xs[-1])
-
-
-def time_stage(action: Callable[[], object], warmup: int = 1, iterations: int = 5) -> LatencyStats:
-    """Run action warmup times untimed, then time it for the given iterations.
-
-    Iterations must be >= 1. The timed section holds a module lock so
-    concurrent timing attempts serialize instead of interleaving.
-    """
-    if iterations < 1:
-        raise ContractViolation(f"iterations must be >= 1, got {iterations}")
-    if warmup < 0:
-        raise ContractViolation(f"warmup must be >= 0, got {warmup}")
-    with _timing_lock:
-        for _ in range(warmup):
-            action()
-        samples = []
-        for _ in range(iterations):
-            t0 = time.perf_counter()
-            action()
-            samples.append(time.perf_counter() - t0)
-    return LatencyStats.from_samples(samples, warmup_count=warmup)
 
 
 def track_memory(action: Callable[[], object]) -> MemoryStats:

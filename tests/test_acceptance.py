@@ -410,7 +410,7 @@ def test_criterion_8_end_to_end_smoke(tmp_path):
                  "--calib-manifest", str(data / "manifest.tsv")]) == 0
     assert main(["bench", "--models", str(model), str(tmp_path / "m.q.glw"),
                  "--manifest", str(data / "manifest.tsv"),
-                 "--out-dir", str(out_dir), "--warmup", "1", "--iters", "2"]) == 0
+                 "--out-dir", str(out_dir)]) == 0
 
     for name in ("bench.csv", "emissions.csv", "memory.csv", "report.md"):
         assert (out_dir / name).exists(), name

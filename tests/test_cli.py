@@ -1,5 +1,6 @@
 """CLI tests: subcommand behavior, output files, and the exit-code contract."""
 
+import csv
 import hashlib
 import importlib.metadata
 import json
@@ -9,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -283,7 +285,7 @@ def test_bench_writes_the_four_reports(cli_env, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     rc = main(["bench", "--models", str(fmodel), str(qmodel),
                "--manifest", str(cli_env / "data" / "manifest.tsv"),
-               "--out-dir", str(out_dir), "--warmup", "1", "--iters", "2"])
+               "--out-dir", str(out_dir)])
     assert rc == 0
     printed = capsys.readouterr().out
     assert MD_HEADER in printed
@@ -347,8 +349,7 @@ def test_bench_memory_does_not_grow_with_the_manifest(cli_env, tmp_path):
     for manifest in (tmp_path / "two.tsv", data / "manifest.tsv"):
         out_dir = tmp_path / manifest.stem
         assert main(["bench", "--models", str(cli_env / "model.glw"), str(cli_env / "model.q.glw"),
-                     "--manifest", str(manifest), "--out-dir", str(out_dir),
-                     "--warmup", "0", "--iters", "1"]) == 0
+                     "--manifest", str(manifest), "--out-dir", str(out_dir)]) == 0
         rows.append((out_dir / "memory.csv").read_text().splitlines())
     assert len(rows[0]) == 3 and rows[0] == rows[1]
 
@@ -356,12 +357,50 @@ def test_bench_memory_does_not_grow_with_the_manifest(cli_env, tmp_path):
 def test_bench_runs_inside_a_memory_window(cli_env, tmp_path):
     out_dir = tmp_path / "bench"
     argv = ["bench", "--models", str(cli_env / "model.glw"), "--manifest", str(cli_env / "data" / "manifest.tsv"),
-            "--out-dir", str(out_dir), "--warmup", "0", "--iters", "1"]
+            "--out-dir", str(out_dir)]
     codes = []
     outer = returns_within(lambda: track_memory(lambda: codes.append(main(argv))))
     assert codes == [0]
     inner_peak = int((out_dir / "memory.csv").read_text().splitlines()[1].split(",")[2])
     assert outer.peak_live_tensor_bytes >= inner_peak > 0
+
+
+def _bench_with_slow_forwards(cli_env, tmp_path, monkeypatch, delay_s):
+    """Bench the float model and its twin with every CLI forward sleeping
+    delay_s first; returns the forward calls of each kind, the manifest's
+    image count and each (model, stage) duration in emissions.csv."""
+    calls = {"forward": 0, "forward_quantized": 0}
+    for name in calls:
+        def slow(model, x, real=getattr(greenlite.cli, name), name=name):
+            calls[name] += 1
+            time.sleep(delay_s)
+            return real(model, x)
+
+        monkeypatch.setattr(greenlite.cli, name, slow)
+    manifest = cli_env / "data" / "manifest.tsv"
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--models", str(cli_env / "model.glw"), str(cli_env / "model.q.glw"),
+                 "--manifest", str(manifest), "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "emissions.csv", newline="") as fh:
+        stages = {(r["model"], r["stage"]): float(r["duration_s"]) for r in csv.DictReader(fh)}
+    return calls, len(load_manifest(manifest).images), stages
+
+
+def test_bench_runs_one_forward_per_image_and_one_warm_up(cli_env, tmp_path, monkeypatch):
+    """The warm-up is the memory window, and one pass gives both the latency
+    samples and the detections the metrics score."""
+    calls, n, _ = _bench_with_slow_forwards(cli_env, tmp_path, monkeypatch, 0.0)
+    assert calls == {"forward": n + 1, "forward_quantized": n + 1}
+
+
+def test_bench_files_forward_time_under_inference_alone(cli_env, tmp_path, monkeypatch):
+    """A delay in the forward lands in the inference stage, warm-up included,
+    and none of it in evaluate: the stages split the run with no overlap."""
+    delay = 0.05
+    _, n, stages = _bench_with_slow_forwards(cli_env, tmp_path, monkeypatch, delay)
+    for model in ("model.glw", "model.q.glw"):
+        assert stages[model, "inference"] >= (n + 1) * delay
+        assert 0.0 <= stages[model, "evaluate"] < n * delay / 2
 
 
 def test_bench_keeps_going_past_a_broken_model(cli_env, tmp_path, capsys):
@@ -371,7 +410,7 @@ def test_bench_keeps_going_past_a_broken_model(cli_env, tmp_path, capsys):
     capsys.readouterr()
     rc = main(["bench", "--models", str(cli_env / "model.q.glw"), str(bogus),
                "--manifest", str(cli_env / "data" / "manifest.tsv"),
-               "--out-dir", str(out_dir), "--warmup", "0", "--iters", "1"])
+               "--out-dir", str(out_dir)])
     assert rc == 3
     captured = capsys.readouterr()
     assert "bench failed for" in captured.err
@@ -388,7 +427,7 @@ def test_bench_energy_settings_flow_through(cli_env, tmp_path, capsys, monkeypat
     out_dir = tmp_path / "bench"
     rc = main(["bench", "--models", str(cli_env / "model.q.glw"),
                "--manifest", str(cli_env / "data" / "manifest.tsv"),
-               "--out-dir", str(out_dir), "--warmup", "0", "--iters", "1"])
+               "--out-dir", str(out_dir)])
     assert rc == 0
     capsys.readouterr()
     for ln in (out_dir / "emissions.csv").read_text().splitlines()[1:]:
@@ -421,7 +460,6 @@ def test_an_unknown_flag_prints_the_subcommand_usage(capsys):
 @pytest.mark.parametrize(
     "command, flag, value",
     [("quantize", "--calib-count", "-3"), ("quantize", "--calib-count", "0"),
-     ("bench", "--iters", "0"), ("bench", "--warmup", "-1"),
      ("synth", "--images", "0"), ("synth", "--classes", "0"), ("synth", "--max-boxes", "0"),
      ("synth", "--size", "31"), ("build", "--classes", "0"), ("build", "--input-size", "16")],
 )
@@ -511,7 +549,7 @@ def test_bench_refuses_a_model_with_fewer_classes_than_the_manifest(cli_env, tmp
     out_dir = tmp_path / "bench"
     capsys.readouterr()
     rc = main(["bench", "--models", str(three), str(cli_env / "model.glw"), "--manifest", str(manifest),
-               "--out-dir", str(out_dir), "--warmup", "0", "--iters", "1"])
+               "--out-dir", str(out_dir)])
     assert rc == 3
     err = capsys.readouterr().err
     assert f"bench failed for {three}: manifest class ids {beyond} are beyond the model's 3 classes" in err
@@ -534,7 +572,7 @@ def test_bench_refuses_images_whose_manifest_size_is_wrong(cli_env, tmp_path, ca
     wrong.write_text("".join(
         "\t".join([str(data / path), "640", "480", *rest]) + "\n" for path, _, _, *rest in lines
     ))
-    argv = ["bench", "--models", str(cli_env / "model.glw"), "--warmup", "0", "--iters", "1"]
+    argv = ["bench", "--models", str(cli_env / "model.glw")]
     capsys.readouterr()
     assert main(argv + ["--manifest", str(wrong), "--out-dir", str(tmp_path / "a")]) == 3
     err = capsys.readouterr().err
@@ -575,7 +613,7 @@ def test_bench_reports_the_twin_that_quantize_wrote_for_any_name(cli_env, tmp_pa
     assert twin.exists()
     out_dir = tmp_path / "bench"
     assert main(["bench", "--models", str(model), "--manifest", manifest,
-                 "--out-dir", str(out_dir), "--warmup", "0", "--iters", "1"]) == 0
+                 "--out-dir", str(out_dir)]) == 0
     capsys.readouterr()
     row = (out_dir / "bench.csv").read_text().splitlines()[1].split(",")
     assert row[0] == "m.bin"
@@ -621,6 +659,17 @@ def test_synth_refuses_an_image_size_above_the_bound(tmp_path, capsys):
     assert main(["synth", "--out", str(out), "--size", "2049"]) == 2
     assert "image_size must lie in [32, 2048], got 2049" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_synth_refuses_more_boxes_than_the_canvas_holds(tmp_path, capsys):
+    """At 32 px each box with a 1-px margin is at least 9x9, so 1024 // 81 = 12 fit."""
+    out = tmp_path / "d"
+    argv = ["synth", "--out", str(out), "--images", "1", "--size", "32", "--max-boxes"]
+    assert main(argv + ["13"]) == 2
+    assert "max_boxes_per_image must be <= 12 at image_size 32, got 13" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["12"]) == 0
+    assert len(load_manifest(out / "manifest.tsv").images) == 1
 
 
 # (stride, the error message it must give); the id of the stride-0 case is the container's name

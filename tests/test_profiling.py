@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ from greenlite import (
     quantize_model,
     resolve_energy_settings,
     stage_report,
-    time_stage,
     track_memory,
 )
 from greenlite.quant import save_quantized_bytes
@@ -227,39 +225,6 @@ def test_latency_stats_constant_samples_collapse():
 def test_latency_stats_need_samples():
     with pytest.raises(ContractViolation):
         LatencyStats.from_samples([])
-
-
-def test_time_stage_runs_warmup_plus_iterations():
-    calls = []
-    stats = time_stage(lambda: calls.append(1), warmup=2, iterations=3)
-    assert len(calls) == 5
-    assert stats.warmup_count == 2
-    assert stats.sample_count == 3
-    assert stats.min_s >= 0.0
-
-
-def test_time_stage_measures_a_known_sleep():
-    stats = time_stage(lambda: time.sleep(0.01), warmup=0, iterations=3)
-    assert 0.009 <= stats.mean_s <= 0.08
-    assert 0.009 <= stats.p50_s <= 0.08
-    assert stats.min_s >= 0.009
-
-
-def test_timing_windows_nest():
-    inner = []
-    outer = returns_within(
-        lambda: time_stage(lambda: inner.append(time_stage(lambda: None, warmup=0, iterations=2)),
-                           warmup=1, iterations=3)
-    )
-    assert outer.sample_count == 3
-    assert len(inner) == 4 and all(stats.sample_count == 2 for stats in inner)
-
-
-def test_time_stage_validates_arguments():
-    with pytest.raises(ContractViolation):
-        time_stage(lambda: None, iterations=0)
-    with pytest.raises(ContractViolation):
-        time_stage(lambda: None, warmup=-1)
 
 
 # ---- energy and carbon ----

@@ -1,6 +1,7 @@
 """Quantization tests: grid math fixtures, exact-accumulation oracles, and
 the end-to-end fold/calibrate/quantize pipeline on a small build."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -62,6 +63,7 @@ from greenlite.quant import (
 )
 
 from _oracles import conv2d_int_naive, conv2d_naive, pool_naive
+from conftest import load_tensors
 
 
 def tiny_model(num_classes=2):
@@ -737,6 +739,30 @@ def test_quantize_model_is_deterministic_and_round_trips(tmp_path):
     assert save_quantized_bytes(back) == blob1
     x = tiny_images(1, seed=5)[0]
     assert np.array_equal(forward_quantized(back, x).arr, forward_quantized(qm1, x).arr)
+
+
+# (build seed, cbam_per_stage) -> sha256 of the int8 container calibrated on the
+# first 2 images of the session synth set, and of its head on one seeded input
+# after a save/load round trip. Re-pin only with a change that alters int8 bytes.
+GOLDEN_INT8 = {
+    (1, False): ("9b4e7931a709c1f8287f73680361ff438b811c740184383606d5330be5bfee43",
+                 "78ab0cc86b3dd97505a7ed1cedf046c0440759cce212c4a5f3fece29a236e17e"),
+    (42, False): ("d416474ad7f29612ce1ead3f7c9da8a83d40017efb5e747ffdc9fcc008bdc212",
+                  "f75a8e278dcde10279158ef23aacc6bf8acedbf86b84f3816161960db6e175c2"),
+    (42, True): ("bb7c5b4de3ca1d2603005961969af74f6319140ddf20672f1a090f78b130dbe1",
+                 "d4ccb72884f83fc3c744ef8fa818c21a3d019e1196fcdf1fc99a8d2b34589446"),
+}
+
+
+def test_int8_containers_and_heads_match_goldens(synth_manifest):
+    images = load_tensors(synth_manifest, 2)
+    x = Tensor(np.random.default_rng(0).uniform(0.0, 1.0, (1, 3, 320, 320)).astype(np.float32))
+    for (seed, per_stage), (container_sha, head_sha) in GOLDEN_INT8.items():
+        m = build_model(7, seed=seed, cbam_per_stage=per_stage)
+        blob = save_quantized_bytes(quantize_model(m, calibrate(m, images)))
+        head = forward_quantized(load_quantized(blob), x).arr.tobytes()
+        assert hashlib.sha256(blob).hexdigest() == container_sha, (seed, per_stage)
+        assert hashlib.sha256(head).hexdigest() == head_sha, (seed, per_stage)
 
 
 def test_quantized_forward_tracks_the_float_model():

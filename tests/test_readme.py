@@ -43,14 +43,22 @@ def test_every_flag_readme_names_exists_in_the_parser():
 
 
 def test_the_count_flag_table_matches_the_parser(capsys):
-    """Each flag in README's count-flag table takes its least value and is a
-    usage error (exit 1) one below it. Required flags get dummy values; only
-    the arguments are parsed, no command runs."""
+    """README's count-flag table names exactly the parser's flags typed
+    `_at_least`, and each takes its least value and is a usage error (exit 1)
+    one below it. Required flags get dummy values; only the arguments are
+    parsed, no command runs."""
     walkthrough = section(README.read_text(encoding="utf-8"), "## CLI walkthrough")
     rows = re.findall(r"^\| `(\w+)` \| (.+?) \| (-?\d+) \|$", walkthrough, re.M)
-    assert len(rows) >= 7, rows
     parser = _build_parser()
     commands = parser._subparsers._group_actions[0].choices
+    table = {(command, flag) for command, flags, _ in rows for flag in re.findall(r"`(--[a-z-]+)`", flags)}
+    counted = {
+        (name, action.option_strings[0])
+        for name, command in commands.items()
+        for action in command._actions
+        if getattr(action.type, "__qualname__", "").startswith("_at_least.")
+    }
+    assert table == counted
     for command, flags, least in rows:
         required = [a.option_strings[0] for a in commands[command]._actions if a.required]
         base = [command] + [arg for flag in required for arg in (flag, "x")]
