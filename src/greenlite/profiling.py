@@ -114,6 +114,8 @@ class LatencyStats:
     @classmethod
     def from_samples(cls, samples: Iterable[float], warmup_count: int = 0) -> "LatencyStats":
         xs = sorted(float(s) for s in samples)
+        for x in xs:
+            _check_amount("latency sample", x)
         if not xs:
             raise ContractViolation("latency stats need at least one sample")
         n = len(xs)

@@ -26,19 +26,19 @@ in the accumulator dtype and padding fill z_in.
 The requantization rule is exact and fixed: a conv output code is
   clip(round_half_away(fl64(acc * m_c)) + zp, -128, 127),  m_c = s_in * s_w_c / s_out,
 and a float32 tensor x quantizes to clip(round_half_away(fl64(x) / s) + zp,
--128, 127). One conv step (_conv_step) and one quantizer step
-(_quantize_step) form fl64(acc * m_c) or fl64(x) / s and pass it to a code
-map: the exact rule, partial(_requantize, zero_point=zp), or the cheaper
-affine map clip(floor(t + zp + 128.5), 0, 255) - 128, partial(_affine_codes,
-k=zp + 128.5), on t = fl64(acc * m_c) or fl64(x * (1 / s)). The public
-kernels (quantize_array, quantize_tensor, quantized_conv2d) take the exact
-rule. A planned forward takes the affine map for a step only after proving,
-once per model, that it equals the exact rule on every possible input of
-that step: both maps are monotone, so they agree everywhere when they step
-to each level at the same input, which a check at a few adjacent inputs
-per level settles (see _steps_agree). A step whose check fails (a negative
-tie such as m = 0.5 does) keeps the exact rule, so planned and literal
-outputs are bit-identical either way.
+-128, 127); NaN raises ContractViolation. Each step has one float64 input t,
+fl64(acc * m_c) in a conv step (_conv_step) or fl64(x) / s in a quantizer
+step (_quantize_step), and both code maps read it: the exact rule,
+partial(_requantize, zero_point=zp), or the cheaper affine map
+clip(floor(t + zp + 128.5), 0, 255) - 128, partial(_affine_codes,
+k=zp + 128.5). The public kernels (quantize_array, quantize_tensor,
+quantized_conv2d) take the exact rule. A planned forward takes the affine
+map for a step only after proving, once per model, that it equals the exact
+rule on every possible input of that step: both maps are monotone, so they
+agree everywhere when they step to each level at the same input, which a
+check at a few adjacent inputs per level settles (see _steps_agree). A step
+whose check fails (a negative tie such as m = 0.5 does) keeps the exact
+rule, so planned and literal outputs are bit-identical either way.
 
 Activation functions run as exact 256-entry lookup tables composing
 dequantize -> f -> requantize. Max pooling reuses its input's params
@@ -99,7 +99,7 @@ I32_MIN, I32_MAX = -(2**31), 2**31 - 1
 
 # Bounds on a per-tensor (activation) scale s. Up to 2^120 every dequantized
 # code s * (q - zp), |q - zp| <= 255, is a finite float32; from 2^-160 on,
-# 1 / s, a float32 over s and 255 steps of one scale over another are finite
+# a float32 over s and 255 steps of one scale over another are finite
 # float64s. The range holds the scale of every nonzero range of float32 data
 # up to 255 * 2^120, just under float32's largest value.
 _ACT_SCALE_MIN, _ACT_SCALE_MAX = 2.0**-160, 2.0**120
@@ -184,10 +184,16 @@ def _grid(params: QuantParams, shape: tuple[int, ...]) -> tuple:
     return scale.reshape((k,) + (1,) * (len(shape) - 1)), params.zero_point
 
 
+def _scaled(arr: np.ndarray, scale) -> np.ndarray:
+    """t = fl64(x) / s in one pass, what every float -> int8 code map reads; NaN raises ContractViolation."""
+    if np.isnan(arr).any():
+        raise ContractViolation("cannot quantize a tensor holding NaN")
+    return np.divide(arr, scale, dtype=np.float64)
+
+
 def quantize_array(arr: np.ndarray, params: QuantParams) -> np.ndarray:
-    x = np.asarray(arr, dtype=np.float64)
-    scale, zero_point = _grid(params, x.shape)
-    return _requantize(x / scale, zero_point)
+    scale, zero_point = _grid(params, np.shape(arr))
+    return _requantize(_scaled(arr, scale), zero_point)
 
 
 def dequantize_array(q: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -574,18 +580,18 @@ def _affine_codes(t: np.ndarray, k) -> np.ndarray:
     return u.view(np.int8)
 
 
-def _steps_agree(t_exact: np.ndarray, t_fast: np.ndarray, zp) -> bool:
-    """Whether the exact rule _requantize(t_exact, zp) and the affine map
-    _affine_codes(t_fast, zp + 128.5), both monotone in the input, agree on
-    a whole ordered input domain. Row [..., i, :] holds their t at adjacent
-    inputs near where the exact code first reaches level L = _LEVELS[i]. A
-    monotone map is fixed by where it first reaches each level, so the maps
-    agree everywhere when in every row the exact code steps from below L to
-    L or above and the affine codes equal the exact ones. A row that misses
-    its step fails the check; no wrong map passes.
+def _steps_agree(t: np.ndarray, zp) -> bool:
+    """Whether the exact rule _requantize(t, zp) and the affine map
+    _affine_codes(t, zp + 128.5), both monotone in the input, agree on a
+    whole ordered input domain; t is consumed. Row [..., i, :] holds t at
+    adjacent inputs near where the exact code first reaches level L =
+    _LEVELS[i]. A monotone map is fixed by where it first reaches each level,
+    so the maps agree everywhere when in every row the exact code steps from
+    below L to L or above and the affine codes equal the exact ones. A row
+    that misses its step fails the check; no wrong map passes.
     """
-    exact = _requantize(np.array(t_exact), zp)
-    if not np.array_equal(_affine_codes(np.array(t_fast), zp + 128.5), exact):
+    exact = _requantize(t.copy(), zp)
+    if not np.array_equal(_affine_codes(t, zp + 128.5), exact):
         return False
     return bool(np.all(((exact[..., :-1] < _LEVELS) & (_LEVELS <= exact[..., 1:])).any(axis=-1)))
 
@@ -609,22 +615,21 @@ def _proves_conv_affine(mult: np.ndarray, zp, bound: np.ndarray) -> bool:
         acc = np.concatenate([est - 1, est], axis=-1)
         t = acc * m
     t[acc < -b], t[acc > b] = -np.inf, np.inf
-    return _steps_agree(t, t, zp)
+    return _steps_agree(t, zp)
 
 
 def _proves_quantizer_affine(scale, zp) -> bool:
-    """Whether _affine_codes(x * (1 / scale), zp + 128.5) equals the exact
+    """Whether _affine_codes(x / scale, zp + 128.5) equals the exact
     quantize_array rule _requantize(x / scale, zp) for every float32 x, +-inf
-    included, with 1 / scale, the product and the quotient in float64
-    (_steps_agree). Level L's row is e = fl32((L - zp - 0.5) * scale) between
-    its two float32 neighbours.
+    included, with the quotient in float64 (_steps_agree). Level L's row is
+    e = fl32((L - zp - 0.5) * scale) between its two float32 neighbours.
     """
     s = np.float64(scale)
     with np.errstate(over="ignore"):  # thresholds past the float32 range become +-inf
         e = ((_LEVELS - zp - 0.5) * s).astype(np.float32)
     inf = np.float32(np.inf)
-    x = np.concatenate([np.nextafter(e, -inf), e, np.nextafter(e, inf)], axis=-1).astype(np.float64)
-    return _steps_agree(x / s, x * (1.0 / s), zp)
+    x = np.concatenate([np.nextafter(e, -inf), e, np.nextafter(e, inf)], axis=-1)
+    return _steps_agree(np.divide(x, s, dtype=np.float64), zp)
 
 
 def _code_map(proven: bool, zp) -> Callable[[np.ndarray], np.ndarray]:
@@ -653,29 +658,21 @@ def _bind_conv(spec: QConvSpec, in_params: QuantParams, out_params: QuantParams 
     return partial(_conv_step, accumulate, mult, codes, out_params)
 
 
-def _quantize_step(op, operand, codes: Callable, params: QuantParams, x: Tensor) -> QuantizedTensor:
-    """float32 -> int8 onto params: codes(op(x, operand)) taken in float64,
-    with op(x, operand) x / s for the exact rule and x * (1 / s) for a
-    proven affine map. NaN raises ContractViolation either way."""
-    if np.isnan(x.arr).any():
-        raise ContractViolation("cannot quantize a tensor holding NaN")
-    return QuantizedTensor(codes(op(x.arr, operand, dtype=np.float64)), params)
+def _quantize_step(codes: Callable, params: QuantParams, x: Tensor) -> QuantizedTensor:
+    """float32 -> int8 onto params: codes(fl64(x) / s) by its bound code map; NaN raises ContractViolation."""
+    return QuantizedTensor(codes(_scaled(x.arr, params.scale)), params)
 
 
 def _bind_quantizer(params: QuantParams) -> Callable[[Tensor], QuantizedTensor]:
-    """float32 -> int8 onto params: the affine map where it is proven exact,
-    the exact rule otherwise."""
-    scale, zp = params.scale, params.zero_point
-    proven = _proves_quantizer_affine(scale, zp)
-    op, operand = (np.multiply, 1.0 / scale) if proven else (np.divide, scale)
-    return partial(_quantize_step, op, operand, _code_map(proven, zp), params)
+    """float32 -> int8 onto params by the affine map where it is proven exact, else by the exact rule."""
+    zp = params.zero_point
+    return partial(_quantize_step, _code_map(_proves_quantizer_affine(params.scale, zp), zp), params)
 
 
 def _pointwise_lut(in_params: QuantParams, out_params: QuantParams, fn) -> np.ndarray:
     """256-entry int8 -> int8 table for quant(fn(dequant(v))), indexed by v + 128."""
     v = np.arange(-128, 128, dtype=np.float64)
-    x = in_params.scale * (v - in_params.zero_point)
-    return _requantize(fn(x) / out_params.scale, out_params.zero_point)
+    return quantize_array(fn(in_params.scale * (v - in_params.zero_point)), out_params)
 
 
 def _code_table(lut: np.ndarray) -> bytes:

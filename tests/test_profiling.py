@@ -227,6 +227,14 @@ def test_latency_stats_need_samples():
         LatencyStats.from_samples([])
 
 
+@pytest.mark.parametrize(
+    "samples, bad", [([1.0, float("nan"), 0.5], "nan"), ([-1.0], "-1.0"), ([0.2, float("inf")], "inf")]
+)
+def test_latency_stats_refuse_nan_infinite_and_negative_samples(samples, bad):
+    with pytest.raises(ContractViolation, match=f"latency sample must be finite and >= 0, got {bad}"):
+        LatencyStats.from_samples(samples)
+
+
 # ---- energy and carbon ----
 
 

@@ -467,6 +467,12 @@ def test_int8_maxpool_commutes_with_dequantization():
 # ---- planned requantization ----
 
 
+def code_map(step):
+    """The code map (_affine_codes or _requantize) a bound conv or quantizer step applies."""
+    (codes,) = [a.func for a in step.args if getattr(a, "func", None) in (_affine_codes, _requantize)]
+    return codes
+
+
 def exact_codes(t, zp):
     """The exact rule, clip(round_half_away(t) + zp, -128, 127), on float64 t."""
     return np.clip(round_half_away(t) + zp, -128, 127).astype(np.int8)
@@ -531,7 +537,7 @@ def test_proven_quantizer_equals_quantize_array_on_breakpoints_and_infinities():
         lo, hi = sorted(rng.uniform(-1, 1, 2) * 10.0 ** rng.uniform(-4, 4))
         params = choose_params(float(lo), float(hi))
         quantize = _bind_quantizer(params)
-        if quantize.args[2].func is not _affine_codes:
+        if code_map(quantize) is not _affine_codes:
             continue
         proved += 1
         t = first_reaching(
@@ -548,6 +554,20 @@ def test_proven_quantizer_equals_quantize_array_on_breakpoints_and_infinities():
     assert proved >= 30
 
 
+def test_the_input_quantizer_is_proven_on_every_letterbox_grid():
+    """Letterboxed inputs are the bytes b / 255 in float32, pad 114 included,
+    so a calibration's input grid is choose_params(0, b / 255) for its
+    largest byte b. On each of the 255 grids the bound quantizer takes the
+    affine map and equals quantize_array on all 256 byte values."""
+    x = np.arange(256, dtype=np.float32) / np.float32(255)
+    for b in range(1, 256):
+        params = choose_params(0.0, float(np.float32(b) / np.float32(255)))
+        quantize = _bind_quantizer(params)
+        assert code_map(quantize) is _affine_codes, f"max byte {b}"
+        got = quantize(Tensor(x.reshape(1, 1, 1, -1))).arr.ravel()
+        assert np.array_equal(got, quantize_array(x, params)), f"max byte {b}"
+
+
 def test_ties_fail_the_check_and_keep_the_exact_rule():
     """m = 0.5 puts acc = -1, -3, ... on negative ties, which the affine map
     rounds towards zero: the check fails, the plan binds the exact kernel and
@@ -562,14 +582,14 @@ def test_ties_fail_the_check_and_keep_the_exact_rule():
     q_b = rng.integers(-50, 50, 4).astype(np.int32)
     spec = QConvSpec(q_w, np.full(4, 0.5), q_b, 1, 1)
     step = _bind_conv(spec, one, one)
-    assert step.func is _conv_step and step.args[2].func is _requantize
+    assert step.func is _conv_step and code_map(step) is _requantize
     acc = conv2d_int_naive(q_in, 0, q_w, q_b, 1, 1, 1)
     assert np.any(acc % 2 == 1) and np.any(acc < 0)
     got = step(QuantizedTensor(q_in, one))
     assert np.array_equal(got.arr, exact_codes(acc * 0.5, 0))
     # A grid where some float32 input lands on a negative tie keeps the exact quantizer.
     quantize = _bind_quantizer(one)
-    assert quantize.func is _quantize_step and quantize.args[2].func is _requantize
+    assert quantize.func is _quantize_step and code_map(quantize) is _requantize
 
 
 @pytest.mark.parametrize("params", [choose_params(-1.0, 3.0), QuantParams(1.0, 0)])
@@ -578,6 +598,15 @@ def test_quantizing_nan_is_a_contract_violation(params):
     x = Tensor(np.array([0.5, np.nan, 1.0], dtype=np.float32).reshape(1, 1, 1, 3))
     with pytest.raises(ContractViolation, match="NaN"):
         _bind_quantizer(params)(x)
+
+
+def test_quantize_array_refuses_nan():
+    """The public kernels refuse NaN too, rather than casting it to a garbage code."""
+    with pytest.raises(ContractViolation, match="NaN"):
+        quantize_array(np.array([np.nan]), QuantParams(1.0, 0))
+    x = Tensor(np.array([0.5, np.nan], dtype=np.float32).reshape(1, 1, 1, 2))
+    with pytest.raises(ContractViolation, match="NaN"):
+        quantize_tensor(x, QuantParams(1.0, 0))
 
 
 def test_forward_quantized_rejects_a_nan_input():
@@ -602,17 +631,17 @@ def test_built_models_take_the_proven_path_and_match_the_exact_plan(seed, per_st
     blob = save_quantized_bytes(quantize_model(m, calibrate(m, images[:2])))
     qm = load_quantized(blob)
     quantize_input, steps = qm.quantize_input, qm.steps
-    assert quantize_input.func is _quantize_step and quantize_input.args[2].func is _affine_codes
+    assert quantize_input.func is _quantize_step and code_map(quantize_input) is _affine_codes
     convs = [steps[i].run for i, layer in enumerate(qm.layers) if layer.kind == "conv"]
     assert len(convs) >= 25
-    assert all(getattr(run, "func", None) is _conv_step and run.args[2].func is _affine_codes
+    assert all(getattr(run, "func", None) is _conv_step and code_map(run) is _affine_codes
                for run in convs)
     head = forward_quantized(qm, images[2]).arr.tobytes()
 
     monkeypatch.setattr(quant, "_proves_conv_affine", lambda *args: False)
     monkeypatch.setattr(quant, "_proves_quantizer_affine", lambda *args: False)
     exact = load_quantized(blob)
-    assert all(step.run.func is _conv_step and step.run.args[2].func is _requantize
+    assert all(step.run.func is _conv_step and code_map(step.run) is _requantize
                for step, layer in zip(exact.steps, exact.layers) if layer.kind == "conv")
     assert forward_quantized(exact, images[2]).arr.tobytes() == head
 
