@@ -75,7 +75,6 @@ from .profiling import (
     track_memory,
 )
 from .quant import (
-    CalibrationStats,
     QuantizedModel,
     QuantizedTensor,
     QuantParams,

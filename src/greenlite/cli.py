@@ -154,8 +154,8 @@ def cmd_quantize(args) -> int:
         _image_tensor(_resolve(args.calib_manifest, img.image_path), model.meta.input_size)[0]
         for img in picked
     )
-    stats = calibrate(model, tensors)  # a generator: one letterboxed image is live at a time
-    qmodel = quantize_model(model, stats)
+    ranges = calibrate(model, tensors)  # a generator: one letterboxed image is live at a time
+    qmodel = quantize_model(model, ranges)
     qbytes = save_quantized(qmodel, out)
     print(f"calibrated on {len(picked)} images")
     print(f"size: {fbytes / 1e6:.4f} MB")

@@ -14,12 +14,12 @@ class DegenerateRangeError(ContractViolation):
 
 
 class CalibrationCoverageError(ContractViolation):
-    """Calibration stats do not cover every activation slot of the model."""
+    """Calibration ranges do not cover every activation slot of the model."""
 
     def __init__(self, missing: list[str]):
         self.missing = sorted(missing)
         super().__init__(
-            "calibration stats missing activation slots: " + ", ".join(self.missing)
+            "calibration ranges missing activation slots: " + ", ".join(self.missing)
         )
 
 

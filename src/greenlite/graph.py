@@ -152,10 +152,8 @@ def validate_graph(model) -> list[LayerAttrs]:
                         f"slot {layer.slot!r} is missing array {name!r} for layer {idx}"
                     )
         parsed.append(parse_attrs(idx, layer))
-    head = model.layers[-1]
-    producer = model.layers[head.inputs[0]] if head.inputs[0] >= 0 else None
-    if producer is None or producer.kind != "cbam":
-        raise ContractViolation("detect_head must consume a cbam layer output")
+    if model.layers[-1].inputs[0] < 0:
+        raise ContractViolation("detect_head must read a layer output, not the input")
     size, stride = model.meta.input_size, model.meta.stride
     if size > MAX_INPUT_SIZE:
         raise ContractViolation(f"input size {size} is above the bound {MAX_INPUT_SIZE}")

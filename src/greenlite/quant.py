@@ -240,44 +240,22 @@ def slot_key(layer_index: int) -> str:
     return INPUT_SLOT if layer_index == -1 else f"L{layer_index:03d}"
 
 
-@dataclass
-class SlotRange:
-    vmin: float
-    vmax: float
-    count: int
+def calibrate(model: ModelGraph, images) -> dict[str, tuple[float, float]]:
+    """Run the float graph over images (any iterable, read once), returning
+    every slot's (min, max) over them."""
+    ranges: dict[str, tuple[float, float]] = {}
 
+    def observe(key: str, arr: np.ndarray) -> None:
+        lo, hi = float(arr.min()), float(arr.max())
+        cur = ranges.get(key)
+        ranges[key] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
 
-class CalibrationStats:
-    """Per-activation-slot running min/max over calibration images."""
-
-    def __init__(self) -> None:
-        self.ranges: dict[str, SlotRange] = {}
-
-    def observe(self, key: str, arr: np.ndarray) -> None:
-        """Widen key's range to cover arr's values and count one observation."""
-        vmin, vmax = float(arr.min()), float(arr.max())
-        cur = self.ranges.get(key)
-        if cur is None:
-            self.ranges[key] = SlotRange(vmin, vmax, 1)
-        else:
-            cur.vmin = min(cur.vmin, vmin)
-            cur.vmax = max(cur.vmax, vmax)
-            cur.count += 1
-
-    def keys(self):
-        return self.ranges.keys()
-
-
-def calibrate(model: ModelGraph, images) -> CalibrationStats:
-    """Run the float graph over images (any iterable, read once), recording
-    every slot's min/max."""
-    stats = CalibrationStats()
     for img in images:
-        stats.observe(INPUT_SLOT, img.arr)
-        forward(model, img, hook=lambda idx, out: stats.observe(slot_key(idx), out.arr))
-    if not stats.ranges:
+        observe(INPUT_SLOT, img.arr)
+        forward(model, img, hook=lambda idx, out: observe(slot_key(idx), out.arr))
+    if not ranges:
         raise ContractViolation("calibration needs at least one image")
-    return stats
+    return ranges
 
 
 # --- batch norm folding -------------------------------------------------------
@@ -403,20 +381,16 @@ class QuantizedModel:
         return sum(int(a.size) for slot in groups for a in slot.values())
 
 
-def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel:
-    """Fold bn (fold_batchnorm refuses a bn it cannot fold), check stats
-    coverage, then in one pass over the folded layers pick each layer's
-    activation params and quantize its weights."""
+def quantize_model(model: ModelGraph, ranges: dict[str, tuple[float, float]]) -> QuantizedModel:
+    """Fold bn (fold_batchnorm refuses a bn it cannot fold), check that ranges
+    ({slot: (min, max)}, as calibrate returns) cover every slot, then in one
+    pass over the folded layers pick each layer's activation params and
+    quantize its weights."""
     folded, stats_keys = fold_batchnorm(model)
-    missing = {INPUT_SLOT, *stats_keys} - stats.keys()
+    missing = {INPUT_SLOT, *stats_keys} - ranges.keys()
     if missing:
         raise CalibrationCoverageError(sorted(missing))
-
-    def from_stats(key: str) -> QuantParams:
-        r = stats.ranges[key]
-        return choose_params(r.vmin, r.vmax)
-
-    act_params: dict[str, QuantParams] = {INPUT_SLOT: from_stats(INPUT_SLOT)}
+    act_params: dict[str, QuantParams] = {INPUT_SLOT: choose_params(*ranges[INPUT_SLOT])}
     conv_weights: dict[str, dict[str, np.ndarray]] = {}
     cbam_weights: dict[str, dict[str, np.ndarray]] = {}
     for j, layer in enumerate(folded.layers):
@@ -426,7 +400,7 @@ def quantize_model(model: ModelGraph, stats: CalibrationStats) -> QuantizedModel
             # Max pooling is value-preserving: it inherits its input's grid exactly.
             act_params[slot_key(j)] = in_params
         elif layer.kind != "detect_head":  # the head's output stays float
-            act_params[slot_key(j)] = from_stats(stats_keys[j])
+            act_params[slot_key(j)] = choose_params(*ranges[stats_keys[j]])
         slot = folded.weights.get(layer.slot)
         if layer.kind in ("conv", "detect_head"):
             wp = weight_params(slot["weight"])

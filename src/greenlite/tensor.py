@@ -62,12 +62,14 @@ class Tensor:
 
 def conv_geometry(weight_shape, bias_shape, stride, padding, groups) -> tuple[int, int, int]:
     """(in_channels, out_channels, k) of a conv, float or int8, whose weight
-    has shape (out_channels, in_channels // groups, k, k), bias shape
-    (out_channels,), stride >= 1, padding >= 0 and groups dividing
+    has shape (out_channels, in_channels // groups, k, k), each dim >= 1,
+    bias shape (out_channels,), stride >= 1, padding >= 0 and groups dividing
     out_channels; else ContractViolation."""
     if len(weight_shape) != 4:
         raise ContractViolation(f"conv weight must be 4-d, got ndim={len(weight_shape)}")
     oc, icg, kh, kw = weight_shape
+    if min(weight_shape) < 1:
+        raise ContractViolation(f"conv weight dims must be >= 1, got {tuple(weight_shape)}")
     if kh != kw:
         raise ContractViolation(f"conv kernels must be square, got {kh}x{kw}")
     if tuple(bias_shape) != (oc,):

@@ -58,8 +58,8 @@ def load_tensors(manifest_path, limit, target=320):
 def calib_stats(synth_manifest):
     """Activation ranges for the default 7-class build over 8 images.
 
-    CalibrationStats stores only floats, so keeping it alive for the whole
-    session does not disturb memory-tracking tests.
+    calibrate returns a dict of {slot: (min, max)} floats, so keeping it
+    alive for the whole session does not disturb memory-tracking tests.
     """
     model = build_model(num_classes=7)
     stats = calibrate(model, load_tensors(synth_manifest, 8))

@@ -265,6 +265,14 @@ def poisoned(key, value):
     return edit
 
 
+def zero_width_stem(doc, tensors):
+    """Give the stem conv no output channels: its weight, bias and bn arrays
+    empty, and the conv that reads it no input channels."""
+    for key in ("stem.conv/weight", "stem.conv/bias", *(f"stem.bn/{n}" for n in ("gamma", "beta", "mean", "var"))):
+        tensors[key] = tensors[key][:0].copy()
+    tensors["s1.ds.conv/weight"] = tensors["s1.ds.conv/weight"][:, :0].copy()
+
+
 @pytest.mark.parametrize(
     "edit, error, match",
     [
@@ -288,10 +296,11 @@ def poisoned(key, value):
          "meta stride 7 times the 2x2 head grid is not input size 64"),
         (lambda doc, _: doc["meta"].update(stride=-3), ContractViolation,
          "meta stride -3 times the 2x2 head grid is not input size 64"),
+        (zero_width_stem, ContractViolation, r"conv weight dims must be >= 1, got \(0, 3, 3, 3\)"),
     ],
     ids=["input-a-later-layer", "slot-missing-an-array", "conv-channel-mismatch", "cbam-channel-mismatch",
          "two-convs-share-a-slot", "two-bns-share-a-slot", "conv-weight-i32", "bn-var-f64", "conv-weight-nan",
-         "conv-weight-inf", "meta-stride-7", "meta-stride-minus-3"],
+         "conv-weight-inf", "meta-stride-7", "meta-stride-minus-3", "zero-width-conv"],
 )
 def test_malformed_float_graphs_fail_at_load(edit, error, match):
     """Topology, slot and channel checks, one layer per slot (two bn folds
@@ -378,7 +387,7 @@ def test_graph_validation_rejects_malformed_graphs():
     with pytest.raises(ContractViolation):
         ModelGraph([], {}, meta)
     with pytest.raises(ContractViolation):
-        # head must be the final layer and must consume a cbam output
+        # head must be the final layer and must read a layer output, not the input
         ModelGraph([Layer("detect_head", (-1,), "head")], {"head": head_w}, meta)
     with pytest.raises(ContractViolation):
         ModelGraph([Layer("concat", (-1,))], {}, meta)

@@ -14,6 +14,7 @@ from greenlite import (
     ContractViolation,
     ConvSpec,
     DegenerateRangeError,
+    Layer,
     ModelGraph,
     QuantizedModel,
     QuantizedTensor,
@@ -703,12 +704,35 @@ def test_every_planned_int8_layer_equals_its_literal_kernel(seed, per_stage):
 
 
 def test_calibrate_records_every_slot_once_per_image():
+    """Each slot's range over 3 images is the min of the mins and the max of
+    the maxes of its single-image ranges."""
     m = tiny_model()
-    stats = calibrate(m, tiny_images(3))
-    assert set(stats.keys()) == {INPUT_SLOT, *(slot_key(i) for i in range(len(m.layers)))}
-    for r in stats.ranges.values():
-        assert r.count == 3
-        assert r.vmin <= r.vmax
+    images = tiny_images(3)
+    ranges = calibrate(m, images)
+    assert set(ranges) == {INPUT_SLOT, *(slot_key(i) for i in range(len(m.layers)))}
+    singles = [calibrate(m, [img]) for img in images]
+    for key, (lo, hi) in ranges.items():
+        assert type(lo) is float and type(hi) is float
+        assert lo == min(r[key][0] for r in singles)
+        assert hi == max(r[key][1] for r in singles)
+        assert lo <= hi
+
+
+def test_calibrate_ranges_are_the_forward_outputs_extremes():
+    """Ranges built here from forward's hook outputs (plus the input) are
+    calibrate's, from a list or a one-shot iterator, and quantize_model
+    writes the same container from either dict."""
+    m = tiny_model()
+    images = tiny_images(3, seed=4)
+    seen: dict[str, list[np.ndarray]] = {}
+    for img in images:
+        seen.setdefault(INPUT_SLOT, []).append(img.arr.ravel())
+        forward(m, img, hook=lambda idx, out: seen.setdefault(slot_key(idx), []).append(out.arr.ravel()))
+    by_hand = {key: (float(np.concatenate(a).min()), float(np.concatenate(a).max())) for key, a in seen.items()}
+    ranges = calibrate(m, images)
+    assert ranges == by_hand
+    assert calibrate(m, iter(images)) == ranges
+    assert save_quantized_bytes(quantize_model(m, by_hand)) == save_quantized_bytes(quantize_model(m, ranges))
 
 
 def test_calibrate_requires_at_least_one_image():
@@ -732,11 +756,11 @@ def test_folding_removes_bn_and_preserves_the_function():
 
 def test_folded_layers_keep_their_original_calibration_keys():
     m = tiny_model()
-    stats = calibrate(m, tiny_images(2))
+    ranges = calibrate(m, tiny_images(2))
     folded, stats_keys = fold_batchnorm(m)
     assert len(set(stats_keys)) == len(stats_keys)
     for key in stats_keys:
-        assert key in stats.ranges  # every folded slot can be calibrated
+        assert key in ranges  # every folded slot can be calibrated
 
 
 def test_folding_shares_every_array_it_does_not_fold():
@@ -815,16 +839,40 @@ def test_quantize_model_shrinks_the_container():
     assert 0 < qm.param_count() <= m.param_count()
 
 
+def test_a_head_may_read_a_layer_other_than_a_cbam():
+    """The paper's baseline has no CBAM: with the final one removed and the
+    head reading the layer before it, the graph calibrates, quantizes, and
+    both kinds round-trip through their containers and run."""
+    m = tiny_model()
+    cbam = len(m.layers) - 2
+    assert m.layers[cbam].kind == "cbam"
+    head = m.layers[-1]
+    layers = [*m.layers[:cbam], Layer(head.kind, (cbam - 1,), head.slot, dict(head.attrs))]
+    plain = ModelGraph(layers, {s: w for s, w in m.weights.items() if s != m.layers[cbam].slot}, m.meta)
+    images = tiny_images(2, seed=5)
+    qm = quantize_model(plain, calibrate(plain, images))
+    back = load_any(save_model_bytes(plain))
+    qback = load_any(save_quantized_bytes(qm))
+    assert isinstance(back, ModelGraph) and isinstance(qback, QuantizedModel)
+    assert all(layer.kind != "cbam" for model in (back, qback) for layer in model.layers)
+    want = forward(plain, images[0]).arr
+    assert want.shape == (1, 6, 2, 2)
+    assert np.array_equal(forward(back, images[0]).arr, want)
+    got = forward_quantized(qback, images[0]).arr
+    assert got.tobytes() == forward_quantized(qm, images[0]).arr.tobytes()
+    assert got.shape == want.shape and np.all(np.isfinite(got))
+
+
 def test_missing_calibration_keys_are_reported_sorted():
     """Only keys the folded graph still needs count as missing."""
     m = tiny_model()
-    stats = calibrate(m, tiny_images(2))
+    ranges = calibrate(m, tiny_images(2))
     _, stats_keys = fold_batchnorm(m)
     removed = [INPUT_SLOT, stats_keys[0], stats_keys[2]]
     for key in removed:
-        del stats.ranges[key]
+        del ranges[key]
     with pytest.raises(CalibrationCoverageError) as exc:
-        quantize_model(m, stats)
+        quantize_model(m, ranges)
     assert exc.value.missing == sorted(exc.value.missing)
     for key in removed:
         assert key in exc.value.missing
@@ -924,6 +972,14 @@ def replaced(key, make):
     return lambda doc, tensors: tensors.update({key: make(tensors[key])})
 
 
+def zero_width_stem(doc, tensors):
+    """Give the stem conv no output channels: its int8 weight, scales and
+    bias empty, and the conv that reads it no input channels."""
+    for key in ("stem.conv/q_weight", "stem.conv/w_scale", "stem.conv/q_bias"):
+        tensors[key] = tensors[key][:0].copy()
+    tensors["s1.ds.conv/q_weight"] = tensors["s1.ds.conv/q_weight"][:, :0].copy()
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -958,6 +1014,7 @@ def replaced(key, make):
         (lambda doc, _: next(layer for layer in doc["layers"] if layer["slot"] == "s2.c2f.m1.conv").update(
             slot="s2.c2f.m0.conv"), r"slot 's2.c2f.m0.conv' is already layer \d+'s"),
         (lambda doc, _: doc["meta"].update(stride=7), "meta stride 7 times the 2x2 head grid is not input size 64"),
+        (zero_width_stem, r"conv weight dims must be >= 1, got \(0, 3, 3, 3\)"),
     ],
     ids=["conv-stride-0", "pool-without-kernel", "avg-pool", "upsample", "missing-act-params",
          "act-gelu", "conv-stride-null", "conv-stride-1.5", "w-scale-nan", "w-scale-inf",
@@ -965,7 +1022,7 @@ def replaced(key, make):
          "input-scale-5e-324", "input-scale-1e-310", "L002-scale-1e308", "L002-scale-5e-324",
          "L002-scale-1e-310", "head-w-scale-1e300", "cbam-scale-nan", "cbam-scale-1e300",
          "cbam-scale-length-3", "cbam-mlp-b1-length-5", "cbam-mlp-b1-nan", "cbam-spatial-kernel-6x6",
-         "conv-kernel-3x1", "two-convs-share-a-slot", "meta-stride-7"],
+         "conv-kernel-3x1", "two-convs-share-a-slot", "meta-stride-7", "zero-width-conv"],
 )
 def test_int8_graph_errors_fail_at_load(int8_container, edit, match):
     """The float graph's checks run on a loaded int8 graph, so a bad one is a
