@@ -18,6 +18,7 @@ import json
 import math
 import os
 import struct
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,8 +38,12 @@ def _dtype_tag(arr: np.ndarray) -> str:
     return _NP_TO_TAG[key]
 
 
-def write_container(doc: dict, tensors: list[tuple[str, np.ndarray]]) -> bytes:
-    """Serialize a metadata document and named tensors to container bytes."""
+def pieces(doc: dict, tensors: list[tuple[str, np.ndarray]]) -> Iterator[bytes | memoryview]:
+    """A metadata document and named tensors as container bytes, front to
+    back: the header (magic, length, metadata), then each tensor's zero
+    padding and raw bytes, a view of the tensor where it is already in its
+    container dtype. The manifest is checked before anything is made, so a
+    bad tensor list raises ContainerError at the call, not mid-write."""
     manifest = []
     seen: set[str] = set()
     for key, arr in tensors:
@@ -49,22 +54,33 @@ def write_container(doc: dict, tensors: list[tuple[str, np.ndarray]]) -> bytes:
     meta = dict(doc)
     meta["tensors"] = manifest
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", len(meta_bytes))
-    out += meta_bytes
-    for (_, arr), entry in zip(tensors, manifest):
-        if len(out) % ALIGN:
-            out += b"\x00" * (ALIGN - len(out) % ALIGN)
-        out += np.ascontiguousarray(arr).astype(_DTYPES[entry["dtype"]]).tobytes()
-    return bytes(out)
+    header = MAGIC + struct.pack("<I", len(meta_bytes)) + meta_bytes
+
+    def body() -> Iterator[bytes | memoryview]:
+        yield header
+        pos = len(header)
+        for (_, arr), entry in zip(tensors, manifest):
+            raw = np.ascontiguousarray(arr, dtype=_DTYPES[entry["dtype"]]).reshape(-1).view(np.uint8)
+            yield bytes(-pos % ALIGN)
+            yield memoryview(raw)
+            pos += -pos % ALIGN + raw.size
+
+    return body()
 
 
-def save(blob: bytes, path) -> int:
-    """Write container bytes to a file; returns their count, the model size."""
+def write_container(doc: dict, tensors: list[tuple[str, np.ndarray]]) -> bytes:
+    """Serialize a metadata document and named tensors to container bytes."""
+    return b"".join(pieces(doc, tensors))
+
+
+def save(parts: Iterable[bytes | memoryview], path) -> int:
+    """Write a container's pieces to a file in order, without joining them;
+    returns their byte count, the model size."""
+    size = 0
     with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
+        for part in parts:
+            size += fh.write(part)
+    return size
 
 
 def require(mapping: dict, key: str, kind: type = object):

@@ -712,8 +712,8 @@ def _meta_from_json(doc: dict) -> ModelMeta:
     return ModelMeta(size, classes, tuple(names), stride)
 
 
-def save_model_bytes(model: ModelGraph) -> bytes:
-    """Serialize the float graph to the weights-container byte format."""
+def _float_container(model: ModelGraph) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """The float graph's container document and named tensors."""
     tensors: list[tuple[str, np.ndarray]] = []
     for slot in sorted(model.weights):
         for name in sorted(model.weights[slot]):
@@ -723,11 +723,17 @@ def save_model_bytes(model: ModelGraph) -> bytes:
         "layers": _layers_to_json(model.layers),
         "meta": _meta_to_json(model.meta),
     }
-    return container.write_container(doc, tensors)
+    return doc, tensors
+
+
+def save_model_bytes(model: ModelGraph) -> bytes:
+    """Serialize the float graph to the weights-container byte format."""
+    return container.write_container(*_float_container(model))
 
 
 def save_model(model: ModelGraph, path: str) -> int:
-    return container.save(save_model_bytes(model), path)
+    """Write the same bytes as save_model_bytes straight to path; returns their count."""
+    return container.save(container.pieces(*_float_container(model)), path)
 
 
 def load_model(path_or_bytes) -> ModelGraph:

@@ -21,7 +21,11 @@ of a channel exceeds. A layer accumulates in float32 when every channel's
 bound is below 2^24, which keeps every partial sum an integer float32 holds
 exactly in any summation order; otherwise in float64. The accumulator is
 tensor.conv_gemm, the float conv's GEMM, bound to the int8 weights, bias'
-in the accumulator dtype and padding fill z_in.
+in the accumulator dtype and padding fill z_in. It runs in bands of output
+rows, and each band's accumulator is requantized (or, in the head,
+dequantized) as soon as it is made, so no full-plane float64 product is
+ever held; each code depends only on its own accumulator, so the bands
+change no output.
 
 The requantization rule is exact and fixed: a conv output code is
   clip(round_half_away(fl64(acc * m_c)) + zp, -128, 127),  m_c = s_in * s_w_c / s_out,
@@ -461,7 +465,7 @@ class QConvSpec:
         w = self.q_weight.reshape(oc, -1).astype(np.int64)
         self.w_sums = w.sum(axis=1), np.abs(w).sum(axis=1)  # sum(q_w), sum|q_w|
 
-    def accumulator(self, z_in: int) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    def accumulator(self, z_in: int) -> tuple[Callable[..., np.ndarray], np.ndarray]:
         """The exact integer accumulator for codes on zero point z_in, q_in ->
         sum (q_in - z_in) * q_w + q_bias as (n, oc, oh, ow), and its
         per-channel bound 128 * sum|q_w| + |bias'|, which no |acc| exceeds.
@@ -472,7 +476,8 @@ class QConvSpec:
         2^24, no partial sum leaves the integers float32 holds exactly, so
         the patch matrix and the matmul are float32. Otherwise they are
         float64, exact for fan-in up to 2^37. Either way BLAS does the matmul
-        and the result is integer-valued bit for bit.
+        and the result is integer-valued bit for bit. The accumulator takes
+        conv_gemm's finish, applied to each band of output rows.
         """
         w_sum, w_abs_sum = self.w_sums
         bias = self.q_bias.astype(np.int64) - z_in * w_sum
@@ -507,7 +512,7 @@ def _acc_scale(
 
 
 def _conv_step(
-    accumulate: Callable[[np.ndarray], np.ndarray],
+    accumulate: Callable[..., np.ndarray],
     mult: np.ndarray,
     codes: Callable[[np.ndarray], np.ndarray],
     out_params: QuantParams,
@@ -516,8 +521,9 @@ def _conv_step(
     """The int8 conv: the exact accumulator of x's codes times the float64
     per-channel multiplier m_c, turned into codes in place by codes, the
     exact rule partial(_requantize, zero_point=zp) or a proven
-    partial(_affine_codes, k=zp + 128.5)."""
-    return QuantizedTensor(codes(accumulate(x.arr) * mult), out_params)
+    partial(_affine_codes, k=zp + 128.5), one band of output rows at a time
+    (tensor.conv_gemm)."""
+    return QuantizedTensor(accumulate(x.arr, finish=lambda acc: codes(acc * mult)), out_params)
 
 
 def quantized_conv2d(x: QuantizedTensor, spec: QConvSpec, out_params: QuantParams) -> QuantizedTensor:
@@ -626,7 +632,7 @@ def _bind_conv(spec: QConvSpec, in_params: QuantParams, out_params: QuantParams 
     if out_params is None:
         if np.any(top > np.finfo(np.float32).max):
             raise ContractViolation("outputs could exceed float32's range")
-        return lambda q: Tensor((accumulate(q.arr) * mult).astype(np.float32))
+        return lambda q: Tensor(accumulate(q.arr, finish=lambda acc: (acc * mult).astype(np.float32)))
     zp = out_params.zero_point
     codes = _code_map(_proves_conv_affine(mult, zp, bound), zp)
     return partial(_conv_step, accumulate, mult, codes, out_params)
@@ -732,7 +738,8 @@ def forward_quantized(model: QuantizedModel, x: Tensor, hook=None) -> Tensor:
 # --- serialization ------------------------------------------------------------
 
 
-def save_quantized_bytes(model: QuantizedModel) -> bytes:
+def _int8_container(model: QuantizedModel) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """The int8 model's container document and named tensors."""
     tensors: list[tuple[str, np.ndarray]] = []
     for slot in sorted(model.conv_weights):
         for name in _CONV_DTYPES:
@@ -751,11 +758,16 @@ def save_quantized_bytes(model: QuantizedModel) -> bytes:
         "conv_slots": sorted(model.conv_weights),
         "cbam_slots": sorted(model.cbam_weights),
     }
-    return container_io.write_container(doc, tensors)
+    return doc, tensors
+
+
+def save_quantized_bytes(model: QuantizedModel) -> bytes:
+    return container_io.write_container(*_int8_container(model))
 
 
 def save_quantized(model: QuantizedModel, path: str) -> int:
-    return container_io.save(save_quantized_bytes(model), path)
+    """Write the same bytes as save_quantized_bytes straight to path; returns their count."""
+    return container_io.save(container_io.pieces(*_int8_container(model)), path)
 
 
 def load_quantized(path_or_bytes) -> QuantizedModel:

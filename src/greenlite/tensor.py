@@ -8,7 +8,13 @@ pure functions returning fresh tensors, deterministic for identical inputs.
 Float semantics: inputs and outputs are float32; convolution, batch norm
 and the activations accumulate in float64 internally (wider accumulation
 is allowed, outputs are rounded once to float32 at the end). The float and
-int8 convs share one shape check, conv_geometry, and one GEMM, conv_gemm. Average
+int8 convs share one shape check, conv_geometry, and one GEMM, conv_gemm,
+which runs in bands of output rows of about BUDGET bytes of patch matrix
+each and finishes every band (float32 rounding, or the int8 multiplier and
+code map) into one preallocated output, so a conv's scratch stays near
+BUDGET instead of growing with the plane. Band height does not change a
+result: the int8 accumulators are exact integers, and the float conv's
+bands match a whole-plane run bit for bit (tests/test_tensor.py). Average
 pooling sums with math.fsum's correctly rounded result, which is
 independent of element order; this is what makes the attention-gate
 permutation invariances exact rather than approximate. exact_sum gets that
@@ -35,6 +41,10 @@ POOL_KINDS = ("max", "avg")
 # Elements per float64 block in _float64_blocks, for bn and the activations:
 # 256 KB each, so a chunk's chain of temporaries stays inside one core's L2.
 CHUNK = 32_768
+
+# Bytes of patch matrix per band of output rows in conv_gemm (a band is at
+# least one row), so a conv's scratch stays near 1 MiB whatever its plane size.
+BUDGET = 1 << 20
 
 
 class Tensor:
@@ -127,9 +137,9 @@ def patches(arr: np.ndarray, k: int, stride: int, padding: int, fill, dtype) -> 
     """(n, c, h, w) array -> (n, c*k*k, oh*ow) patch matrix in dtype.
 
     arr is padded with fill in its own dtype, and each window is copied
-    straight into dtype; the float and int8 convs share it (fill 0 into
-    float64, fill z_in into the accumulator dtype). The padded plane is a
-    temporary, freed on return.
+    straight into dtype. conv_gemm passes each band of its already padded
+    input with padding 0; average pooling pads here, and the padded plane
+    is a temporary, freed on return.
     """
     n, c, h, w = arr.shape
     oh = _out_dim(h, k, stride, padding)
@@ -145,20 +155,39 @@ def patches(arr: np.ndarray, k: int, stride: int, padding: int, fill, dtype) -> 
 
 
 def conv_gemm(
-    weight: np.ndarray, bias: np.ndarray, stride: int, padding: int, groups: int, fill, arr: np.ndarray
+    weight: np.ndarray, bias: np.ndarray, stride: int, padding: int, groups: int, fill, arr: np.ndarray,
+    finish: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Grouped, strided conv of an (n, c, h, w) array as one GEMM in bias's
-    dtype (patches padded with fill, weights cast, one matmul, bias added),
-    freeing its operands on return: conv2d's in float64 with fill 0, the
-    int8 accumulator's in float32 or float64 with fill z_in."""
-    n, _, h, w = arr.shape
+    """Grouped, strided conv of an (n, c, h, w) array as GEMMs in bias's
+    dtype: conv2d's in float64 with fill 0, the int8 accumulator's in float32
+    or float64 with fill z_in.
+
+    The input is padded with fill once. Each band of output rows, about
+    BUDGET bytes of patch matrix, gets its own patches, one matmul against
+    the cast weights and the bias; finish(acc) then turns the band's
+    accumulator into its final values, stored into one output in their
+    dtype. Without finish the output is the accumulator itself.
+    """
+    n, c, h, w = arr.shape
     oc, icg, k, _ = weight.shape
     oh = _out_dim(h, k, stride, padding)
     ow = _out_dim(w, k, stride, padding)
-    cols = patches(arr, k, stride, padding, fill, bias.dtype).reshape(n, groups, icg * k * k, oh * ow)
+    rows = max(1, BUDGET // (bias.dtype.itemsize * n * c * k * k * ow))
+    padded = _padded(arr, padding, fill)
     wmat = weight.reshape(groups, oc // groups, icg * k * k).astype(bias.dtype)
-    out = np.matmul(wmat[None], cols).reshape(n, oc, oh, ow)
-    out += bias.reshape(1, oc, 1, 1)
+    out = None
+    for lo in range(0, oh, rows):
+        hi = min(lo + rows, oh)
+        band = padded[:, :, lo * stride : (hi - 1) * stride + k]
+        cols = patches(band, k, stride, 0, fill, bias.dtype).reshape(n, groups, icg * k * k, -1)
+        acc = np.matmul(wmat[None], cols).reshape(n, oc, hi - lo, ow)
+        del cols
+        acc += bias.reshape(1, oc, 1, 1)
+        if finish is not None:
+            acc = finish(acc)
+        if out is None:
+            out = np.empty((n, oc, oh, ow), dtype=acc.dtype)
+        out[:, :, lo:hi] = acc
     return out
 
 
@@ -167,9 +196,9 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     c = x.shape[1]
     if c != spec.in_channels:
         raise ContractViolation(f"conv expects {spec.in_channels} input channels, tensor has {c}")
-    # conv_gemm frees its float64 operands before the float32 output is allocated
-    out = conv_gemm(spec.weight, spec.bias.astype(np.float64), spec.stride, spec.padding, spec.groups, 0, x.arr)
-    return Tensor(out.astype(np.float32))
+    # the float64 accumulator of each band is rounded once to float32
+    return Tensor(conv_gemm(spec.weight, spec.bias.astype(np.float64), spec.stride, spec.padding,
+                            spec.groups, 0, x.arr, finish=lambda acc: acc.astype(np.float32)))
 
 
 def _float64_blocks(x: Tensor, fn: Callable[..., np.ndarray], *per_row: np.ndarray) -> Tensor:

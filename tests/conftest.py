@@ -55,20 +55,6 @@ def load_tensors(manifest_path, limit, target=320):
 
 
 @pytest.fixture(scope="session")
-def calib_stats(synth_manifest):
-    """Activation ranges for the default 7-class build over 8 images.
-
-    calibrate returns a dict of {slot: (min, max)} floats, so keeping it
-    alive for the whole session does not disturb memory-tracking tests.
-    """
-    model = build_model(num_classes=7)
-    stats = calibrate(model, load_tensors(synth_manifest, 8))
-    del model
-    gc.collect()
-    return stats
-
-
-@pytest.fixture(scope="session")
 def fuzz_subjects():
     """The bytes of a tiny float container and of its int8 twin."""
     model = build_model(2, width_multiple=0.0625, input_size=64)
@@ -91,6 +77,26 @@ def fsum_rows(monkeypatch):
 
     monkeypatch.setattr(gl_tensor, "math", types.SimpleNamespace(fsum=fsum))
     return rows
+
+
+@pytest.fixture
+def band_rows(monkeypatch):
+    """Record the output rows of each band tensor.conv_gemm runs; a test
+    picks the band height by setting tensor.BUDGET."""
+    rows = []
+    patches = gl_tensor.patches
+
+    def spy(arr, k, stride, padding, fill, dtype):
+        rows.append((arr.shape[2] + 2 * padding - k) // stride + 1)
+        return patches(arr, k, stride, padding, fill, dtype)
+
+    monkeypatch.setattr(gl_tensor, "patches", spy)
+    return rows
+
+
+def band_heights(oh, rows):
+    """The output rows of each band conv_gemm runs over oh rows, `rows` per band."""
+    return [rows] * (oh // rows) + [oh % rows] * (oh % rows > 0)
 
 
 @pytest.fixture(autouse=True)

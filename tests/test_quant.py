@@ -2,6 +2,7 @@
 the end-to-end fold/calibrate/quantize pipeline on a small build."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from greenlite import (
     weight_params,
 )
 from greenlite import container as container_io
+from greenlite import tensor as gl_tensor
 from greenlite.container import read_container, write_container
 from greenlite.tensor import ACTIVATIONS
 from greenlite.quant import (
@@ -64,7 +66,7 @@ from greenlite.quant import (
 )
 
 from _oracles import conv2d_int_naive, conv2d_naive, pool_naive
-from conftest import load_tensors
+from conftest import band_heights, load_tensors
 
 
 def tiny_model(num_classes=2):
@@ -272,6 +274,31 @@ def test_integer_accumulator_is_exact_past_the_float32_bound():
     acc = int_conv_acc(q_in, z, q_w, q_b, 1, 1, 1)
     assert np.array_equal(acc, conv2d_int_naive(q_in, z, q_w, q_b, 1, 1, 1))
     assert 128 * int(np.abs(q_w[0].astype(np.int64)).sum()) >= 2**24
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["float32-acc", "float64-acc"])
+def test_banded_accumulator_matches_the_integer_loop(monkeypatch, band_rows, wide):
+    """Bands of 1 and of 3 output rows, the last one short, accumulate the
+    integer loop's values exactly, in float32 and in float64 (bound >= 2^24)."""
+    rng = np.random.default_rng(22)
+    c, stride, groups, itemsize = (128, 2, 1, 8) if wide else (6, 1, 2, 4)
+    z = 121 if wide else -17
+    q_in = rng.integers(-128, 128, (1, c, 13, 6), dtype=np.int8)
+    q_w = rng.integers(-127, 128, (4, c // groups, 3, 3), dtype=np.int8)
+    q_w[0] = 127
+    q_b = rng.integers(-(2**20), 2**20, 4, dtype=np.int32)
+    bound = QConvSpec(q_w, np.ones(4), q_b, stride, 1, groups).accumulator(z)[1]
+    assert (int(bound.max()) >= 2**24) == wide
+    want = conv2d_int_naive(q_in, z, q_w, q_b, stride, 1, groups)
+    oh, ow = want.shape[2:]
+    assert oh % 3, "the last 3-row band must be short"
+    for rows in (1, 3):
+        band_rows.clear()
+        monkeypatch.setattr(gl_tensor, "BUDGET", rows * itemsize * c * 9 * ow)
+        acc = int_conv_acc(q_in, z, q_w, q_b, stride, 1, groups)
+        assert band_rows == band_heights(oh, rows)
+        assert acc.dtype == (np.float64 if wide else np.float32)
+        assert np.array_equal(acc, want)
 
 
 @pytest.mark.parametrize(
@@ -816,6 +843,40 @@ def test_int8_containers_and_heads_match_goldens(synth_manifest):
         head = forward_quantized(load_quantized(blob), x).arr.tobytes()
         assert hashlib.sha256(blob).hexdigest() == container_sha, (seed, per_stage)
         assert hashlib.sha256(head).hexdigest() == head_sha, (seed, per_stage)
+
+
+@pytest.mark.parametrize("budget", [1, 300_001])
+def test_int8_goldens_hold_in_bands(monkeypatch, synth_manifest, budget):
+    """One-row conv bands, and bands of a few rows whose last one is short,
+    keep every int8 container (calibrated by banded float forwards) and
+    head golden: the accumulator, code map and head scaling run per band."""
+    monkeypatch.setattr(gl_tensor, "BUDGET", budget)
+    test_int8_containers_and_heads_match_goldens(synth_manifest)
+
+
+# The numpy scratch peak of one default int8 forward is 3.03e6 bytes: input
+# quantization's float64 plane and codes. A whole-plane conv accumulator or
+# requantize product (the stem's is 3.3e6 bytes), or a float64 copy of an
+# activation, takes it above this bound.
+INT8_FORWARD_SCRATCH_BOUND = 3.2e6
+
+
+def test_int8_forward_working_set_is_bounded():
+    """tracemalloc peak of one int8 forward of build_model(7, seed=1) at 320 px,
+    the float working-set test's twin."""
+    m = build_model(num_classes=7, seed=1)
+    rng = np.random.Generator(np.random.PCG64(124))
+    x = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 320, 320)).astype(np.float32))
+    qm = quantize_model(m, calibrate(m, [x]))
+    del m
+    forward_quantized(qm, x)  # warm-up: lazy numpy and BLAS set-up is not the forward's
+    tracemalloc.start()
+    try:
+        forward_quantized(qm, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= INT8_FORWARD_SCRATCH_BOUND, peak
 
 
 def test_quantized_forward_tracks_the_float_model():

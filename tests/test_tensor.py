@@ -29,6 +29,7 @@ from _oracles import (
     pool_naive,
     sigmoid64_masked,
 )
+from conftest import band_heights
 
 
 def rand_tensor(rng, n, c, h, w, lo=-2.0, hi=2.0):
@@ -146,6 +147,29 @@ def test_patches_match_np_pad_and_the_window_loop_bitwise(k, stride, padding):
         want = im2col_padded(q, k, stride, padding, z_in, np.float32)
         assert got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("groups", [1, 2])
+def test_banded_conv_matches_the_whole_plane_bitwise(monkeypatch, band_rows, stride, padding, groups):
+    """Bands of 1 and of 4 output rows, the last one short, give the
+    whole-plane conv's float32 output bit for bit."""
+    rng = np.random.default_rng(110 + 4 * stride + 2 * padding + groups)
+    n, c, k = 2, 4, 3
+    x = rand_tensor(rng, n, c, 11, 6)
+    weight = rng.uniform(-1, 1, (6, c // groups, k, k)).astype(np.float32)
+    spec = ConvSpec(weight, rng.uniform(-1, 1, 6).astype(np.float32), stride, padding, groups)
+    monkeypatch.setattr(gl_tensor, "BUDGET", 2**40)
+    whole = conv2d(x, spec).arr
+    oh, ow = whole.shape[2:]
+    assert band_rows == [oh] and oh % 4, "one band, and a short last band at 4 rows"
+    for rows in (1, 4):
+        band_rows.clear()
+        monkeypatch.setattr(gl_tensor, "BUDGET", rows * 8 * n * c * k * k * ow)  # float64 patches
+        got = conv2d(x, spec).arr
+        assert band_rows == band_heights(oh, rows)
+        assert got.tobytes() == whole.tobytes()
 
 
 # ---- batch norm ----
