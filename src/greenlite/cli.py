@@ -230,7 +230,7 @@ def _bench_one(path: str, images, gts, args, power, intensity):
 
     t0 = time.perf_counter()
     model = load_any(path)
-    records.append(EmissionRecord.measure("load", time.perf_counter() - t0, power, intensity))
+    records.append(EmissionRecord("load", time.perf_counter() - t0, power, intensity))
     k = model.meta.num_classes
     beyond = sorted({box.class_id for boxes in gts for box in boxes if box.class_id >= k})
     if beyond:  # map50 would skip their boxes while detection_prf counts them
@@ -262,8 +262,8 @@ def _bench_one(path: str, images, gts, args, power, intensity):
     # Integer nanoseconds: the forwards lie inside the pass, so the difference is never negative.
     evaluate_ns = time.perf_counter_ns() - t0 - sum(forward_ns)
     latency = LatencyStats.from_samples((ns / 1e9 for ns in forward_ns), warmup_count=1)
-    records.append(EmissionRecord.measure("inference", (warmup_ns + sum(forward_ns)) / 1e9, power, intensity))
-    records.append(EmissionRecord.measure("evaluate", evaluate_ns / 1e9, power, intensity))
+    records.append(EmissionRecord("inference", (warmup_ns + sum(forward_ns)) / 1e9, power, intensity))
+    records.append(EmissionRecord("evaluate", evaluate_ns / 1e9, power, intensity))
 
     size_mb = os.path.getsize(path) / 1e6
     twin = path if isinstance(model, QuantizedModel) else _twin_path(path)

@@ -165,36 +165,26 @@ def emissions(energy_kwh: float, intensity_kg_per_kwh: float) -> float:
 
 @dataclass(frozen=True)
 class EmissionRecord:
+    """A stage's metered duration at an assumed power and grid intensity; energy and carbon follow from them."""
+
     stage: str
     duration_s: float
-    energy_kwh: float
-    carbon_kg: float
     power_watts_assumed: float = DEFAULT_POWER_WATTS
     intensity_kg_per_kwh: float = WORLD_AVG_INTENSITY
 
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
             raise ContractViolation(f"unknown stage {self.stage!r}, expected one of {STAGES}")
-        for name in ("duration_s", "energy_kwh", "carbon_kg", "power_watts_assumed", "intensity_kg_per_kwh"):
+        for name in ("duration_s", "power_watts_assumed", "intensity_kg_per_kwh", "energy_kwh", "carbon_kg"):
             _check_amount(name, getattr(self, name))
-        # The record must be arithmetically self-consistent, bit for bit.
-        if self.energy_kwh != estimate_energy(self.power_watts_assumed, self.duration_s):
-            raise ContractViolation("energy_kwh does not equal watts * seconds / 3.6e6")
-        if self.carbon_kg != emissions(self.energy_kwh, self.intensity_kg_per_kwh):
-            raise ContractViolation("carbon_kg does not equal energy_kwh * intensity")
 
-    @classmethod
-    def measure(
-        cls,
-        stage: str,
-        duration_s: float,
-        power_watts: float = DEFAULT_POWER_WATTS,
-        intensity_kg_per_kwh: float = WORLD_AVG_INTENSITY,
-    ) -> "EmissionRecord":
-        """Build a record whose energy and carbon follow exactly from the inputs."""
-        energy = estimate_energy(power_watts, duration_s)
-        carbon = emissions(energy, intensity_kg_per_kwh)
-        return cls(stage, duration_s, energy, carbon, power_watts, intensity_kg_per_kwh)
+    @property
+    def energy_kwh(self) -> float:
+        return estimate_energy(self.power_watts_assumed, self.duration_s)
+
+    @property
+    def carbon_kg(self) -> float:
+        return emissions(self.energy_kwh, self.intensity_kg_per_kwh)
 
 
 EMISSIONS_CSV_HEADER = "stage,duration_s,energy_kwh,carbon_kg"
@@ -207,12 +197,21 @@ def format_float(v: float) -> str:
 
 @dataclass(frozen=True)
 class StageReport:
-    """Per-stage emission totals plus a grand total, in canonical stage order."""
+    """Per-stage emission sums in canonical stage order; the grand totals are their exact sums."""
 
     stages: tuple[tuple[str, float, float, float], ...]
-    total_duration_s: float
-    total_energy_kwh: float
-    total_carbon_kg: float
+
+    @property
+    def total_duration_s(self) -> float:
+        return math.fsum(row[1] for row in self.stages)
+
+    @property
+    def total_energy_kwh(self) -> float:
+        return math.fsum(row[2] for row in self.stages)
+
+    @property
+    def total_carbon_kg(self) -> float:
+        return math.fsum(row[3] for row in self.stages)
 
     def to_csv(self) -> str:
         total = ("total", self.total_duration_s, self.total_energy_kwh, self.total_carbon_kg)
@@ -221,49 +220,39 @@ class StageReport:
 
 
 def stage_report(records: Iterable[EmissionRecord]) -> StageReport:
-    """Aggregate records per stage; totals are exact sums of the parts."""
+    """Aggregate records per stage; each sum is exact (math.fsum)."""
     records = list(records)
-    by_stage: dict[str, list[EmissionRecord]] = {}
-    for rec in records:
-        by_stage.setdefault(rec.stage, []).append(rec)
     rows = []
     for stage in STAGES:
-        if stage not in by_stage:
-            continue
-        group = by_stage[stage]
-        rows.append(
-            (
-                stage,
-                math.fsum(r.duration_s for r in group),
-                math.fsum(r.energy_kwh for r in group),
-                math.fsum(r.carbon_kg for r in group),
+        group = [r for r in records if r.stage == stage]
+        if group:
+            rows.append(
+                (
+                    stage,
+                    math.fsum(r.duration_s for r in group),
+                    math.fsum(r.energy_kwh for r in group),
+                    math.fsum(r.carbon_kg for r in group),
+                )
             )
-        )
-    return StageReport(
-        stages=tuple(rows),
-        total_duration_s=math.fsum(r[1] for r in rows),
-        total_energy_kwh=math.fsum(r[2] for r in rows),
-        total_carbon_kg=math.fsum(r[3] for r in rows),
-    )
+    return StageReport(tuple(rows))
 
 
 def parse_stage_report(text: str) -> StageReport:
-    """Parse a stage report CSV back into its values, bit for bit (format_float)."""
+    """Parse a stage report CSV back into its values, bit for bit (format_float);
+    its last row must be the total, the exact sum of the stage rows."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != EMISSIONS_CSV_HEADER:
         raise ContractViolation("bad emissions CSV header")
     rows: list[tuple[str, float, float, float]] = []
-    total = (0.0, 0.0, 0.0)
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 4:
             raise ContractViolation(f"bad emissions CSV row: {ln!r}")
-        stage, dur, kwh, kg = parts[0], float(parts[1]), float(parts[2]), float(parts[3])
-        if stage == "total":
-            total = (dur, kwh, kg)
-        else:
-            rows.append((stage, dur, kwh, kg))
-    return StageReport(tuple(rows), *total)
+        rows.append((parts[0], float(parts[1]), float(parts[2]), float(parts[3])))
+    report = StageReport(tuple(rows[:-1]))
+    if not rows or rows[-1] != ("total", report.total_duration_s, report.total_energy_kwh, report.total_carbon_kg):
+        raise ContractViolation("emissions CSV must end with a total row, the sum of its stage rows")
+    return report
 
 
 def resolve_energy_settings() -> tuple[float, float]:

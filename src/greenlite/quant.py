@@ -97,7 +97,7 @@ from .graph import (
     validate_graph,
 )
 from .profiling import TRACKER
-from .tensor import ACTIVATIONS, Tensor, conv_gemm, conv_geometry, max_windows
+from .tensor import ACTIVATIONS, Tensor, _float64_blocks, conv_gemm, conv_geometry, max_windows
 
 I32_MIN, I32_MAX = -(2**31), 2**31 - 1
 
@@ -188,16 +188,18 @@ def _grid(params: QuantParams, shape: tuple[int, ...]) -> tuple:
     return scale.reshape((k,) + (1,) * (len(shape) - 1)), params.zero_point
 
 
-def _scaled(arr: np.ndarray, scale) -> np.ndarray:
-    """t = fl64(x) / s in one pass, what every float -> int8 code map reads; NaN raises ContractViolation."""
-    if np.isnan(arr).any():
+def _scaled(t: np.ndarray, scale) -> np.ndarray:
+    """t = fl64(x) / s in place in t, x's float64 copy: what every float -> int8
+    code map reads; NaN raises ContractViolation."""
+    if np.isnan(t).any():
         raise ContractViolation("cannot quantize a tensor holding NaN")
-    return np.divide(arr, scale, dtype=np.float64)
+    t /= scale
+    return t
 
 
 def quantize_array(arr: np.ndarray, params: QuantParams) -> np.ndarray:
     scale, zero_point = _grid(params, np.shape(arr))
-    return _requantize(_scaled(arr, scale), zero_point)
+    return _requantize(_scaled(np.array(arr, dtype=np.float64), scale), zero_point)
 
 
 def dequantize_array(q: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -639,8 +641,9 @@ def _bind_conv(spec: QConvSpec, in_params: QuantParams, out_params: QuantParams 
 
 
 def _quantize_step(codes: Callable, params: QuantParams, x: Tensor) -> QuantizedTensor:
-    """float32 -> int8 onto params: codes(fl64(x) / s) by its bound code map; NaN raises ContractViolation."""
-    return QuantizedTensor(codes(_scaled(x.arr, params.scale)), params)
+    """float32 -> int8 onto params: codes(fl64(x) / s) by its bound code map, one block of
+    whole channel rows at a time (tensor._float64_blocks); NaN raises ContractViolation."""
+    return QuantizedTensor(_float64_blocks(x.arr, lambda t: codes(_scaled(t, params.scale)), dtype=np.int8), params)
 
 
 def _bind_quantizer(params: QuantParams) -> Callable[[Tensor], QuantizedTensor]:

@@ -38,7 +38,7 @@ from .profiling import TRACKER
 
 POOL_KINDS = ("max", "avg")
 
-# Elements per float64 block in _float64_blocks, for bn and the activations:
+# Elements per float64 block in _float64_blocks (bn, activations, int8 quantizers):
 # 256 KB each, so a chunk's chain of temporaries stays inside one core's L2.
 CHUNK = 32_768
 
@@ -122,14 +122,17 @@ def _out_dim(size: int, k: int, stride: int, padding: int) -> int:
     return out
 
 
-def _padded(arr: np.ndarray, padding: int, fill) -> np.ndarray:
-    """arr with `padding` cells of fill around its last two axes, in arr's
-    dtype; arr itself when padding is 0."""
+def _padded(arr: np.ndarray, padding: int, fill, top: int, bottom: int) -> np.ndarray:
+    """Rows top:bottom of arr padded with `padding` cells of fill around its
+    last two axes, in arr's dtype. Rows count from arr's first, so
+    -padding:h + padding is the whole padded plane; a view when padding is 0."""
     if padding == 0:
-        return arr
+        return arr[:, :, top:bottom]
     n, c, h, w = arr.shape
-    out = np.full((n, c, h + 2 * padding, w + 2 * padding), fill, dtype=arr.dtype)
-    out[:, :, padding : padding + h, padding : padding + w] = arr
+    out = np.full((n, c, bottom - top, w + 2 * padding), fill, dtype=arr.dtype)
+    first, last = max(top, 0), min(bottom, h)
+    if first < last:  # a band can lie wholly in the padding
+        out[:, :, first - top : last - top, padding : padding + w] = arr[:, :, first:last]
     return out
 
 
@@ -137,14 +140,14 @@ def patches(arr: np.ndarray, k: int, stride: int, padding: int, fill, dtype) -> 
     """(n, c, h, w) array -> (n, c*k*k, oh*ow) patch matrix in dtype.
 
     arr is padded with fill in its own dtype, and each window is copied
-    straight into dtype. conv_gemm passes each band of its already padded
-    input with padding 0; average pooling pads here, and the padded plane
+    straight into dtype. conv_gemm passes each band of input rows already
+    padded, with padding 0; average pooling pads here, and the padded plane
     is a temporary, freed on return.
     """
     n, c, h, w = arr.shape
     oh = _out_dim(h, k, stride, padding)
     ow = _out_dim(w, k, stride, padding)
-    padded = _padded(arr, padding, fill)
+    padded = _padded(arr, padding, fill, -padding, h + padding)
     cols = np.empty((n, c, k, k, oh, ow), dtype=dtype)
     for ky in range(k):
         for kx in range(k):
@@ -162,23 +165,23 @@ def conv_gemm(
     dtype: conv2d's in float64 with fill 0, the int8 accumulator's in float32
     or float64 with fill z_in.
 
-    The input is padded with fill once. Each band of output rows, about
-    BUDGET bytes of patch matrix, gets its own patches, one matmul against
-    the cast weights and the bias; finish(acc) then turns the band's
-    accumulator into its final values, stored into one output in their
-    dtype. Without finish the output is the accumulator itself.
+    Each band of output rows, about BUDGET bytes of patch matrix, pads
+    only its own input rows with fill, so the whole plane is never padded.
+    The band gets its own patches, one matmul against the cast weights and
+    the bias; finish(acc) then turns the band's accumulator into its final
+    values, stored into one output in their dtype. Without finish the
+    output is the accumulator itself.
     """
     n, c, h, w = arr.shape
     oc, icg, k, _ = weight.shape
     oh = _out_dim(h, k, stride, padding)
     ow = _out_dim(w, k, stride, padding)
     rows = max(1, BUDGET // (bias.dtype.itemsize * n * c * k * k * ow))
-    padded = _padded(arr, padding, fill)
     wmat = weight.reshape(groups, oc // groups, icg * k * k).astype(bias.dtype)
     out = None
     for lo in range(0, oh, rows):
         hi = min(lo + rows, oh)
-        band = padded[:, :, lo * stride : (hi - 1) * stride + k]
+        band = _padded(arr, padding, fill, lo * stride - padding, (hi - 1) * stride + k - padding)
         cols = patches(band, k, stride, 0, fill, bias.dtype).reshape(n, groups, icg * k * k, -1)
         acc = np.matmul(wmat[None], cols).reshape(n, oc, hi - lo, ow)
         del cols
@@ -201,19 +204,22 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
                             spec.groups, 0, x.arr, finish=lambda acc: acc.astype(np.float32)))
 
 
-def _float64_blocks(x: Tensor, fn: Callable[..., np.ndarray], *per_row: np.ndarray) -> Tensor:
-    """fn(block, *rows of per_row) on float64 copies of blocks of x's whole
+def _float64_blocks(
+    arr: np.ndarray, fn: Callable[..., np.ndarray], *per_row: np.ndarray, dtype=np.float32
+) -> np.ndarray:
+    """fn(block, *rows of per_row) on float64 copies of blocks of arr's whole
     (n * c) rows, about CHUNK elements each (one row when a row is longer),
-    each rounded once to float32 into a fresh tensor; fn may work in place.
+    each stored in dtype (float32 rounds once) into a fresh array of arr's
+    shape; fn may work in place.
     """
-    n, c, h, w = x.arr.shape
-    rows = x.arr.reshape(n * c, h * w)
-    out = np.empty_like(rows)
+    n, c, h, w = arr.shape
+    rows = arr.reshape(n * c, h * w)
+    out = np.empty(rows.shape, dtype=dtype)
     step = max(1, CHUNK // (h * w))
     for lo in range(0, n * c, step):
         block = slice(lo, lo + step)
         out[block] = fn(rows[block].astype(np.float64), *[a[block] for a in per_row])
-    return Tensor(out.reshape(n, c, h, w))
+    return out.reshape(n, c, h, w)
 
 
 def batchnorm_infer(
@@ -248,7 +254,7 @@ def batchnorm_infer(
         block += row_shift
         return block
 
-    return _float64_blocks(x, affine, np.tile(scale, n)[:, None], np.tile(shift, n)[:, None])
+    return Tensor(_float64_blocks(x.arr, affine, np.tile(scale, n)[:, None], np.tile(shift, n)[:, None]))
 
 
 def _sigmoid64(z: np.ndarray) -> np.ndarray:
@@ -287,7 +293,7 @@ def activation(x: Tensor, kind: str) -> Tensor:
     """
     if kind not in ACTIVATION_KINDS:
         raise ContractViolation(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
-    return _float64_blocks(x, ACTIVATIONS[kind])
+    return Tensor(_float64_blocks(x.arr, ACTIVATIONS[kind]))
 
 
 def exact_sum(a: np.ndarray, axis: int) -> np.ndarray:
@@ -327,7 +333,7 @@ def max_windows(arr: np.ndarray, kernel: int, stride: int, padding: int, fill) -
     h, w = arr.shape[2:]
     oh = _out_dim(h, kernel, stride, padding)
     ow = _out_dim(w, kernel, stride, padding)
-    padded = _padded(arr, padding, fill)
+    padded = _padded(arr, padding, fill, -padding, h + padding)
     rows = padded[:, :, :, 0 : stride * ow : stride].copy()
     for kx in range(1, kernel):
         np.maximum(rows, padded[:, :, :, kx : kx + stride * ow : stride], out=rows)

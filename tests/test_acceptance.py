@@ -329,19 +329,19 @@ def test_criterion_6_emissions_arithmetic():
     """Energy/carbon formulas exact; totals exact; CSV round-trips losslessly."""
     for watts, dur, intensity in ((15.0, 12.5, 0.475), (100.0, 360.0, 0.5),
                                   (7200.0, 0.5, 0.4), (0.0, 3.0, 1.0)):
-        rec = EmissionRecord.measure("inference", dur, watts, intensity)
+        rec = EmissionRecord("inference", dur, watts, intensity)
         assert rec.energy_kwh == watts * dur / 3.6e6
         assert rec.carbon_kg == rec.energy_kwh * intensity
         assert rec.energy_kwh == estimate_energy(watts, dur)
         assert rec.carbon_kg == emissions(rec.energy_kwh, intensity)
-    with pytest.raises(ContractViolation):
-        EmissionRecord("inference", 1.0, 2e-6, 2e-6 * 0.475)  # energy is not 15 W * 1 s
+    with pytest.raises(TypeError):
+        EmissionRecord("inference", 1.0, energy_kwh=2e-6)  # energy follows from watts and seconds
 
     recs = [
-        EmissionRecord.measure("load", 0.125),
-        EmissionRecord.measure("inference", 0.25),
-        EmissionRecord.measure("inference", 0.5),
-        EmissionRecord.measure("evaluate", 1.0),
+        EmissionRecord("load", 0.125),
+        EmissionRecord("inference", 0.25),
+        EmissionRecord("inference", 0.5),
+        EmissionRecord("evaluate", 1.0),
     ]
     rep = stage_report(recs)
     assert rep.total_duration_s == math.fsum(r[1] for r in rep.stages)
@@ -352,8 +352,8 @@ def test_criterion_6_emissions_arithmetic():
 
     # values exactly representable at 6 decimals survive a round trip bit for bit
     exact = stage_report([
-        EmissionRecord.measure("load", 0.5, power_watts=7200.0, intensity_kg_per_kwh=0.4),
-        EmissionRecord.measure("inference", 0.25, power_watts=7200.0, intensity_kg_per_kwh=0.4),
+        EmissionRecord("load", 0.5, power_watts_assumed=7200.0, intensity_kg_per_kwh=0.4),
+        EmissionRecord("inference", 0.25, power_watts_assumed=7200.0, intensity_kg_per_kwh=0.4),
     ])
     parsed = parse_stage_report(exact.to_csv())
     assert parsed.stages == exact.stages

@@ -266,33 +266,22 @@ def test_emissions_fixtures():
 
 
 def test_emission_record_measure_is_self_consistent():
-    rec = EmissionRecord.measure("inference", 12.5)
+    rec = EmissionRecord("inference", 12.5)
     assert rec.stage == "inference"
     assert rec.power_watts_assumed == 15.0
     assert rec.intensity_kg_per_kwh == 0.475
     assert rec.energy_kwh == estimate_energy(15.0, 12.5)
     assert rec.carbon_kg == emissions(rec.energy_kwh, 0.475)
-    custom = EmissionRecord.measure("load", 2.0, power_watts=40.0, intensity_kg_per_kwh=0.2)
+    custom = EmissionRecord("load", 2.0, power_watts_assumed=40.0, intensity_kg_per_kwh=0.2)
     assert custom.energy_kwh == estimate_energy(40.0, 2.0)
     assert custom.carbon_kg == custom.energy_kwh * 0.2
 
 
-def test_emission_record_rejects_tampered_arithmetic():
-    energy = estimate_energy(15.0, 1.0)
-    carbon = emissions(energy, 0.475)
-    EmissionRecord("inference", 1.0, energy, carbon)  # the honest record passes
-    with pytest.raises(ContractViolation) as exc:
-        EmissionRecord("inference", 1.0, energy * 1.01, carbon)
-    assert "does not equal" in str(exc.value)
-    with pytest.raises(ContractViolation):
-        EmissionRecord("inference", 1.0, energy, carbon + 1e-12)
-
-
 def test_emission_record_validates_fields():
     with pytest.raises(ContractViolation):
-        EmissionRecord.measure("training", 1.0)
+        EmissionRecord("training", 1.0)
     with pytest.raises(ContractViolation):
-        EmissionRecord.measure("load", -1.0)
+        EmissionRecord("load", -1.0)
     assert set(STAGES) == {"load", "calibrate", "quantize", "inference", "evaluate"}
 
 
@@ -309,10 +298,10 @@ def test_stage_report_empty():
 
 def test_stage_report_groups_in_canonical_order():
     recs = [
-        EmissionRecord.measure("evaluate", 0.5),
-        EmissionRecord.measure("load", 0.25),
-        EmissionRecord.measure("inference", 0.125),
-        EmissionRecord.measure("inference", 0.25),
+        EmissionRecord("evaluate", 0.5),
+        EmissionRecord("load", 0.25),
+        EmissionRecord("inference", 0.125),
+        EmissionRecord("inference", 0.25),
     ]
     rep = stage_report(recs)
     assert [row[0] for row in rep.stages] == ["load", "inference", "evaluate"]
@@ -327,9 +316,9 @@ def test_stage_report_groups_in_canonical_order():
 
 def test_stage_report_csv_round_trips_exactly():
     recs = [
-        EmissionRecord.measure("load", 1.234567891),
-        EmissionRecord.measure("quantize", 0.000123456, power_watts=500.0),
-        EmissionRecord.measure("evaluate", 99.5),
+        EmissionRecord("load", 1.234567891),
+        EmissionRecord("quantize", 0.000123456, power_watts_assumed=500.0),
+        EmissionRecord("evaluate", 99.5),
     ]
     rep = stage_report(recs)
     text = rep.to_csv()
@@ -341,6 +330,13 @@ def test_stage_report_csv_round_trips_exactly():
     for line in lines[1:]:  # 6 fixed decimals printed quantize's 1.7e-8 kWh as 0.000000
         _, _, kwh, kg = line.split(",")
         assert float(kwh) > 0.0 and float(kg) > 0.0, line
+
+
+def test_parse_stage_report_refuses_a_total_row_that_is_not_the_sum():
+    with pytest.raises(ContractViolation, match="the sum of its stage rows"):
+        parse_stage_report(EMISSIONS_CSV_HEADER + "\nload,1.0,2.0,3.0\ntotal,2.0,2.0,3.0\n")
+    with pytest.raises(ContractViolation, match="the sum of its stage rows"):
+        parse_stage_report(EMISSIONS_CSV_HEADER + "\nload,1.0,2.0,3.0\n")
 
 
 def test_parse_stage_report_rejects_malformed_text():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from greenlite.cli import _build_parser
+from greenlite.cli import BENCH_CSV_HEADER, BENCH_EMISSIONS_CSV_HEADER, MEMORY_CSV_HEADER, _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -69,3 +69,14 @@ def test_the_count_flag_table_matches_the_parser(capsys):
                 parser.parse_args(base + [flag, str(int(least) - 1)])
             assert exc.value.code == 1, (command, flag)
             assert f"argument {flag}: must be >= {least}" in capsys.readouterr().err
+
+
+def test_bench_output_table_names_the_csv_headers():
+    """README's table of bench's output files gives each CSV's header as bench writes it."""
+    walkthrough = section(README.read_text(encoding="utf-8"), "## CLI walkthrough")
+    headers = dict(re.findall(r"^\| `(\w+\.csv)` \| `([\w,]+)` ", walkthrough, re.M))
+    assert headers == {
+        "bench.csv": BENCH_CSV_HEADER,
+        "emissions.csv": BENCH_EMISSIONS_CSV_HEADER,
+        "memory.csv": MEMORY_CSV_HEADER,
+    }
